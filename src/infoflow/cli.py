@@ -53,7 +53,7 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dt", type=float, default=None, help="time step for files without a time column")
     parser.add_argument("--json", action="store_true", help="emit a JSON report instead of text")
     parser.add_argument("--seed", type=int, default=None, help="seed for randomized operations")
-    parser.add_argument("--jobs", type=int, default=1, help="max parallel workers (default 1)")
+    parser.add_argument("--jobs", type=int, default=1, help="worker threads for windows (default 1); no effect on surrogates")
     parser.add_argument("--alpha", type=float, default=0.05, help="significance level (default 0.05)")
     parser.add_argument(
         "--correction",

@@ -15,6 +15,7 @@ as coefficient * correlation ratio. Flows are in nats per unit time.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -62,6 +63,8 @@ class LinearModelFit:
     squared residual on the derivative scale; ``noise_intensity`` is
     k*dt times that, the additive-noise magnitude g_ii of the fitted SDE.
     ``target_variance`` is the sample variance of the target over the window.
+    ``lag1_residual_autocorr`` is taken from ``residuals`` once, when first
+    read.
     """
 
     target: int
@@ -73,6 +76,14 @@ class LinearModelFit:
     residuals: np.ndarray
     k: int
     n_eff: int
+
+    @cached_property
+    def lag1_residual_autocorr(self) -> float:
+        e = self.residuals - self.residuals.mean()
+        denom = float(e @ e)
+        if denom == 0.0:
+            return 0.0
+        return float(e[:-1] @ e[1:] / denom)
 
 
 def _covariance_for(panel, k, targets, cov):

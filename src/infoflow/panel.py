@@ -155,8 +155,11 @@ def ingest_csv(
 
     Cells must be numeric apart from an optional time column. When a time
     column is named, dt is inferred from it and the grid is checked for
-    uniformity (relative tolerance 1e-6); otherwise dt is ``dt_override``
-    or 1.0. Missing values are rejected, never imputed.
+    uniformity (relative tolerance 1e-6); a column that is exactly
+    t[0] + m*(t[1] - t[0]), as ``write_csv`` writes it, gives that step
+    bit for bit. Without a time column dt is ``dt_override`` or 1.0. Missing
+    values are rejected, never imputed; so are Python-only literals such as
+    ``1_000``.
     """
     if time_column is not None and dt_override is not None:
         raise UsageError("pass either time_column or dt_override, not both")
@@ -192,6 +195,10 @@ def ingest_csv(
             )
         for c, cell in enumerate(row):
             try:
+                # float() also takes Python-only forms such as 1_000 or
+                # non-ASCII digits; a data file gets plain decimal text only
+                if "_" in cell or not cell.isascii():
+                    raise ValueError
                 parsed[r, c] = float(cell)
             except ValueError:
                 raise CsvParseError(
@@ -208,7 +215,11 @@ def ingest_csv(
         if not np.isfinite(t).all():
             raise ValidationError(f"{path}: non-finite value in time column {time_column!r}")
         steps = np.diff(t)
-        dt = (t[-1] - t[0]) / (len(t) - 1)
+        # write_csv's grid m*dt is exact in its first step; the mean step
+        # (t[-1] - t[0]) / (n - 1) may miss dt by an ulp
+        dt = t[1] - t[0]
+        if not np.array_equal(t, t[0] + np.arange(len(t)) * dt):
+            dt = (t[-1] - t[0]) / (len(t) - 1)
         if dt <= 0 or not np.all(steps > 0):
             raise CsvFormatError(f"{path}: time column {time_column!r} must strictly increase")
         off = np.abs(steps - dt) > TIME_UNIFORMITY_RTOL * abs(dt)

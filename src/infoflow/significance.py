@@ -13,15 +13,15 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import CovarianceSet
+from .covariance import NEAR_SINGULAR_RTOL, CovarianceSet, _window
 from .errors import (
     DegenerateInferenceWarning,
     InsufficientDataError,
+    InvalidPairError,
     ResolutionError,
     SingularCovarianceError,
     UsageError,
@@ -32,7 +32,7 @@ from .estimator import (
     SelfInfluenceEstimate,
     estimate_flow,
 )
-from .panel import TimeSeriesPanel
+from .panel import TimeSeriesPanel, forward_difference
 
 # Lag-1 residual autocorrelation above this is flagged in reports: the
 # plain delta-method errors assume serially uncorrelated residuals.
@@ -64,14 +64,6 @@ class SignificanceReport:
 def two_sided_p(z: float) -> float:
     """Two-sided standard-normal tail probability."""
     return math.erfc(abs(z) / math.sqrt(2.0))
-
-
-def _lag1_autocorr(residuals: np.ndarray) -> float:
-    e = residuals - residuals.mean()
-    denom = float(e @ e)
-    if denom == 0.0:
-        return 0.0
-    return float(e[:-1] @ e[1:] / denom)
 
 
 def _coefficient_variance(fit: LinearModelFit, cov: CovarianceSet, index: int) -> float:
@@ -125,7 +117,7 @@ def asymptotic_significance(
         stderr=stderr,
         z_score=z,
         p_asymptotic=p,
-        lag1_residual_autocorr=_lag1_autocorr(fit.residuals),
+        lag1_residual_autocorr=fit.lag1_residual_autocorr,
     )
 
 
@@ -143,7 +135,7 @@ def self_influence_significance(
         stderr=stderr,
         z_score=z,
         p_asymptotic=p,
-        lag1_residual_autocorr=_lag1_autocorr(fit.residuals),
+        lag1_residual_autocorr=fit.lag1_residual_autocorr,
     )
 
 
@@ -172,31 +164,70 @@ def surrogate_flow_samples(
 ) -> np.ndarray:
     """Flow re-estimates against ``n_surrogates`` resampled source series.
 
+    Entry m equals ``estimate_flow`` on the panel with the source replaced by
+    surrogate m, but no panel is copied. A surrogate s changes only the
+    source's row and column of C and the source's entry of the target's
+    derivative cross-moments. So one pass over the window takes what stays
+    fixed: the covariance block C_OO of the other series O (the target among
+    them) and their cross-moments dcov_O with dX_target. Per surrogate, one
+    O(n d) product gives c = cov(X_O, s), g = cov(s, dX_target) and
+    v = var(s), and the Schur complement of C_OO finishes in O(d^2):
+
+        coef = (g - c' C_OO^-1 dcov_O) / (v - c' C_OO^-1 c)
+        T    = coef * c_target / C_target,target
+        det  = det C_OO * (v - c' C_OO^-1 c)
+
+    A surrogate whose covariance fails the ``NEAR_SINGULAR_RTOL`` test
+    contributes +inf (counts as extreme, which can only make the p value
+    more conservative); if C_OO fails it, every surrogate does.
+
     Each surrogate draws from its own seed-derived substream, so the result
-    is independent of execution order and of ``jobs``. A surrogate that
-    happens to make the covariance singular contributes +inf (counts as
-    extreme, which can only make the p value more conservative).
+    does not depend on evaluation order. ``jobs`` has no effect: the
+    per-surrogate work is too small for threads to pay.
     """
     if method not in SURROGATE_METHODS:
         raise UsageError(f"unknown surrogate method {method!r}; choose from {SURROGATE_METHODS}")
+    # range() maps negative indices and raises IndexError out of range
+    source, target = range(panel.d)[source], range(panel.d)[target]
+    if source == target:
+        raise InvalidPairError("source equals target; surrogates test cross-coupling only")
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     children = root.spawn(n_surrogates)
+
+    X = _window(panel, k)
+    n_eff = X.shape[1]
+    others = [m for m in range(panel.d) if m != source]
+    t = others.index(target)
+    # centred rows of the other series, then of dX_target
+    Z = np.vstack([X[others], forward_difference(panel, target, k).values])
+    Z -= Z.mean(axis=1, keepdims=True)
+    moments = (Z @ Z.T) / (n_eff - 1)
+    C_oo = moments[:-1, :-1]
+    dcov_o = moments[:-1, -1]
+    diag_oo = float(np.prod(np.diag(C_oo)))
+    det_oo = float(np.linalg.det(C_oo))
+    if det_oo == 0.0 or abs(det_oo) < NEAR_SINGULAR_RTOL * abs(diag_oo) or C_oo[t, t] <= 0.0:
+        return np.full(n_surrogates, math.inf)
+    C_oo_inv = np.linalg.inv(C_oo)
+
     row = panel.values[source]
-
-    def one(child) -> float:
+    # per surrogate: [c (d - 1 entries), g, v], unnormalized
+    sums = np.empty((n_surrogates, panel.d + 1))
+    for m, child in enumerate(children):
         rng = np.random.Generator(np.random.PCG64(child))
-        surr = _surrogate_series(row, rng, method)
-        try:
-            return estimate_flow(panel.with_series(source, surr), source, target, k).value
-        except SingularCovarianceError:
-            return math.inf
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            values = list(pool.map(one, children))
-    else:
-        values = [one(child) for child in children]
-    return np.asarray(values)
+        s = _surrogate_series(row, rng, method)[:n_eff]
+        s = s - s.mean()
+        sums[m, :-1] = Z @ s
+        sums[m, -1] = s @ s
+    sums /= n_eff - 1
+    c, g, v = sums[:, :-2], sums[:, -2], sums[:, -1]
+    schur = v - np.einsum("mi,mi->m", c @ C_oo_inv, c)
+    det = det_oo * schur
+    with np.errstate(divide="ignore", invalid="ignore"):
+        flows = (g - c @ (C_oo_inv @ dcov_o)) / schur * c[:, t] / C_oo[t, t]
+    singular = (det == 0.0) | (np.abs(det) < NEAR_SINGULAR_RTOL * np.abs(diag_oo * v))
+    flows[singular] = math.inf
+    return flows
 
 
 def surrogate_significance(

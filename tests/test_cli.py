@@ -86,6 +86,15 @@ def test_estimate_missing_file_exit_3(capsys, tmp_path):
     assert "error" in err
 
 
+def test_estimate_python_only_float_literal_exit_3(capsys, tmp_path):
+    path = tmp_path / "underscore.csv"
+    rows = ["a,b"] + [f"{v},{-v}" for v in (0.3, 1.2, -0.7, 0.9, 2.2, -1.4)] + ["1_000,0.5"]
+    path.write_text("\n".join(rows) + "\n")
+    code, _, err = run_cli(capsys, "estimate", str(path), "--source", "a", "--target", "b")
+    assert code == 3
+    assert "'1_000'" in err
+
+
 def test_estimate_singular_data_exit_4(capsys, tmp_path):
     path = tmp_path / "singular.csv"
     rows = ["a,b"] + [f"{v},{2 * v}" for v in (0.3, 1.2, -0.7, 0.9, 2.2, -1.4, 0.5, 1.1)]

@@ -186,3 +186,20 @@ def test_csv_round_trip_without_time_column(tmp_path):
     write_csv(panel, buf, time_label=None)
     back = ingest_csv(write_file(tmp_path, buf.getvalue(), "nt.csv"))
     assert np.array_equal(back.values, panel.values)
+
+
+@pytest.mark.parametrize("dt, n", [(0.1, 4), (0.01, 30)])
+def test_csv_round_trip_recovers_dt_exactly(tmp_path, dt, n):
+    # the mean step (t[-1] - t[0]) / (n - 1) misses these dt by an ulp
+    p = TimeSeriesPanel(("x",), make_rng(13).standard_normal((1, n)), dt=dt)
+    buf = io.StringIO()
+    write_csv(p, buf)
+    q = ingest_csv(write_file(tmp_path, buf.getvalue(), "dt.csv"), time_column="t")
+    assert q.dt == p.dt
+
+
+@pytest.mark.parametrize("cell", ["1_000", "1_0.5", "\u0661\u0662"])
+def test_python_only_float_literal_rejected(tmp_path, cell):
+    path = write_file(tmp_path, f"x,y\n1.0,2.0\n1.5,{cell}\n")
+    with pytest.raises(CsvParseError, match=r"at row 3, column 'y'"):
+        ingest_csv(path)

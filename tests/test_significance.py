@@ -16,7 +16,12 @@ from infoflow import (
     surrogate_flow_samples,
     surrogate_significance,
 )
-from infoflow.errors import DegenerateInferenceWarning, ResolutionError, UsageError
+from infoflow.errors import (
+    DegenerateInferenceWarning,
+    InvalidPairError,
+    ResolutionError,
+    UsageError,
+)
 from conftest import make_rng
 from test_estimator import orthogonal_pair_panel
 
@@ -202,3 +207,96 @@ def test_permutation_method_available():
     assert 0.0 < rep.p_surrogate <= 1.0
     with pytest.raises(UsageError):
         surrogate_significance(b.panel, 1, 0, n_surrogates=19, seed=0, method="mirror")
+
+
+def replaced_source_flows(panel, source, target, k, n_surrogates, seed, method):
+    """Surrogate flows the direct way: copy the panel with the source
+    replaced by surrogate m (same seeded substreams) and re-estimate."""
+    from infoflow.errors import SingularCovarianceError
+    from infoflow.significance import _surrogate_series
+
+    values = []
+    for child in np.random.SeedSequence(seed).spawn(n_surrogates):
+        rng = np.random.Generator(np.random.PCG64(child))
+        surr = _surrogate_series(panel.values[source], rng, method)
+        try:
+            values.append(estimate_flow(panel.with_series(source, surr), source, target, k).value)
+        except SingularCovarianceError:
+            values.append(np.inf)
+    return np.asarray(values)
+
+
+def correlated_panel(d, n, seed):
+    rng = make_rng(seed)
+    mix = np.eye(d) + 0.4 * rng.standard_normal((d, d))
+    walk = 0.05 * np.cumsum(rng.standard_normal((d, n)), axis=1)
+    values = mix @ rng.standard_normal((d, n)) + walk + rng.normal(0.0, 3.0, (d, 1))
+    return TimeSeriesPanel(tuple(f"x{m}" for m in range(d)), values, dt=0.1)
+
+
+@pytest.mark.parametrize("method", ["circular_shift", "permutation"])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+def test_surrogate_samples_match_replaced_source_estimates(d, k, method):
+    panel = correlated_panel(d, 1500, seed=40 + d)
+    for source, target in ((0, d - 1), (d - 1, 0), (-1, 0)):
+        got = surrogate_flow_samples(
+            panel, source, target, k, n_surrogates=25, seed=13, method=method
+        )
+        want = replaced_source_flows(panel, source, target, k, 25, 13, method)
+        assert got.shape == want.shape == (25,)
+        assert np.isfinite(want).all()
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_surrogate_that_duplicates_another_series_is_inf():
+    # series c is the source rotated by exactly the shift that surrogate 3
+    # draws, so that surrogate makes the covariance singular
+    from infoflow.significance import _surrogate_series
+
+    rng = make_rng(21)
+    a, b = rng.standard_normal((2, 800))
+    child = np.random.SeedSequence(17).spawn(30)[3]
+    c = _surrogate_series(a, np.random.Generator(np.random.PCG64(child)), "circular_shift")
+    panel = TimeSeriesPanel(("a", "b", "c"), np.vstack([a, b, c]))
+    got = surrogate_flow_samples(panel, 0, 1, n_surrogates=30, seed=17)
+    want = replaced_source_flows(panel, 0, 1, 1, 30, 17, "circular_shift")
+    assert got[3] == np.inf and want[3] == np.inf
+    finite = np.isfinite(want)
+    assert finite.sum() == 29
+    assert np.array_equal(np.isfinite(got), finite)
+    assert np.max(np.abs(got[finite] - want[finite])) <= 1e-12 * np.max(np.abs(want[finite]))
+
+
+def test_singular_other_series_block_gives_all_inf():
+    # two identical non-source series: every surrogate panel is singular
+    rng = make_rng(22)
+    a, b, c = rng.standard_normal((3, 600))
+    panel = TimeSeriesPanel(("a", "b", "c", "c2"), np.vstack([a, b, c, c]))
+    got = surrogate_flow_samples(panel, 0, 1, n_surrogates=20, seed=3)
+    assert got.shape == (20,)
+    assert np.all(got == np.inf)
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1e9])
+def test_surrogate_samples_invariant_to_source_scale(scale):
+    # T = coef * C_ij / C_ii does not change when the source is rescaled,
+    # and neither does the scale-free near-singular test
+    panel = correlated_panel(3, 1000, seed=50)
+    scaled = panel.with_series(0, scale * panel.values[0])
+    base = surrogate_flow_samples(panel, 0, 2, n_surrogates=20, seed=4)
+    got = surrogate_flow_samples(scaled, 0, 2, n_surrogates=20, seed=4)
+    assert np.isfinite(base).all()
+    assert np.allclose(got, base, rtol=1e-9, atol=0.0)
+
+
+def test_surrogate_indices_negative_and_out_of_range():
+    panel = correlated_panel(3, 600, seed=51)
+    got = surrogate_flow_samples(panel, -1, -3, n_surrogates=20, seed=6)
+    assert np.array_equal(got, surrogate_flow_samples(panel, 2, 0, n_surrogates=20, seed=6))
+    rep = surrogate_significance(panel, -1, 0, n_surrogates=19, seed=6)
+    assert rep == surrogate_significance(panel, 2, 0, n_surrogates=19, seed=6)
+    with pytest.raises(IndexError):
+        surrogate_flow_samples(panel, 3, 0, n_surrogates=20, seed=6)
+    with pytest.raises(InvalidPairError):
+        surrogate_flow_samples(panel, -1, 2, n_surrogates=20, seed=6)
