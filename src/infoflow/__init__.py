@@ -17,13 +17,7 @@ from .analytic import (
     stationary_covariance,
     transform_other_components,
 )
-from .covariance import (
-    CovarianceSet,
-    build_covariance_set,
-    cofactor_matrix,
-    derivative_cross_covariance,
-    sample_covariance,
-)
+from .covariance import CovarianceSet, build_covariance_set
 from .errors import (
     ConditioningWarning,
     DataError,
@@ -125,8 +119,6 @@ __all__ = [
     "asymptotic_significance",
     "benchmark",
     "build_covariance_set",
-    "cofactor_matrix",
-    "derivative_cross_covariance",
     "estimate_flow",
     "estimate_flow_matrix",
     "estimate_self_influence",
@@ -140,7 +132,6 @@ __all__ = [
     "normalize_flow",
     "reconstruct_graph",
     "regime_switch_panel",
-    "sample_covariance",
     "self_influence_significance",
     "stationary_covariance",
     "surrogate_flow_samples",

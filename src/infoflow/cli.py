@@ -53,7 +53,6 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dt", type=float, default=None, help="time step for files without a time column")
     parser.add_argument("--json", action="store_true", help="emit a JSON report instead of text")
     parser.add_argument("--seed", type=int, default=None, help="seed for randomized operations")
-    parser.add_argument("--jobs", type=int, default=1, help="worker threads for windows (default 1); no effect on surrogates")
     parser.add_argument("--alpha", type=float, default=0.05, help="significance level (default 0.05)")
     parser.add_argument(
         "--correction",
@@ -256,9 +255,9 @@ def cmd_estimate(args) -> int:
     if j == i:
         raise UsageError("source equals target; self influence is reported by `matrix`")
 
-    cov = build_covariance_set(panel, args.k, targets=(i,))
+    cov = build_covariance_set(panel, args.k)
     est = estimate_flow(panel, j, i, args.k, cov=cov)
-    fit = fit_linear_model(panel, i, args.k)
+    fit = fit_linear_model(panel, i, args.k, cov=cov)
     report = asymptotic_significance(fit, cov, est)
 
     n_surr = _surrogate_count(args)
@@ -267,7 +266,7 @@ def cmd_estimate(args) -> int:
         seed = _effective_seed(args, randomized=True)
         p_surr = surrogate_significance(
             panel, j, i, args.k,
-            n_surrogates=n_surr, seed=seed, method=args.surrogate_method, jobs=args.jobs,
+            n_surrogates=n_surr, seed=seed, method=args.surrogate_method, cov=cov,
         ).p_surrogate
 
     normalized = None
@@ -333,7 +332,6 @@ def _matrix_for(args, panel: TimeSeriesPanel):
         surrogates=n_surr,
         seed=seed,
         surrogate_method=args.surrogate_method,
-        jobs=args.jobs,
     )
 
 
@@ -433,7 +431,6 @@ def cmd_window(args) -> int:
         surrogates=n_surr,
         seed=seed,
         surrogate_method=args.surrogate_method,
-        jobs=args.jobs,
     )
     scale = panel.dt if args.per_step else 1.0
     units = "nats/step" if args.per_step else "nats/time"

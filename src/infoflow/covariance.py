@@ -1,14 +1,19 @@
-"""Sample covariance statistics feeding the flow estimators.
+"""The moment core: one pass over a panel gives every quantity the flow
+estimators, fits and significance tests read.
 
-Everything is computed over one shared window: the first n_eff = n - k
-samples of every series, so the covariance matrix and the cross-covariances
-with the differenced target line up sample-for-sample and the cofactor
-estimator equals the exact least-squares fit.
+For a panel X and stride k the core holds C, the sample covariance of the
+series, and G, their cross-covariances with the forward-differenced series
+(column i for target i). The flow formula in ``estimator`` is written in
+the cofactors of C; its cofactor sum is (C^-1 G)[j, i], so the core solves
+for B = C^-1 G once for all targets, together with each target's intercept
+and residual statistics. Everything is taken over one shared window, the
+first n_eff = n - k samples of every series, so C and G line up
+sample-for-sample.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,66 +27,37 @@ NEAR_SINGULAR_RTOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class CovarianceSet:
-    """Covariance matrix with its determinant, cofactors and cross terms.
+    """Sample moments of one panel at one stride, and what follows from them.
 
-    ``deriv_cross[i]`` holds, for target series i, the length-d vector whose
-    entry j is the sample covariance between series j and the forward
-    difference of series i. ``n_eff`` is the shared window length n - k.
+    ``matrix`` is C and ``deriv`` is G (entry [j, i] is the covariance of
+    series j with dX_i), both with the 1/(n_eff - 1) normalization.
+    ``n_eff`` is the shared window length n - k. When C is not near-singular,
+    ``inverse`` is C^-1, column i of ``coefficients`` (B = C^-1 G) and entry
+    i of ``intercepts`` are the least-squares fit of dX_i on intercept plus
+    all series, and ``residual_variance`` (mean squared residual) and
+    ``lag1_residual_autocorr`` describe that fit's residuals; all five are
+    None otherwise.
     """
 
     matrix: np.ndarray
+    deriv: np.ndarray
     det: float
-    cofactors: np.ndarray
     n_eff: int
     near_singular: bool
-    deriv_cross: dict[int, np.ndarray] = field(default_factory=dict)
+    inverse: np.ndarray | None = None
+    coefficients: np.ndarray | None = None
+    intercepts: np.ndarray | None = None
+    residual_variance: np.ndarray | None = None
+    lag1_residual_autocorr: np.ndarray | None = None
 
     @property
     def d(self) -> int:
         return self.matrix.shape[0]
 
 
-def cofactor_matrix(C: np.ndarray) -> tuple[np.ndarray, float]:
-    """Cofactors and determinant of a square matrix.
-
-    Entry (i, j) is (-1)^(i+j) times the minor with row i and column j
-    removed. Closed forms for d <= 3, LU-based minors above. For d = 1 the
-    single cofactor is 1. Singular input is allowed; callers inspect det.
-    """
-    C = np.asarray(C, dtype=np.float64)
-    if C.ndim != 2 or C.shape[0] != C.shape[1]:
-        raise ValueError(f"need a square matrix, got shape {C.shape}")
-    d = C.shape[0]
-    if d == 1:
-        return np.array([[1.0]]), float(C[0, 0])
-    if d == 2:
-        (a, b), (c, e) = C
-        cof = np.array([[e, -c], [-b, a]])
-        return cof, float(a * e - b * c)
-    if d == 3:
-        cof = np.empty((3, 3))
-        for i in range(3):
-            for j in range(3):
-                r = [x for x in range(3) if x != i]
-                s = [x for x in range(3) if x != j]
-                minor = C[r[0], s[0]] * C[r[1], s[1]] - C[r[0], s[1]] * C[r[1], s[0]]
-                cof[i, j] = minor if (i + j) % 2 == 0 else -minor
-        det = C[0, 0] * cof[0, 0] + C[0, 1] * cof[0, 1] + C[0, 2] * cof[0, 2]
-        return cof, float(det)
-
-    cof = np.empty((d, d))
-    for i in range(d):
-        rows = np.arange(d) != i
-        sub = C[rows]
-        for j in range(d):
-            minor = np.linalg.det(sub[:, np.arange(d) != j])
-            cof[i, j] = minor if (i + j) % 2 == 0 else -minor
-    return cof, float(np.linalg.det(C))
-
-
 def _window(panel: TimeSeriesPanel, k: int) -> np.ndarray:
-    if not isinstance(k, (int, np.integer)) or k < 0:
-        raise InvalidStrideError(f"stride k must be a nonnegative integer, got {k!r}")
+    if not isinstance(k, (int, np.integer)) or k < 1:
+        raise InvalidStrideError(f"stride k must be a positive integer, got {k!r}")
     n_eff = panel.n - k
     if n_eff < panel.d + 2:
         raise InsufficientDataError(
@@ -90,52 +66,57 @@ def _window(panel: TimeSeriesPanel, k: int) -> np.ndarray:
     return panel.values[:, :n_eff]
 
 
-def sample_covariance(panel: TimeSeriesPanel, k: int = 1) -> CovarianceSet:
-    """Unbiased sample covariance over the first n - k samples.
+def _rowwise_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", a, b)
 
-    Uses the 1/(n_eff - 1) convention; the flow estimator is a ratio of
-    covariances, so any common normalization cancels there.
+
+def build_covariance_set(panel: TimeSeriesPanel, k: int = 1) -> CovarianceSet:
+    """One moment pass shared by every estimator touching this panel.
+
+    Centres the stack [X; dX] (2d x n_eff, dX the ``forward_difference`` of
+    every series) in place and takes [C | G] from one product. The residuals
+    of all targets, E = dX - B' X on the centred rows, come from one more
+    product over the same stack: a residual variance below 1e-24 var(dX_i)
+    is snapped to an exact zero, so that a perfect fit is detected reliably
+    downstream.
     """
     X = _window(panel, k)
-    n_eff = X.shape[1]
-    Xc = X - X.mean(axis=1, keepdims=True)
-    C = (Xc @ Xc.T) / (n_eff - 1)
-    C = 0.5 * (C + C.T)
-    cof, det = cofactor_matrix(C)
+    d, n_eff = X.shape
+    Z = np.empty((2 * d, n_eff))
+    Z[:d] = X
+    for i in range(d):
+        Z[d + i] = forward_difference(panel, i, k).values
+    means = Z.mean(axis=1)
+    Z -= means[:, None]
+    Xc, dXc = Z[:d], Z[d:]
+
+    moments = (Xc @ Z.T) / (n_eff - 1)
+    C = 0.5 * (moments[:, :d] + moments[:, :d].T)
+    G = moments[:, d:]
+    det = float(np.linalg.det(C))
     diag_prod = float(np.prod(np.diag(C)))
-    near_singular = det == 0.0 or abs(det) < NEAR_SINGULAR_RTOL * abs(diag_prod)
+    if det == 0.0 or abs(det) < NEAR_SINGULAR_RTOL * abs(diag_prod):
+        return CovarianceSet(matrix=C, deriv=G, det=det, n_eff=n_eff, near_singular=True)
+
+    B = np.linalg.solve(C, G)
+    E = B.T @ Xc
+    np.subtract(dXc, E, out=E)
+    residual_variance = _rowwise_dot(E, E) / n_eff
+    exact = residual_variance < 1e-24 * (_rowwise_dot(dXc, dXc) / n_eff)
+    residual_variance[exact] = 0.0
+    # E has zero row means: the centred rows leave no intercept to fit
+    denom = _rowwise_dot(E, E)
+    lag1 = np.divide(_rowwise_dot(E[:, :-1], E[:, 1:]), denom,
+                     out=np.zeros(d), where=~exact & (denom != 0.0))
     return CovarianceSet(
-        matrix=C, det=det, cofactors=cof, n_eff=n_eff, near_singular=near_singular
+        matrix=C,
+        deriv=G,
+        det=det,
+        n_eff=n_eff,
+        near_singular=False,
+        inverse=np.linalg.inv(C),
+        coefficients=B,
+        intercepts=means[d:] - B.T @ means[:d],
+        residual_variance=residual_variance,
+        lag1_residual_autocorr=lag1,
     )
-
-
-def derivative_cross_covariance(panel: TimeSeriesPanel, target: int, k: int = 1) -> np.ndarray:
-    """Covariances between every series and the differenced target.
-
-    Entry j is the sample covariance between series j (first n - k samples)
-    and the Euler forward difference of series ``target``, both centered at
-    their own sample means, normalized by 1/(n_eff - 1).
-    """
-    if k < 1:
-        raise InvalidStrideError("derivative cross-covariance needs stride k >= 1")
-    X = _window(panel, k)
-    n_eff = X.shape[1]
-    dx = forward_difference(panel, target, k).values
-    Xc = X - X.mean(axis=1, keepdims=True)
-    dxc = dx - dx.mean()
-    return (Xc @ dxc) / (n_eff - 1)
-
-
-def build_covariance_set(
-    panel: TimeSeriesPanel, k: int = 1, targets=None
-) -> CovarianceSet:
-    """One covariance pass shared by every estimator touching this panel.
-
-    Fills ``deriv_cross`` for the requested targets (all series by default).
-    """
-    cov = sample_covariance(panel, k)
-    if targets is None:
-        targets = range(panel.d)
-    for i in targets:
-        cov.deriv_cross[int(i)] = derivative_cross_covariance(panel, int(i), k)
-    return cov

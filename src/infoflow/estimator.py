@@ -1,21 +1,21 @@
 """Maximum-likelihood information-flow estimators for time-series panels.
 
-The directed flow rate from series j to series i is estimated, under a
-linear model with additive noise, by
+The directed flow rate from series j to series i is, under a linear model
+with additive noise, Liang's cofactor formula
 
-    T[j->i] = (1/det C) * sum_m cof[j, m] * dcov_i[m] * C[i, j] / C[i, i]
+    T[j->i] = (1/det C) * sum_m cof(C)[j, m] * G[m, i] * C[i, j] / C[i, i]
 
-where C is the sample covariance matrix, cof its cofactors, and dcov_i the
-cross-covariances with the forward-differenced target. The bracketed sum is,
-by Cramer's rule, exactly the least-squares coefficient of series j in the
-regression of dX_i on all series, so the estimate can equivalently be read
-as coefficient * correlation ratio. Flows are in nats per unit time.
+with C the sample covariance matrix and G the cross-covariances with the
+forward-differenced series (see ``covariance``). It is evaluated as
+(C^-1 G)[j, i] * C[i, j] / C[i, i], the least-squares coefficient of series
+j in the regression of dX_i on all series times a correlation ratio. Every
+estimate here is read off one ``CovarianceSet``. Flows are in nats per unit
+time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .errors import (
     SingularCovarianceError,
     UsageError,
 )
-from .panel import TimeSeriesPanel, forward_difference
+from .panel import TimeSeriesPanel
 
 
 @dataclass(frozen=True)
@@ -56,15 +56,13 @@ class SelfInfluenceEstimate:
 
 @dataclass(frozen=True, eq=False)
 class LinearModelFit:
-    """Least-squares fit of the differenced target on all series.
+    """Least-squares fit of the differenced target on intercept plus all series.
 
-    ``coefficients[j]`` reproduces the Cramer's-rule value
-    (1/det C) * sum_m cof[j, m] * dcov[m]. ``residual_variance`` is the mean
-    squared residual on the derivative scale; ``noise_intensity`` is
+    ``coefficients[j]`` is (C^-1 G)[j, target]. ``residual_variance`` is the
+    mean squared residual on the derivative scale; ``noise_intensity`` is
     k*dt times that, the additive-noise magnitude g_ii of the fitted SDE.
-    ``target_variance`` is the sample variance of the target over the window.
-    ``lag1_residual_autocorr`` is taken from ``residuals`` once, when first
-    read.
+    ``target_variance`` is the sample variance of the target over the window
+    and ``lag1_residual_autocorr`` the lag-1 autocorrelation of the residuals.
     """
 
     target: int
@@ -73,39 +71,20 @@ class LinearModelFit:
     residual_variance: float
     noise_intensity: float
     target_variance: float
-    residuals: np.ndarray
+    lag1_residual_autocorr: float
     k: int
     n_eff: int
 
-    @cached_property
-    def lag1_residual_autocorr(self) -> float:
-        e = self.residuals - self.residuals.mean()
-        denom = float(e @ e)
-        if denom == 0.0:
-            return 0.0
-        return float(e[:-1] @ e[1:] / denom)
 
-
-def _covariance_for(panel, k, targets, cov):
+def _invertible_covariance(panel, k, cov: CovarianceSet | None) -> CovarianceSet:
     if cov is None:
-        return build_covariance_set(panel, k, targets=targets)
-    for i in targets:
-        if i not in cov.deriv_cross:
-            raise UsageError(f"covariance set lacks derivative cross terms for target {i}")
-    return cov
-
-
-def _require_invertible(cov: CovarianceSet) -> None:
+        cov = build_covariance_set(panel, k)
     if cov.near_singular:
         raise SingularCovarianceError(
             f"covariance matrix is singular or near-singular (det={cov.det:.3e});"
             " refusing to estimate"
         )
-
-
-def _coefficient(cov: CovarianceSet, source: int, target: int) -> float:
-    dcov = cov.deriv_cross[target]
-    return float(cov.cofactors[source] @ dcov / cov.det)
+    return cov
 
 
 def estimate_flow(
@@ -122,17 +101,17 @@ def estimate_flow(
     linear setting causation implies correlation. Pass a prebuilt ``cov``
     to share one covariance pass across several estimates.
     """
-    source, target = int(source), int(target)
+    # range() maps negative indices and raises IndexError out of range
+    source, target = range(panel.d)[source], range(panel.d)[target]
     if source == target:
         raise InvalidPairError(
             "source equals target; use estimate_self_influence for self loops"
         )
-    cov = _covariance_for(panel, k, (target,), cov)
-    _require_invertible(cov)
+    cov = _invertible_covariance(panel, k, cov)
     C = cov.matrix
     if C[target, target] <= 0.0:
         raise SingularCovarianceError(f"target series {target} has zero variance")
-    value = _coefficient(cov, source, target) * C[target, source] / C[target, target]
+    value = cov.coefficients[source, target] * C[target, source] / C[target, target]
     return FlowEstimate(value=float(value), source=source, target=target, k=int(k), n_eff=cov.n_eff)
 
 
@@ -143,15 +122,14 @@ def estimate_self_influence(
     *,
     cov: CovarianceSet | None = None,
 ) -> SelfInfluenceEstimate:
-    """Self-influence rate of series ``target`` (cofactor row = target).
+    """Self-influence rate of series ``target``: (C^-1 G)[target, target].
 
     For d = 1 this reduces to dcov/variance, the slope of the derivative on
     the series itself. Significant values mark self loops in a causal graph.
     """
-    target = int(target)
-    cov = _covariance_for(panel, k, (target,), cov)
-    _require_invertible(cov)
-    value = _coefficient(cov, target, target)
+    target = range(panel.d)[target]
+    cov = _invertible_covariance(panel, k, cov)
+    value = float(cov.coefficients[target, target])
     return SelfInfluenceEstimate(value=value, target=target, k=int(k), n_eff=cov.n_eff)
 
 
@@ -159,45 +137,28 @@ def fit_linear_model(
     panel: TimeSeriesPanel,
     target: int,
     k: int = 1,
+    *,
+    cov: CovarianceSet | None = None,
 ) -> LinearModelFit:
     """Least-squares fit of the differenced target on intercept plus all series.
 
-    Runs over the same truncated window as the covariance pass, so the
-    coefficients agree with the cofactor evaluation to round-off. This is
-    the independent normal-equations route used to cross-check the
-    cofactor estimator, and it feeds the asymptotic significance tests.
+    Read off the same moments as the flow estimates, so coefficients and
+    flows agree exactly; it feeds the asymptotic significance tests. Pass a
+    prebuilt ``cov`` to share one covariance pass.
     """
-    target = int(target)
-    n_eff = panel.n - k
-    dx = forward_difference(panel, target, k).values
-    X = panel.values[:, :n_eff]
-    design = np.empty((n_eff, panel.d + 1))
-    design[:, 0] = 1.0
-    design[:, 1:] = X.T
-    beta, _, rank, _ = np.linalg.lstsq(design, dx, rcond=None)
-    if rank < panel.d + 1:
-        raise SingularCovarianceError(
-            f"design matrix for target {target} is rank-deficient ({rank} < {panel.d + 1})"
-        )
-    residuals = dx - design @ beta
-    residual_variance = float(residuals @ residuals / n_eff)
-    # below double-precision resolution the fit is exact; snap to a clean zero
-    # so degenerate inference is detected reliably downstream
-    dx_scale = float(np.var(dx))
-    if residual_variance < 1e-24 * dx_scale:
-        residual_variance = 0.0
-        residuals = np.zeros_like(residuals)
-    target_variance = float(np.var(X[target], ddof=1))
+    target = range(panel.d)[target]
+    cov = _invertible_covariance(panel, k, cov)
+    residual_variance = float(cov.residual_variance[target])
     return LinearModelFit(
         target=target,
-        intercept=float(beta[0]),
-        coefficients=beta[1:],
+        intercept=float(cov.intercepts[target]),
+        coefficients=cov.coefficients[:, target],
         residual_variance=residual_variance,
         noise_intensity=float(k * panel.dt * residual_variance),
-        target_variance=target_variance,
-        residuals=residuals,
+        target_variance=float(cov.matrix[target, target]),
+        lag1_residual_autocorr=float(cov.lag1_residual_autocorr[target]),
         k=int(k),
-        n_eff=n_eff,
+        n_eff=cov.n_eff,
     )
 
 
@@ -262,7 +223,6 @@ def estimate_flow_matrix(
     surrogates: int = 0,
     seed: int | None = None,
     surrogate_method: str = "circular_shift",
-    jobs: int = 1,
 ) -> FlowMatrix:
     """Estimate every ordered pair plus all self influences in one pass.
 
@@ -276,23 +236,17 @@ def estimate_flow_matrix(
         surrogate_significance,
     )
 
-    cov = build_covariance_set(panel, k)
-    _require_invertible(cov)
+    cov = _invertible_covariance(panel, k, None)
     d = panel.d
 
-    surrogate_seeds = None
-    if surrogates:
-        root = np.random.SeedSequence(seed)
-        children = root.spawn(d * d)
-        surrogate_seeds = {
-            (j, i): children[i * d + j] for i in range(d) for j in range(d) if i != j
-        }
+    # the surrogate seed of pair j -> i is child i * d + j
+    children = np.random.SeedSequence(seed).spawn(d * d) if surrogates else None
 
     rows = []
     selfs = []
     self_reports = []
     for i in range(d):
-        fit = fit_linear_model(panel, i, k)
+        fit = fit_linear_model(panel, i, k, cov=cov)
         self_est = estimate_self_influence(panel, i, k, cov=cov)
         selfs.append(self_est)
         self_reports.append(self_influence_significance(fit, cov, self_est))
@@ -313,9 +267,9 @@ def estimate_flow_matrix(
                     i,
                     k,
                     n_surrogates=surrogates,
-                    seed=surrogate_seeds[(j, i)],
+                    seed=children[i * d + j],
                     method=surrogate_method,
-                    jobs=jobs,
+                    cov=cov,
                 )
                 est = replace(est, p_value_surrogate=surr.p_surrogate)
             if normalize:

@@ -243,11 +243,6 @@ def ingest_csv(
     return TimeSeriesPanel(labels=labels, values=parsed.T, dt=dt)
 
 
-def format_float(x: float) -> str:
-    """Decimal text at 17 significant digits; round-trips doubles exactly."""
-    return format(float(x), f".{CSV_FLOAT_DIGITS}g")
-
-
 def write_csv(
     panel: TimeSeriesPanel,
     fh,
@@ -264,8 +259,7 @@ def write_csv(
     writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
     header = ([time_label] if time_label else []) + list(panel.labels)
     writer.writerow(header)
-    cols = panel.values.T
-    for m in range(panel.n):
-        row = [format_float(m * panel.dt)] if time_label else []
-        row.extend(format_float(v) for v in cols[m])
-        writer.writerow(row)
+    body = panel.values.T
+    if time_label:
+        body = np.column_stack([np.arange(panel.n) * panel.dt, body])
+    np.savetxt(fh, body, fmt=f"%.{CSV_FLOAT_DIGITS}g", delimiter=delimiter)

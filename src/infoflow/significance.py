@@ -69,8 +69,7 @@ def two_sided_p(z: float) -> float:
 def _coefficient_variance(fit: LinearModelFit, cov: CovarianceSet, index: int) -> float:
     """Sampling variance of fitted coefficient ``index``.
 
-    Inverse-information form: residual_variance * [Cinv]_jj / (n_eff - 1),
-    with [Cinv]_jj read off the cofactors already at hand.
+    Inverse-information form: residual_variance * [C^-1]_jj / (n_eff - 1).
     """
     if cov.near_singular:
         raise SingularCovarianceError("cannot attach significance to a singular fit")
@@ -78,7 +77,7 @@ def _coefficient_variance(fit: LinearModelFit, cov: CovarianceSet, index: int) -
         raise InsufficientDataError(
             f"need n_eff > d + 2 for asymptotic inference (n_eff={fit.n_eff}, d={cov.d})"
         )
-    inv_jj = cov.cofactors[index, index] / cov.det
+    inv_jj = cov.inverse[index, index]
     return max(fit.residual_variance * inv_jj / (fit.n_eff - 1), 0.0)
 
 
@@ -160,7 +159,6 @@ def surrogate_flow_samples(
     n_surrogates: int,
     seed=None,
     method: str = "circular_shift",
-    jobs: int = 1,
 ) -> np.ndarray:
     """Flow re-estimates against ``n_surrogates`` resampled source series.
 
@@ -182,8 +180,7 @@ def surrogate_flow_samples(
     more conservative); if C_OO fails it, every surrogate does.
 
     Each surrogate draws from its own seed-derived substream, so the result
-    does not depend on evaluation order. ``jobs`` has no effect: the
-    per-surrogate work is too small for threads to pay.
+    does not depend on evaluation order.
     """
     if method not in SURROGATE_METHODS:
         raise UsageError(f"unknown surrogate method {method!r}; choose from {SURROGATE_METHODS}")
@@ -239,19 +236,20 @@ def surrogate_significance(
     n_surrogates: int = 199,
     seed=None,
     method: str = "circular_shift",
-    jobs: int = 1,
+    cov: CovarianceSet | None = None,
 ) -> SignificanceReport:
     """Nonparametric p value from source-resampling surrogates.
 
     p = (1 + #{|T_surr| >= |T|}) / (n_surrogates + 1), so the attainable
-    resolution is exactly 1/(n_surrogates + 1).
+    resolution is exactly 1/(n_surrogates + 1). Pass a prebuilt ``cov`` to
+    reuse its covariance pass for the observed flow.
     """
     if n_surrogates < MIN_SURROGATES:
         raise ResolutionError(
             f"need at least {MIN_SURROGATES} surrogates for a usable p value,"
             f" got {n_surrogates}"
         )
-    observed = estimate_flow(panel, source, target, k).value
+    observed = estimate_flow(panel, source, target, k, cov=cov).value
     samples = surrogate_flow_samples(
         panel,
         source,
@@ -260,7 +258,6 @@ def surrogate_significance(
         n_surrogates=n_surrogates,
         seed=seed,
         method=method,
-        jobs=jobs,
     )
     exceed = int(np.sum(np.abs(samples) >= abs(observed)))
     p = (1 + exceed) / (n_surrogates + 1)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -56,13 +55,12 @@ def windowed_flows(
     surrogates: int = 0,
     seed=None,
     surrogate_method: str = "circular_shift",
-    jobs: int = 1,
 ) -> WindowedFlowSeries:
     """Slide a window of ``window_length`` samples by ``step`` and estimate flows.
 
     ``pairs`` are (source, target) index pairs; all ordered pairs by default.
-    Window centers are reported in time units. Per-window surrogate seeds are
-    derived up front, so results do not depend on ``jobs`` or scheduling.
+    Window centers are reported in time units. Each window takes one
+    covariance pass; per-window surrogate seeds are derived up front.
     """
     starts = window_starts(panel.n, window_length, step)
     if pairs is None:
@@ -71,32 +69,27 @@ def windowed_flows(
         if j == i:
             raise UsageError("window pairs must have source != target")
 
-    seeds = None
+    children = None
     if surrogates:
+        # the surrogate seed of pair p in window w is child w * len(pairs) + p
         root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         children = root.spawn(len(starts) * len(pairs))
-        seeds = {
-            (w, pair): children[w * len(pairs) + p]
-            for w in range(len(starts))
-            for p, pair in enumerate(pairs)
-        }
 
-    targets = sorted({i for _, i in pairs})
-
-    def one_window(item):
-        w, start = item
+    window_rows = []
+    for w, start in enumerate(starts):
         sub = panel.window(start, window_length)
         try:
-            cov = build_covariance_set(sub, k, targets=targets)
+            cov = build_covariance_set(sub, k)
         except InsufficientDataError:
-            return [None] * len(pairs)
+            window_rows.append([None] * len(pairs))
+            continue
         fits = {}
         out = []
-        for j, i in pairs:
+        for p, (j, i) in enumerate(pairs):
             try:
                 est = estimate_flow(sub, j, i, k, cov=cov)
                 if i not in fits:
-                    fits[i] = fit_linear_model(sub, i, k)
+                    fits[i] = fit_linear_model(sub, i, k, cov=cov)
                 report = asymptotic_significance(fits[i], cov, est)
                 est = replace(est, stderr=report.stderr, p_value_asymptotic=report.p_asymptotic)
                 if surrogates:
@@ -106,21 +99,15 @@ def windowed_flows(
                         i,
                         k,
                         n_surrogates=surrogates,
-                        seed=seeds[(w, (j, i))],
+                        seed=children[w * len(pairs) + p],
                         method=surrogate_method,
+                        cov=cov,
                     )
                     est = replace(est, p_value_surrogate=surr.p_surrogate)
                 out.append(est)
             except (InsufficientDataError, SingularCovarianceError):
                 out.append(None)
-        return out
-
-    items = list(enumerate(starts))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            window_rows = list(pool.map(one_window, items))
-    else:
-        window_rows = [one_window(item) for item in items]
+        window_rows.append(out)
 
     label_pairs = tuple((panel.labels[j], panel.labels[i]) for j, i in pairs)
     flows = {

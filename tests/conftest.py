@@ -40,3 +40,57 @@ def random_panel(rng, d, n, dt=1.0):
 @pytest.fixture
 def rng():
     return make_rng(20240817)
+
+
+def lstsq_fit(panel, target, k):
+    """Independent regression oracle: ``np.linalg.lstsq`` of the Euler forward
+    difference of ``target`` on an intercept plus all series, over the first
+    n - k samples. Returns (intercept, coefficients, residual variance as the
+    mean squared residual, lag-1 autocorrelation of the centred residuals).
+    """
+    n_eff = panel.n - k
+    x = panel.values
+    dx = (x[target, k:] - x[target, :n_eff]) / (k * panel.dt)
+    design = np.column_stack([np.ones(n_eff), x[:, :n_eff].T])
+    beta = np.linalg.lstsq(design, dx, rcond=None)[0]
+    resid = dx - design @ beta
+    e = resid - resid.mean()
+    return beta[0], beta[1:], float(resid @ resid / n_eff), float(e[:-1] @ e[1:] / (e @ e))
+
+
+def cofactor_matrix(C):
+    """Cofactors and determinant of a square matrix.
+
+    Entry (i, j) is (-1)^(i+j) times the minor with row i and column j
+    removed. Closed forms for d <= 3, LU-based minors above. For d = 1 the
+    single cofactor is 1. Singular input is allowed; callers inspect det.
+    """
+    C = np.asarray(C, dtype=np.float64)
+    if C.ndim != 2 or C.shape[0] != C.shape[1]:
+        raise ValueError(f"need a square matrix, got shape {C.shape}")
+    d = C.shape[0]
+    if d == 1:
+        return np.array([[1.0]]), float(C[0, 0])
+    if d == 2:
+        (a, b), (c, e) = C
+        cof = np.array([[e, -c], [-b, a]])
+        return cof, float(a * e - b * c)
+    if d == 3:
+        cof = np.empty((3, 3))
+        for i in range(3):
+            for j in range(3):
+                r = [x for x in range(3) if x != i]
+                s = [x for x in range(3) if x != j]
+                minor = C[r[0], s[0]] * C[r[1], s[1]] - C[r[0], s[1]] * C[r[1], s[0]]
+                cof[i, j] = minor if (i + j) % 2 == 0 else -minor
+        det = C[0, 0] * cof[0, 0] + C[0, 1] * cof[0, 1] + C[0, 2] * cof[0, 2]
+        return cof, float(det)
+
+    cof = np.empty((d, d))
+    for i in range(d):
+        rows = np.arange(d) != i
+        sub = C[rows]
+        for j in range(d):
+            minor = np.linalg.det(sub[:, np.arange(d) != j])
+            cof[i, j] = minor if (i + j) % 2 == 0 else -minor
+    return cof, float(np.linalg.det(C))

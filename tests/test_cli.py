@@ -331,7 +331,7 @@ def test_window_absent_values_become_empty_cells(capsys, tmp_path):
     path.write_text("a,b\n" + "\n".join(f"{x},{y}" for x, y in zip(a, b)) + "\n")
     code, out, _ = run_cli(
         capsys, "window", str(path), "--window", "100", "--step", "100",
-        "--source", "b", "--target", "a", "--jobs", "2",
+        "--source", "b", "--target", "a",
     )
     assert code == 0
     lines = out.strip().splitlines()

@@ -1,16 +1,9 @@
 import numpy as np
 import pytest
 
-from infoflow import (
-    TimeSeriesPanel,
-    build_covariance_set,
-    cofactor_matrix,
-    derivative_cross_covariance,
-    forward_difference,
-    sample_covariance,
-)
+from infoflow import TimeSeriesPanel, build_covariance_set, forward_difference
 from infoflow.errors import InsufficientDataError
-from conftest import make_rng, random_panel, random_spd
+from conftest import cofactor_matrix, lstsq_fit, make_rng, random_panel, random_spd
 
 
 # --- independent oracles -------------------------------------------------
@@ -55,15 +48,15 @@ def test_identical_series_give_rank_one_covariance():
     rng = make_rng(0)
     row = rng.standard_normal(50)
     panel = TimeSeriesPanel(("a", "b"), np.vstack([row, row]))
-    cov = sample_covariance(panel, k=1)
+    cov = build_covariance_set(panel, k=1)
     assert cov.matrix[0, 0] == pytest.approx(cov.matrix[1, 1], rel=1e-14)
     assert cov.matrix[0, 1] == pytest.approx(cov.matrix[0, 0], rel=1e-14)
     assert cov.near_singular
 
 
 def test_anticorrelated_ramps_hand_value():
-    panel = TimeSeriesPanel(("x", "y"), np.array([[1.0, 2, 3, 4], [4.0, 3, 2, 1]]))
-    cov = sample_covariance(panel, k=0)  # full window, n_eff = 4
+    panel = TimeSeriesPanel(("x", "y"), np.array([[1.0, 2, 3, 4, 5], [4.0, 3, 2, 1, 0]]))
+    cov = build_covariance_set(panel, k=1)  # first four samples, n_eff = 4
     assert cov.n_eff == 4
     assert cov.matrix[0, 0] == pytest.approx(5 / 3, rel=1e-14)
     assert cov.matrix[0, 1] == pytest.approx(-5 / 3, rel=1e-14)
@@ -72,7 +65,7 @@ def test_anticorrelated_ramps_hand_value():
 def test_covariance_matches_two_pass_oracle():
     rng = make_rng(3)
     panel = random_panel(rng, d=3, n=120)
-    cov = sample_covariance(panel, k=1)
+    cov = build_covariance_set(panel, k=1)
     expected = two_pass_covariance(panel.values[:, :-1])
     assert np.allclose(cov.matrix, expected, rtol=1e-12, atol=0)
 
@@ -81,7 +74,7 @@ def test_covariance_symmetric_and_diag_nonnegative():
     rng = make_rng(4)
     for seed in range(5):
         panel = random_panel(make_rng(seed), d=4, n=60)
-        cov = sample_covariance(panel, k=1)
+        cov = build_covariance_set(panel, k=1)
         assert np.allclose(cov.matrix, cov.matrix.T, rtol=1e-12)
         assert (np.diag(cov.matrix) >= 0).all()
 
@@ -89,17 +82,17 @@ def test_covariance_symmetric_and_diag_nonnegative():
 def test_covariance_shift_invariance():
     rng = make_rng(5)
     panel = random_panel(rng, d=3, n=80)
-    cov = sample_covariance(panel, k=1)
+    cov = build_covariance_set(panel, k=1)
     for j in range(panel.d):
         shifted = panel.with_series(j, panel.values[j] + 7.5)
-        cov2 = sample_covariance(shifted, k=1)
+        cov2 = build_covariance_set(shifted, k=1)
         assert np.allclose(cov2.matrix, cov.matrix, rtol=0, atol=1e-10)
 
 
 def test_insufficient_samples_error():
     panel = TimeSeriesPanel(("a", "b", "c"), np.random.default_rng(0).normal(size=(3, 5)))
     with pytest.raises(InsufficientDataError):
-        sample_covariance(panel, k=1)  # n - k = 4 < d + 2 = 5
+        build_covariance_set(panel, k=1)  # n - k = 4 < d + 2 = 5
 
 
 def test_window_alignment_shared_between_parts():
@@ -113,13 +106,13 @@ def test_window_alignment_shared_between_parts():
     assert np.allclose(cov.matrix, expected, rtol=1e-12)
 
 
-# --- derivative cross-covariance -----------------------------------------
+# --- cross-covariance with the differenced series ------------------------
 
 def test_deriv_cross_constant_target_is_zero():
     rng = make_rng(7)
     values = np.vstack([rng.standard_normal(40), np.full(40, 2.0)])
     panel = TimeSeriesPanel(("a", "b"), values)
-    assert np.array_equal(derivative_cross_covariance(panel, 1, 1), np.zeros(2))
+    assert np.array_equal(build_covariance_set(panel, 1).deriv[:, 1], np.zeros(2))
 
 
 def test_deriv_cross_ramp_target_is_zero():
@@ -127,7 +120,7 @@ def test_deriv_cross_ramp_target_is_zero():
     rng = make_rng(8)
     values = np.vstack([rng.standard_normal(40), 0.5 + 0.25 * np.arange(40)])
     panel = TimeSeriesPanel(("a", "b"), values, dt=0.5)
-    got = derivative_cross_covariance(panel, 1, 1)
+    got = build_covariance_set(panel, 1).deriv[:, 1]
     assert np.allclose(got, 0.0, atol=1e-12)
 
 
@@ -135,7 +128,7 @@ def test_deriv_cross_matches_naive_loop():
     rng = make_rng(9)
     panel = random_panel(rng, d=2, n=50)
     k = 2
-    got = derivative_cross_covariance(panel, 0, k)
+    got = build_covariance_set(panel, k).deriv[:, 0]
     dx = forward_difference(panel, 0, k).values
     n_eff = panel.n - k
     dbar = sum(dx) / n_eff
@@ -148,7 +141,28 @@ def test_deriv_cross_matches_naive_loop():
         assert got[j] == pytest.approx(acc / (n_eff - 1), rel=1e-12)
 
 
-# --- cofactors -----------------------------------------------------------
+# --- fits read off the core ----------------------------------------------
+
+def test_core_fit_matches_lstsq_oracle():
+    # intercept, coefficients, residual variance and lag-1 residual
+    # autocorrelation of every target against an independent regression
+    worst = 0.0
+    for seed in range(20):
+        for d in range(2, 9):
+            for k in (1, 2):
+                panel = random_panel(make_rng(5000 + 100 * seed + d), d=d, n=400)
+                cov = build_covariance_set(panel, k)
+                for i in range(d):
+                    intercept, coef, rvar, lag1 = lstsq_fit(panel, i, k)
+                    got = (cov.intercepts[i], cov.coefficients[:, i],
+                           cov.residual_variance[i], cov.lag1_residual_autocorr[i])
+                    for g, want in zip(got, (intercept, coef, rvar, lag1)):
+                        err = np.max(np.abs(g - want) / np.abs(want))
+                        worst = max(worst, float(err))
+    assert worst < 1e-9
+
+
+# --- cofactors (the paper-formula oracle in conftest) --------------------
 
 def test_cofactor_2x2_closed_form():
     a, b, c = 3.0, -1.25, 2.0

@@ -188,6 +188,20 @@ def test_csv_round_trip_without_time_column(tmp_path):
     assert np.array_equal(back.values, panel.values)
 
 
+def test_csv_bytes_are_17_significant_digits_per_cell():
+    # every cell, the time column included, is exactly format(v, ".17g")
+    edge = [-0.0, 4.94e-324, 1.797e308, 0.1, 1 / 3, 1e16]
+    panel = TimeSeriesPanel(("a", "b"), np.array([edge, edge[::-1]]), dt=0.1)
+    buf = io.StringIO()
+    write_csv(panel, buf, delimiter=";", time_label="time")
+    expected = ["time;a;b"] + [
+        ";".join(format(v, ".17g") for v in (m * 0.1, a, b))
+        for m, (a, b) in enumerate(zip(edge, edge[::-1]))
+    ]
+    assert buf.getvalue() == "\n".join(expected) + "\n"
+    assert buf.getvalue().splitlines()[1] == "0;-0;10000000000000000"
+
+
 @pytest.mark.parametrize("dt, n", [(0.1, 4), (0.01, 30)])
 def test_csv_round_trip_recovers_dt_exactly(tmp_path, dt, n):
     # the mean step (t[-1] - t[0]) / (n - 1) misses these dt by an ulp

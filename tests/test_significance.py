@@ -27,7 +27,7 @@ from test_estimator import orthogonal_pair_panel
 
 
 def pair_significance(panel, source, target, k=1):
-    cov = build_covariance_set(panel, k, targets=(target,))
+    cov = build_covariance_set(panel, k)
     est = estimate_flow(panel, source, target, k, cov=cov)
     fit = fit_linear_model(panel, target, k)
     return est, asymptotic_significance(fit, cov, est)
@@ -102,7 +102,7 @@ def test_perfect_fit_degenerates_with_warning():
     for m in range(n - 1):
         x1[m + 1] = x1[m] + dt * (2.0 * x1[m] - x2[m])
     panel = TimeSeriesPanel(("x1", "x2"), np.vstack([x1, x2]), dt=dt)
-    cov = build_covariance_set(panel, 1, targets=(0,))
+    cov = build_covariance_set(panel, 1)
     est = estimate_flow(panel, 1, 0, cov=cov)
     fit = fit_linear_model(panel, 0)
     with pytest.warns(DegenerateInferenceWarning):
@@ -122,7 +122,7 @@ def test_mismatched_fit_and_flow_rejected():
 
 def test_self_influence_significance_detects_mean_reversion():
     b = benchmark("one_way_2d", None, n=20_000, seed=1)
-    cov = build_covariance_set(b.panel, 1, targets=(0,))
+    cov = build_covariance_set(b.panel, 1)
     est = estimate_self_influence(b.panel, 0, cov=cov)
     rep = self_influence_significance(fit_linear_model(b.panel, 0), cov, est)
     assert rep.p_asymptotic < 1e-6
@@ -132,7 +132,7 @@ def test_self_influence_significance_detects_mean_reversion():
 def test_serial_correlation_flag_on_coarse_stride():
     # k=2 differencing overlaps windows, residuals turn serially correlated
     b = benchmark("one_way_2d", None, n=20_000, seed=2)
-    cov = build_covariance_set(b.panel, 2, targets=(0,))
+    cov = build_covariance_set(b.panel, 2)
     est = estimate_flow(b.panel, 1, 0, 2, cov=cov)
     rep = asymptotic_significance(fit_linear_model(b.panel, 0, 2), cov, est)
     assert rep.lag1_residual_autocorr is not None
@@ -158,11 +158,14 @@ def test_surrogate_p_resolution_and_reproducibility():
     assert rep1.p_surrogate >= 1 / 20
 
 
-def test_surrogate_independent_of_jobs():
+def test_surrogate_same_seed_repeats():
     b = benchmark("one_way_2d", None, n=4000, seed=3)
-    seq = surrogate_significance(b.panel, 1, 0, n_surrogates=49, seed=9, jobs=1)
-    par = surrogate_significance(b.panel, 1, 0, n_surrogates=49, seed=9, jobs=4)
-    assert seq.p_surrogate == par.p_surrogate
+    first = surrogate_flow_samples(b.panel, 1, 0, n_surrogates=49, seed=9)
+    again = surrogate_flow_samples(b.panel, 1, 0, n_surrogates=49, seed=9)
+    assert np.array_equal(first, again)
+    cov = build_covariance_set(b.panel, 1)
+    shared = surrogate_significance(b.panel, 1, 0, n_surrogates=49, seed=9, cov=cov)
+    assert shared.p_surrogate == surrogate_significance(b.panel, 1, 0, n_surrogates=49, seed=9).p_surrogate
 
 
 def test_surrogate_monotone_in_observed_magnitude():
