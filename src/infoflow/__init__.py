@@ -57,7 +57,6 @@ from .graph import (
     reconstruct_graph,
 )
 from .panel import (
-    DifferencedSeries,
     TimeSeriesPanel,
     forward_difference,
     ingest_csv,
@@ -90,7 +89,6 @@ __all__ = [
     "DegenerateComponentError",
     "DegenerateInferenceWarning",
     "DegenerateNormalizerError",
-    "DifferencedSeries",
     "FlowEstimate",
     "FlowMatrix",
     "GraphEdge",

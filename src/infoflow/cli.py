@@ -18,18 +18,16 @@ import sys
 
 from . import __version__
 from .analytic import load_system, stationary_covariance
-from .errors import DataError, InfoflowError, NumericalError, UsageError
-from .estimator import (
-    estimate_flow,
-    estimate_flow_matrix,
-    estimate_self_influence,
-    fit_linear_model,
-    normalize_flow,
+from .errors import (
+    DataError,
+    DegenerateNormalizerError,
+    InfoflowError,
+    NumericalError,
+    UsageError,
 )
-from .covariance import build_covariance_set
+from .estimator import estimate_flow_matrix
 from .graph import export_graph, reconstruct_graph
 from .panel import TimeSeriesPanel, ingest_csv, write_csv
-from .significance import asymptotic_significance, surrogate_significance
 from .simulate import (
     BENCHMARK_NAMES,
     DEFAULT_BURN_IN,
@@ -48,28 +46,29 @@ SIM_META_SCHEMA = "infoflow-sim-meta/1"
 AUTO_TIME_LABELS = ("t", "time")
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--k", type=int, default=1, help="differencing stride (default 1)")
-    parser.add_argument("--dt", type=float, default=None, help="time step for files without a time column")
-    parser.add_argument("--json", action="store_true", help="emit a JSON report instead of text")
-    parser.add_argument("--seed", type=int, default=None, help="seed for randomized operations")
-    parser.add_argument("--alpha", type=float, default=0.05, help="significance level (default 0.05)")
-    parser.add_argument(
-        "--correction",
-        choices=("none", "bonferroni", "benjamini_hochberg"),
-        default="none",
-        help="multiple-testing correction over directed pairs (default none)",
-    )
-    parser.add_argument("--surrogates", type=int, default=0, help="surrogate count for nonparametric p values (>= 19)")
-    parser.add_argument(
-        "--surrogate-method",
+# Options shared by several subcommands; each registers only those it reads.
+FLAGS = {
+    "--k": dict(type=int, default=1, help="differencing stride (default 1)"),
+    "--dt": dict(type=float, default=None, help="time step for files without a time column"),
+    "--json": dict(action="store_true", help="emit a JSON report instead of text"),
+    "--seed": dict(type=int, default=None, help="seed for randomized operations"),
+    "--surrogates": dict(type=int, default=0, help="surrogate count for nonparametric p values (>= 19)"),
+    "--surrogate-method": dict(
         choices=("circular_shift", "permutation"),
         default="circular_shift",
         help="surrogate construction (default circular_shift)",
-    )
-    parser.add_argument("--normalize", action="store_true", help="also report relative-importance normalization")
-    parser.add_argument("--per-step", action="store_true", help="report flows per sample step instead of per unit time")
-    parser.add_argument("--strict-repro", action="store_true", help="refuse randomized runs without an explicit --seed")
+    ),
+    "--normalize": dict(action="store_true", help="also report relative-importance normalization"),
+    "--per-step": dict(action="store_true", help="report flows per sample step instead of per unit time"),
+    "--strict-repro": dict(action="store_true", help="refuse randomized runs without an explicit --seed"),
+}
+
+ESTIMATION_FLAGS = ("--k", "--dt", "--json", "--seed", "--surrogates", "--surrogate-method", "--strict-repro")
+
+
+def _flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        parser.add_argument(name, **FLAGS[name])
 
 
 def _ingest_flags(parser: argparse.ArgumentParser) -> None:
@@ -92,21 +91,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", required=True, help="source series (label or 1-based index)")
     p.add_argument("--target", required=True, help="target series (label or 1-based index)")
     _ingest_flags(p)
-    _common_flags(p)
+    _flags(p, *ESTIMATION_FLAGS, "--normalize", "--per-step")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("matrix", help="all pairwise flows plus self influences")
     p.add_argument("csv", help="input CSV file")
     _ingest_flags(p)
-    _common_flags(p)
+    _flags(p, *ESTIMATION_FLAGS, "--normalize", "--per-step")
     p.set_defaults(func=cmd_matrix)
 
     p = sub.add_parser("graph", help="significance-filtered causal graph (DOT or JSON)")
     p.add_argument("csv", help="input CSV file")
     p.add_argument("--format", choices=("dot", "json"), default="dot", help="output format (default dot)")
     p.add_argument("-o", "--output", default=None, help="output file (default stdout)")
+    p.add_argument("--alpha", type=float, default=0.05, help="significance level (default 0.05)")
+    p.add_argument(
+        "--correction",
+        choices=("none", "bonferroni", "benjamini_hochberg"),
+        default="none",
+        help="multiple-testing correction over directed pairs (default none)",
+    )
     _ingest_flags(p)
-    _common_flags(p)
+    _flags(p, *ESTIMATION_FLAGS)
     p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("window", help="running-window flow analysis")
@@ -117,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", default=None, help="target series for a single pair")
     p.add_argument("-o", "--output", default=None, help="output file (default stdout)")
     _ingest_flags(p)
-    _common_flags(p)
+    _flags(p, *ESTIMATION_FLAGS, "--per-step")
     p.set_defaults(func=cmd_window)
 
     p = sub.add_parser("simulate", help="generate benchmark or user-defined linear SDE data")
@@ -131,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=None, help="dimension for independent_d")
     p.add_argument("-o", "--output", required=True, help="output CSV path")
     p.add_argument("--meta", default=None, help="metadata JSON path (default: <output stem>.meta.json)")
-    _common_flags(p)
+    _flags(p, "--dt", "--seed", "--strict-repro")
     p.set_defaults(func=cmd_simulate)
 
     return parser
@@ -209,18 +215,10 @@ def _resolve_series(panel: TimeSeriesPanel, token: str) -> int:
     return idx - 1
 
 
-def _surrogate_count(args) -> int:
-    if args.surrogates and args.surrogates > 0:
-        return args.surrogates
-    return 0
-
-
-def _effective_seed(args, randomized: bool) -> int | None:
+def _effective_seed(args) -> int:
     """Explicit seed, or a generated one announced on stderr."""
     if args.seed is not None:
         return args.seed
-    if not randomized:
-        return None
     if args.strict_repro:
         raise UsageError("--strict-repro requires an explicit --seed for randomized runs")
     seed = int.from_bytes(os.urandom(8), "little") >> 1
@@ -228,11 +226,37 @@ def _effective_seed(args, randomized: bool) -> int | None:
     return seed
 
 
+def _surrogate_plan(args) -> dict:
+    """Surrogate keywords of ``estimate_flow_matrix`` and ``windowed_flows``; the
+    seed is resolved (or generated and announced) only when surrogates are drawn."""
+    n_surr = max(args.surrogates, 0)
+    return {
+        "surrogates": n_surr,
+        "seed": _effective_seed(args) if n_surr else None,
+        "surrogate_method": args.surrogate_method,
+    }
+
+
+def _per_step(args, dt: float) -> tuple[float, str]:
+    """Scale and units of reported flows: per unit time, or per step with --per-step."""
+    return (dt, "nats/step") if args.per_step else (1.0, "nats/time")
+
+
 def _json_float(x):
     if x is None:
         return None
     x = float(x)
     return x if math.isfinite(x) else None
+
+
+def _flow_fields(est, scale: float, z: bool = False) -> dict:
+    """The JSON fields of one flow shared by the estimate, matrix and window reports."""
+    fields = {"flow": _json_float(est.value * scale), "stderr": _json_float(est.stderr * scale)}
+    if z:
+        fields["z"] = _json_float(est.z_score)
+    fields["p_asymptotic"] = _json_float(est.p_value_asymptotic)
+    fields["p_surrogate"] = _json_float(est.p_value_surrogate)
+    return fields
 
 
 def _fmt(x, width: int = 0) -> str:
@@ -248,50 +272,39 @@ def _emit(text: str, output: str | None) -> None:
             fh.write(text)
 
 
-def cmd_estimate(args) -> int:
-    panel = _load_panel(args)
+def _pair(args, panel: TimeSeriesPanel) -> tuple[int, int]:
     j = _resolve_series(panel, args.source)
     i = _resolve_series(panel, args.target)
     if j == i:
         raise UsageError("source equals target; self influence is reported by `matrix`")
+    return j, i
 
-    cov = build_covariance_set(panel, args.k)
-    est = estimate_flow(panel, j, i, args.k, cov=cov)
-    fit = fit_linear_model(panel, i, args.k, cov=cov)
-    report = asymptotic_significance(fit, cov, est)
 
-    n_surr = _surrogate_count(args)
-    p_surr = None
-    if n_surr:
-        seed = _effective_seed(args, randomized=True)
-        p_surr = surrogate_significance(
-            panel, j, i, args.k,
-            n_surrogates=n_surr, seed=seed, method=args.surrogate_method, cov=cov,
-        ).p_surrogate
-
-    normalized = None
-    self_value = None
-    if args.normalize:
-        self_est = estimate_self_influence(panel, i, args.k, cov=cov)
-        self_value = self_est.value
-        normalized = normalize_flow(est, self_est, fit)
-
-    scale = panel.dt if args.per_step else 1.0
-    units = "nats/step" if args.per_step else "nats/time"
+def cmd_estimate(args) -> int:
+    panel = _load_panel(args)
+    j, i = _pair(args, panel)
+    plan = _surrogate_plan(args)
+    matrix = estimate_flow_matrix(panel, args.k, pairs=[(j, i)], normalize=args.normalize, **plan)
+    est = matrix.flows[i][j]
+    self_value = matrix.self_influence[i].value
+    report = matrix.self_reports[i]  # the target's fit, hence its residual autocorrelation
+    if args.normalize and est.normalized is None:
+        raise DegenerateNormalizerError(
+            f"cannot normalize {panel.labels[j]} -> {panel.labels[i]}:"
+            " flow, self influence and noise contributions are all zero"
+        )
+    n_surr = plan["surrogates"]
+    scale, units = _per_step(args, panel.dt)
 
     if args.json:
         payload = {
             "schema": ESTIMATE_SCHEMA,
             "source": panel.labels[j],
             "target": panel.labels[i],
-            "flow": _json_float(est.value * scale),
-            "stderr": _json_float(report.stderr * scale if report.stderr is not None else None),
-            "z": _json_float(report.z_score),
-            "p_asymptotic": _json_float(report.p_asymptotic),
-            "p_surrogate": _json_float(p_surr),
+            **_flow_fields(est, scale, z=True),
             "n_surrogates": n_surr,
-            "normalized": _json_float(normalized),
-            "self_influence": _json_float(self_value * scale if self_value is not None else None),
+            "normalized": _json_float(est.normalized),
+            "self_influence": _json_float(self_value * scale if args.normalize else None),
             "units": units,
             "k": args.k,
             "dt": panel.dt,
@@ -303,14 +316,14 @@ def cmd_estimate(args) -> int:
 
     lines = [
         f"flow {panel.labels[j]} -> {panel.labels[i]}: {est.value * scale:.6g} {units}",
-        f"  stderr (asymptotic): {report.stderr * scale:.6g}",
-        f"  z: {report.z_score:.6g}",
-        f"  p (asymptotic): {report.p_asymptotic:.4g}",
+        f"  stderr (asymptotic): {est.stderr * scale:.6g}",
+        f"  z: {est.z_score:.6g}",
+        f"  p (asymptotic): {est.p_value_asymptotic:.4g}",
     ]
-    if p_surr is not None:
-        lines.append(f"  p (surrogate, {n_surr}): {p_surr:.4g}")
-    if normalized is not None:
-        lines.append(f"  normalized: {normalized:.6g}")
+    if n_surr:
+        lines.append(f"  p (surrogate, {n_surr}): {est.p_value_surrogate:.4g}")
+    if args.normalize:
+        lines.append(f"  normalized: {est.normalized:.6g}")
         lines.append(f"  self influence of {panel.labels[i]}: {self_value * scale:.6g} {units}")
     lines.append(f"  k: {args.k}  dt: {panel.dt:g}  n_eff: {est.n_eff}")
     if report.serial_correlation_flag:
@@ -322,44 +335,26 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-def _matrix_for(args, panel: TimeSeriesPanel):
-    n_surr = _surrogate_count(args)
-    seed = _effective_seed(args, randomized=bool(n_surr)) if n_surr else None
-    return estimate_flow_matrix(
-        panel,
-        args.k,
-        normalize=args.normalize,
-        surrogates=n_surr,
-        seed=seed,
-        surrogate_method=args.surrogate_method,
-    )
-
-
 def cmd_matrix(args) -> int:
     panel = _load_panel(args)
-    matrix = _matrix_for(args, panel)
-    scale = panel.dt if args.per_step else 1.0
-    units = "nats/step" if args.per_step else "nats/time"
+    matrix = estimate_flow_matrix(panel, args.k, normalize=args.normalize, **_surrogate_plan(args))
+    scale, units = _per_step(args, panel.dt)
 
     if args.json:
-        flows = []
-        for est in matrix.iter_flows():
-            flows.append(
-                {
-                    "source": matrix.labels[est.source],
-                    "target": matrix.labels[est.target],
-                    "flow": _json_float(est.value * scale),
-                    "stderr": _json_float(est.stderr * scale if est.stderr is not None else None),
-                    "p_asymptotic": _json_float(est.p_value_asymptotic),
-                    "p_surrogate": _json_float(est.p_value_surrogate),
-                    "normalized": _json_float(est.normalized),
-                }
-            )
+        flows = [
+            {
+                "source": matrix.labels[est.source],
+                "target": matrix.labels[est.target],
+                **_flow_fields(est, scale),
+                "normalized": _json_float(est.normalized),
+            }
+            for est in matrix.iter_flows()
+        ]
         selfs = [
             {
                 "target": matrix.labels[s.target],
                 "value": _json_float(s.value * scale),
-                "stderr": _json_float(r.stderr * scale if r.stderr is not None else None),
+                "stderr": _json_float(r.stderr * scale),
                 "p_asymptotic": _json_float(r.p_asymptotic),
             }
             for s, r in zip(matrix.self_influence, matrix.self_reports)
@@ -396,63 +391,30 @@ def cmd_matrix(args) -> int:
 
 def cmd_graph(args) -> int:
     panel = _load_panel(args)
-    args.normalize = True  # edge penwidths want the normalized weight
-    matrix = _matrix_for(args, panel)
+    # edge penwidths want the normalized weight
+    matrix = estimate_flow_matrix(panel, args.k, normalize=True, **_surrogate_plan(args))
     graph = reconstruct_graph(matrix, alpha=args.alpha, correction=args.correction)
     fmt = "json" if (args.json and args.format == "dot") else args.format
     _emit(export_graph(graph, fmt), args.output)
     return 0
 
 
-def _window_pairs(args, panel: TimeSeriesPanel):
-    if (args.source is None) != (args.target is None):
-        raise UsageError("pass both --source and --target, or neither for all pairs")
-    if args.source is None:
-        return None
-    j = _resolve_series(panel, args.source)
-    i = _resolve_series(panel, args.target)
-    if j == i:
-        raise UsageError("source equals target")
-    return [(j, i)]
-
-
 def cmd_window(args) -> int:
     panel = _load_panel(args)
-    pairs = _window_pairs(args, panel)
-    n_surr = _surrogate_count(args)
-    seed = _effective_seed(args, randomized=bool(n_surr)) if n_surr else None
+    if (args.source is None) != (args.target is None):
+        raise UsageError("pass both --source and --target, or neither for all pairs")
+    pairs = None if args.source is None else [_pair(args, panel)]
+    plan = _surrogate_plan(args)
     step = args.step if args.step is not None else args.window
-    result = windowed_flows(
-        panel,
-        args.window,
-        step,
-        pairs=pairs,
-        k=args.k,
-        surrogates=n_surr,
-        seed=seed,
-        surrogate_method=args.surrogate_method,
-    )
-    scale = panel.dt if args.per_step else 1.0
-    units = "nats/step" if args.per_step else "nats/time"
+    result = windowed_flows(panel, args.window, step, pairs=pairs, k=args.k, **plan)
+    n_surr = plan["surrogates"]
+    scale, units = _per_step(args, panel.dt)
 
     if args.json:
-        series = {}
-        for pair in result.pairs:
-            key = f"{pair[0]}->{pair[1]}"
-            entries = []
-            for est in result.flows[pair]:
-                if est is None:
-                    entries.append(None)
-                else:
-                    entries.append(
-                        {
-                            "flow": _json_float(est.value * scale),
-                            "stderr": _json_float(est.stderr * scale if est.stderr is not None else None),
-                            "p_asymptotic": _json_float(est.p_value_asymptotic),
-                            "p_surrogate": _json_float(est.p_value_surrogate),
-                        }
-                    )
-            series[key] = entries
+        series = {
+            f"{s}->{t}": [None if est is None else _flow_fields(est, scale) for est in result.flows[(s, t)]]
+            for s, t in result.pairs
+        }
         payload = {
             "schema": WINDOW_SCHEMA,
             "window_length": result.window_length,
@@ -482,10 +444,10 @@ def cmd_window(args) -> int:
                 row.extend([""] * (4 if n_surr else 3))
                 continue
             row.append(f"{est.value * scale:.10g}")
-            row.append(f"{est.stderr * scale:.10g}" if est.stderr is not None else "")
-            row.append(f"{est.p_value_asymptotic:.6g}" if est.p_value_asymptotic is not None else "")
+            row.append(f"{est.stderr * scale:.10g}")
+            row.append(f"{est.p_value_asymptotic:.6g}")
             if n_surr:
-                row.append(f"{est.p_value_surrogate:.6g}" if est.p_value_surrogate is not None else "")
+                row.append(f"{est.p_value_surrogate:.6g}")
         rows.append(",".join(row))
     _emit("\n".join(rows) + "\n", args.output)
     return 0
@@ -499,7 +461,7 @@ def _meta_path(output: str, override: str | None) -> str:
 
 
 def cmd_simulate(args) -> int:
-    seed = _effective_seed(args, randomized=True)
+    seed = _effective_seed(args)
     if args.n <= 0:
         raise UsageError("--n must be positive")
     burn_in = args.burn_in

@@ -20,8 +20,9 @@ import numpy as np
 from .errors import InsufficientDataError, InvalidStrideError
 from .panel import TimeSeriesPanel, forward_difference
 
-# A covariance matrix with |det| below this multiple of the diagonal product
-# is treated as singular; estimation refuses rather than regularizes.
+# A covariance matrix whose correlation matrix has |det| below this (that is,
+# |det C| below this multiple of the product of the variances) is treated as
+# singular; estimation refuses rather than regularizes.
 NEAR_SINGULAR_RTOL = 1e-12
 
 
@@ -31,7 +32,10 @@ class CovarianceSet:
 
     ``matrix`` is C and ``deriv`` is G (entry [j, i] is the covariance of
     series j with dX_i), both with the 1/(n_eff - 1) normalization.
-    ``n_eff`` is the shared window length n - k. When C is not near-singular,
+    ``det_corr`` is the determinant of the correlation matrix of C, the
+    margin the ``NEAR_SINGULAR_RTOL`` rule tests. ``n_eff`` is the shared
+    window length n - k; ``k`` and ``panel`` are the stride and the panel
+    the moments were taken from. When C is not near-singular,
     ``inverse`` is C^-1, column i of ``coefficients`` (B = C^-1 G) and entry
     i of ``intercepts`` are the least-squares fit of dX_i on intercept plus
     all series, and ``residual_variance`` (mean squared residual) and
@@ -41,8 +45,10 @@ class CovarianceSet:
 
     matrix: np.ndarray
     deriv: np.ndarray
-    det: float
+    det_corr: float
     n_eff: int
+    k: int
+    panel: TimeSeriesPanel
     near_singular: bool
     inverse: np.ndarray | None = None
     coefficients: np.ndarray | None = None
@@ -66,6 +72,19 @@ def _window(panel: TimeSeriesPanel, k: int) -> np.ndarray:
     return panel.values[:, :n_eff]
 
 
+def _correlation_det(C: np.ndarray) -> float:
+    """det C over the product of the variances, taken on the correlation matrix
+    so that it does not underflow for tiny series; 0 when a variance is 0."""
+    s = np.sqrt(np.diag(C))
+    return float(np.linalg.det(C / s / s[:, None])) if (s > 0.0).all() else 0.0
+
+
+def _near_singular(det_corr):
+    """The singularity rule on correlation-scale determinants, elementwise; NaN
+    (0/0 from a zero variance) counts as singular."""
+    return ~(np.abs(det_corr) >= NEAR_SINGULAR_RTOL)
+
+
 def _rowwise_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, b)
 
@@ -85,7 +104,7 @@ def build_covariance_set(panel: TimeSeriesPanel, k: int = 1) -> CovarianceSet:
     Z = np.empty((2 * d, n_eff))
     Z[:d] = X
     for i in range(d):
-        Z[d + i] = forward_difference(panel, i, k).values
+        Z[d + i] = forward_difference(panel, i, k)
     means = Z.mean(axis=1)
     Z -= means[:, None]
     Xc, dXc = Z[:d], Z[d:]
@@ -93,10 +112,10 @@ def build_covariance_set(panel: TimeSeriesPanel, k: int = 1) -> CovarianceSet:
     moments = (Xc @ Z.T) / (n_eff - 1)
     C = 0.5 * (moments[:, :d] + moments[:, :d].T)
     G = moments[:, d:]
-    det = float(np.linalg.det(C))
-    diag_prod = float(np.prod(np.diag(C)))
-    if det == 0.0 or abs(det) < NEAR_SINGULAR_RTOL * abs(diag_prod):
-        return CovarianceSet(matrix=C, deriv=G, det=det, n_eff=n_eff, near_singular=True)
+    det_corr = _correlation_det(C)
+    if _near_singular(det_corr):
+        return CovarianceSet(matrix=C, deriv=G, det_corr=det_corr, n_eff=n_eff, k=int(k),
+                             panel=panel, near_singular=True)
 
     B = np.linalg.solve(C, G)
     E = B.T @ Xc
@@ -111,8 +130,10 @@ def build_covariance_set(panel: TimeSeriesPanel, k: int = 1) -> CovarianceSet:
     return CovarianceSet(
         matrix=C,
         deriv=G,
-        det=det,
+        det_corr=det_corr,
         n_eff=n_eff,
+        k=int(k),
+        panel=panel,
         near_singular=False,
         inverse=np.linalg.inv(C),
         coefficients=B,

@@ -42,6 +42,7 @@ class FlowEstimate:
     p_value_asymptotic: float | None = None
     p_value_surrogate: float | None = None
     normalized: float | None = None
+    z_score: float | None = None
 
 
 @dataclass(frozen=True)
@@ -79,12 +80,20 @@ class LinearModelFit:
 def _invertible_covariance(panel, k, cov: CovarianceSet | None) -> CovarianceSet:
     if cov is None:
         cov = build_covariance_set(panel, k)
+    elif cov.panel is not panel or cov.k != k:
+        raise UsageError(f"cov was built from another panel or at another stride (k={cov.k}, not {k})")
     if cov.near_singular:
         raise SingularCovarianceError(
-            f"covariance matrix is singular or near-singular (det={cov.det:.3e});"
-            " refusing to estimate"
+            "covariance matrix is singular or near-singular"
+            f" (correlation det={cov.det_corr:.3e}); refusing to estimate"
         )
     return cov
+
+
+def _spawn_seeds(seed, n: int) -> list[np.random.SeedSequence]:
+    """The first ``n`` children of ``seed``: an int, None or a SeedSequence."""
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    return root.spawn(n)
 
 
 def estimate_flow(
@@ -192,8 +201,9 @@ def normalize_flow(
 class FlowMatrix:
     """All pairwise flows of a panel plus per-target self influences.
 
-    ``flows[i][j]`` is the estimate for j -> i (None on the diagonal);
-    ``self_influence[i]`` and ``self_reports[i]`` describe target i.
+    ``flows[i][j]`` is the estimate for j -> i (None on the diagonal and
+    for pairs not estimated); ``self_influence[i]`` and ``self_reports[i]``
+    describe target i.
     """
 
     labels: tuple[str, ...]
@@ -209,26 +219,31 @@ class FlowMatrix:
         return len(self.labels)
 
     def iter_flows(self):
-        for i in range(self.d):
-            for j in range(self.d):
-                if i != j:
-                    yield self.flows[i][j]
+        """The estimated flows, target by target."""
+        for row in self.flows:
+            yield from (est for est in row if est is not None)
 
 
 def estimate_flow_matrix(
     panel: TimeSeriesPanel,
     k: int = 1,
     *,
+    pairs: list[tuple[int, int]] | None = None,
     normalize: bool = False,
     surrogates: int = 0,
-    seed: int | None = None,
+    seed=None,
     surrogate_method: str = "circular_shift",
 ) -> FlowMatrix:
-    """Estimate every ordered pair plus all self influences in one pass.
+    """Estimate ordered pairs plus all self influences in one pass.
 
-    Asymptotic significance is always attached; surrogate p values are added
-    when ``surrogates`` >= 19. One covariance factorization is shared across
-    all sources and targets.
+    ``pairs`` lists the (source, target) index pairs to estimate, all
+    ordered pairs by default; the flows of the others are None. Asymptotic
+    significance is always attached; surrogate p values are added when
+    ``surrogates`` >= 19, pair j -> i drawing from child i * d + j of
+    ``seed`` (an int, None or a SeedSequence). A degenerate normalizer
+    leaves ``normalized`` None. One covariance factorization is shared
+    across all sources and targets. This is the one place that attaches
+    inference to a flow.
     """
     from .significance import (
         asymptotic_significance,
@@ -236,11 +251,15 @@ def estimate_flow_matrix(
         surrogate_significance,
     )
 
-    cov = _invertible_covariance(panel, k, None)
     d = panel.d
-
-    # the surrogate seed of pair j -> i is child i * d + j
-    children = np.random.SeedSequence(seed).spawn(d * d) if surrogates else None
+    wanted = None  # every ordered pair
+    if pairs is not None:
+        # range() maps negative indices and raises IndexError out of range
+        wanted = {(range(d)[j], range(d)[i]) for j, i in pairs}
+        if any(j == i for j, i in wanted):
+            raise InvalidPairError("pairs must have source != target")
+    cov = _invertible_covariance(panel, k, None)
+    children = _spawn_seeds(seed, d * d) if surrogates else None
 
     rows = []
     selfs = []
@@ -252,25 +271,20 @@ def estimate_flow_matrix(
         self_reports.append(self_influence_significance(fit, cov, self_est))
         row = []
         for j in range(d):
-            if j == i:
+            if j == i or (wanted is not None and (j, i) not in wanted):
                 row.append(None)
                 continue
             est = estimate_flow(panel, j, i, k, cov=cov)
             report = asymptotic_significance(fit, cov, est)
             est = replace(
-                est, stderr=report.stderr, p_value_asymptotic=report.p_asymptotic
+                est,
+                stderr=report.stderr,
+                p_value_asymptotic=report.p_asymptotic,
+                z_score=report.z_score,
             )
             if surrogates:
-                surr = surrogate_significance(
-                    panel,
-                    j,
-                    i,
-                    k,
-                    n_surrogates=surrogates,
-                    seed=children[i * d + j],
-                    method=surrogate_method,
-                    cov=cov,
-                )
+                surr = surrogate_significance(panel, j, i, k, n_surrogates=surrogates,
+                                              seed=children[i * d + j], method=surrogate_method, cov=cov)
                 est = replace(est, p_value_surrogate=surr.p_surrogate)
             if normalize:
                 try:

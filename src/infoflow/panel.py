@@ -79,17 +79,6 @@ class TimeSeriesPanel:
         """Number of samples per series."""
         return self.values.shape[1]
 
-    def index_of(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise UsageError(
-                f"unknown series {label!r}; available: {', '.join(self.labels)}"
-            ) from None
-
-    def series(self, j: int) -> np.ndarray:
-        return self.values[j]
-
     def window(self, start: int, length: int) -> "TimeSeriesPanel":
         """Sub-panel of ``length`` consecutive samples starting at ``start``."""
         if start < 0 or start + length > self.n:
@@ -103,27 +92,7 @@ class TimeSeriesPanel:
         return TimeSeriesPanel(self.labels, values, self.dt)
 
 
-@dataclass(frozen=True, eq=False)
-class DifferencedSeries:
-    """Euler-forward derivative estimates of one series.
-
-    Element m is (x[m+k] - x[m]) / (k*dt); the sequence has length n - k.
-    """
-
-    values: np.ndarray
-    k: int
-    source_label: str
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def forward_difference(panel: TimeSeriesPanel, j: int, k: int = 1) -> DifferencedSeries:
+def forward_difference(panel: TimeSeriesPanel, j: int, k: int = 1) -> np.ndarray:
     """Euler forward difference of series ``j`` with stride ``k``.
 
     Returns the derivative-scale series of length n - k whose element m is
@@ -135,8 +104,7 @@ def forward_difference(panel: TimeSeriesPanel, j: int, k: int = 1) -> Difference
     if k >= panel.n:
         raise InvalidStrideError(f"stride k={k} must be smaller than n={panel.n}")
     row = panel.values[j]
-    diff = (row[k:] - row[:-k]) / (k * panel.dt)
-    return DifferencedSeries(values=diff, k=int(k), source_label=panel.labels[j])
+    return (row[k:] - row[:-k]) / (k * panel.dt)
 
 
 def _default_labels(count: int) -> tuple[str, ...]:

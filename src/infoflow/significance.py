@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import NEAR_SINGULAR_RTOL, CovarianceSet, _window
+from .covariance import CovarianceSet, _correlation_det, _near_singular, _window
 from .errors import (
     DegenerateInferenceWarning,
     InsufficientDataError,
@@ -30,6 +30,7 @@ from .estimator import (
     FlowEstimate,
     LinearModelFit,
     SelfInfluenceEstimate,
+    _spawn_seeds,
     estimate_flow,
 )
 from .panel import TimeSeriesPanel, forward_difference
@@ -188,29 +189,25 @@ def surrogate_flow_samples(
     source, target = range(panel.d)[source], range(panel.d)[target]
     if source == target:
         raise InvalidPairError("source equals target; surrogates test cross-coupling only")
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = root.spawn(n_surrogates)
-
     X = _window(panel, k)
     n_eff = X.shape[1]
     others = [m for m in range(panel.d) if m != source]
     t = others.index(target)
     # centred rows of the other series, then of dX_target
-    Z = np.vstack([X[others], forward_difference(panel, target, k).values])
+    Z = np.vstack([X[others], forward_difference(panel, target, k)])
     Z -= Z.mean(axis=1, keepdims=True)
     moments = (Z @ Z.T) / (n_eff - 1)
     C_oo = moments[:-1, :-1]
     dcov_o = moments[:-1, -1]
-    diag_oo = float(np.prod(np.diag(C_oo)))
-    det_oo = float(np.linalg.det(C_oo))
-    if det_oo == 0.0 or abs(det_oo) < NEAR_SINGULAR_RTOL * abs(diag_oo) or C_oo[t, t] <= 0.0:
+    det_oo = _correlation_det(C_oo)
+    if _near_singular(det_oo):
         return np.full(n_surrogates, math.inf)
     C_oo_inv = np.linalg.inv(C_oo)
 
     row = panel.values[source]
     # per surrogate: [c (d - 1 entries), g, v], unnormalized
     sums = np.empty((n_surrogates, panel.d + 1))
-    for m, child in enumerate(children):
+    for m, child in enumerate(_spawn_seeds(seed, n_surrogates)):
         rng = np.random.Generator(np.random.PCG64(child))
         s = _surrogate_series(row, rng, method)[:n_eff]
         s = s - s.mean()
@@ -219,11 +216,10 @@ def surrogate_flow_samples(
     sums /= n_eff - 1
     c, g, v = sums[:, :-2], sums[:, -2], sums[:, -1]
     schur = v - np.einsum("mi,mi->m", c @ C_oo_inv, c)
-    det = det_oo * schur
     with np.errstate(divide="ignore", invalid="ignore"):
         flows = (g - c @ (C_oo_inv @ dcov_o)) / schur * c[:, t] / C_oo[t, t]
-    singular = (det == 0.0) | (np.abs(det) < NEAR_SINGULAR_RTOL * np.abs(diag_oo * v))
-    flows[singular] = math.inf
+        # det C / (product of variances) = det_corr(C_OO) * schur / v
+        flows[_near_singular(det_oo * schur / v)] = math.inf
     return flows
 
 

@@ -62,6 +62,11 @@ def euler_maruyama(spec: SimulationSpec) -> TimeSeriesPanel:
     next ``n`` states (the initial state itself when burn_in = 0). Identical
     seeds produce bit-identical panels.
     """
+    return _integrate(spec, spec.system.A, spec.burn_in + spec.n)
+
+
+def _integrate(spec: SimulationSpec, A_late: np.ndarray, switch: int) -> TimeSeriesPanel:
+    """``euler_maruyama`` of ``spec`` with drift matrix ``A_late`` from step ``switch`` on."""
     sys, dt = spec.system, spec.dt
     d = sys.d
     total = spec.burn_in + spec.n
@@ -69,17 +74,17 @@ def euler_maruyama(spec: SimulationSpec) -> TimeSeriesPanel:
     # drive[m] = f*dt + B*sqrt(dt)*xi[m]; combined up front so the hot loop
     # does one matvec and one add per step.
     drive = rng.standard_normal((total - 1, sys.m)) @ (sys.B.T * np.sqrt(dt)) + sys.f * dt
-    step = np.eye(d) + sys.A * dt
-    step_t = step.T.copy()
 
     traj = np.empty((total, d))
     x = spec.x0.copy()
     traj[0] = x
     # overflow is tolerated here and diagnosed below as an instability
     with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(1, total):
-            x = x @ step_t + drive[m - 1]
-            traj[m] = x
+        for A, steps in ((sys.A, range(1, switch)), (A_late, range(switch, total))):
+            step_t = (np.eye(d) + A * dt).T.copy()
+            for m in steps:
+                x = x @ step_t + drive[m - 1]
+                traj[m] = x
 
     if not np.isfinite(traj).all() or np.abs(traj).max() > EXPLOSION_LIMIT:
         raise InstabilityError(
@@ -209,24 +214,7 @@ def regime_switch_panel(
     """
     if not 0 < switch_at < n:
         raise UsageError("switch_at must lie strictly inside the run")
-    d = 2
-    rng = np.random.Generator(np.random.PCG64(seed))
-    total = burn_in + n
-    drive = rng.standard_normal((total - 1, d)) * (noise * np.sqrt(dt))
-    A_off = np.array([[-1.0, 0.0], [0.0, -1.0]])
+    off = LinearSDE(f=np.zeros(2), A=-np.eye(2), B=noise * np.eye(2))
+    spec = SimulationSpec(system=off, n=n, dt=dt, seed=seed, burn_in=burn_in, labels=("x", "y"))
     A_on = np.array([[-1.0, coupling], [0.0, -1.0]])
-    step_off = (np.eye(d) + A_off * dt).T.copy()
-    step_on = (np.eye(d) + A_on * dt).T.copy()
-
-    traj = np.empty((total, d))
-    x = np.zeros(d)
-    traj[0] = x
-    switch_global = burn_in + switch_at
-    for m in range(1, total):
-        step = step_off if m <= switch_global else step_on
-        x = x @ step + drive[m - 1]
-        traj[m] = x
-    if not np.isfinite(traj).all() or np.abs(traj).max() > EXPLOSION_LIMIT:
-        raise InstabilityError("regime-switch trajectory exploded; reduce dt or coupling")
-    panel = TimeSeriesPanel(labels=("x", "y"), values=traj[burn_in:].T, dt=dt)
-    return panel, switch_at
+    return _integrate(spec, A_on, burn_in + switch_at + 1), switch_at

@@ -2,15 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-import numpy as np
-
-from .covariance import build_covariance_set
 from .errors import InsufficientDataError, SingularCovarianceError, UsageError
-from .estimator import estimate_flow, fit_linear_model
+from .estimator import _spawn_seeds, estimate_flow_matrix
 from .panel import TimeSeriesPanel
-from .significance import asymptotic_significance, surrogate_significance
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,55 +55,31 @@ def windowed_flows(
     """Slide a window of ``window_length`` samples by ``step`` and estimate flows.
 
     ``pairs`` are (source, target) index pairs; all ordered pairs by default.
-    Window centers are reported in time units. Each window takes one
-    covariance pass; per-window surrogate seeds are derived up front.
+    Window centers are reported in time units. Window w is the
+    ``estimate_flow_matrix`` of its sub-panel restricted to ``pairs``, seeded
+    with child w of ``seed``; a window with too few samples or a singular
+    covariance gives None for every pair.
     """
     starts = window_starts(panel.n, window_length, step)
     if pairs is None:
         pairs = [(j, i) for i in range(panel.d) for j in range(panel.d) if i != j]
-    for j, i in pairs:
-        if j == i:
-            raise UsageError("window pairs must have source != target")
 
-    children = None
-    if surrogates:
-        # the surrogate seed of pair p in window w is child w * len(pairs) + p
-        root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        children = root.spawn(len(starts) * len(pairs))
-
+    seeds = _spawn_seeds(seed, len(starts)) if surrogates else [None] * len(starts)
     window_rows = []
-    for w, start in enumerate(starts):
-        sub = panel.window(start, window_length)
+    for start, child in zip(starts, seeds):
         try:
-            cov = build_covariance_set(sub, k)
-        except InsufficientDataError:
+            matrix = estimate_flow_matrix(
+                panel.window(start, window_length),
+                k,
+                pairs=pairs,
+                surrogates=surrogates,
+                seed=child,
+                surrogate_method=surrogate_method,
+            )
+        except (InsufficientDataError, SingularCovarianceError):
             window_rows.append([None] * len(pairs))
             continue
-        fits = {}
-        out = []
-        for p, (j, i) in enumerate(pairs):
-            try:
-                est = estimate_flow(sub, j, i, k, cov=cov)
-                if i not in fits:
-                    fits[i] = fit_linear_model(sub, i, k, cov=cov)
-                report = asymptotic_significance(fits[i], cov, est)
-                est = replace(est, stderr=report.stderr, p_value_asymptotic=report.p_asymptotic)
-                if surrogates:
-                    surr = surrogate_significance(
-                        sub,
-                        j,
-                        i,
-                        k,
-                        n_surrogates=surrogates,
-                        seed=children[w * len(pairs) + p],
-                        method=surrogate_method,
-                        cov=cov,
-                    )
-                    est = replace(est, p_value_surrogate=surr.p_surrogate)
-                out.append(est)
-            except (InsufficientDataError, SingularCovarianceError):
-                out.append(None)
-        window_rows.append(out)
+        window_rows.append([matrix.flows[i][j] for j, i in pairs])
 
     label_pairs = tuple((panel.labels[j], panel.labels[i]) for j, i in pairs)
     flows = {

@@ -8,6 +8,7 @@ import pytest
 from importlib.resources import files
 
 from infoflow.cli import main
+from conftest import make_rng
 
 
 def schema(name):
@@ -354,3 +355,56 @@ def test_console_entry_point_installed():
     )
     # module execution without args is a usage error (argparse exit 2)
     assert proc.returncode == 2
+
+
+def test_estimate_and_matrix_share_surrogate_p_values(capsys, tmp_path):
+    data = tmp_path / "chain.csv"
+    assert main(["simulate", "--benchmark", "chain_3", "--n", "4000", "--seed", "6", "-o", str(data)]) == 0
+    code, out, _ = run_cli(capsys, "matrix", str(data), "--json", "--surrogates", "99", "--seed", "21")
+    assert code == 0
+    for flow in json.loads(out)["flows"]:
+        code, est_out, _ = run_cli(
+            capsys, "estimate", str(data), "--source", flow["source"], "--target", flow["target"],
+            "--json", "--surrogates", "99", "--seed", "21",
+        )
+        assert code == 0
+        estimate = json.loads(est_out)
+        for key in ("flow", "stderr", "p_asymptotic", "p_surrogate"):
+            assert estimate[key] == flow[key]
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_estimate_degenerate_normalizer_exit_4(capsys, tmp_path, json_flag):
+    # a ramp target has a constant derivative: zero flow, zero self
+    # influence and zero noise leave nothing to normalize by
+    path = tmp_path / "ramp.csv"
+    noise = make_rng(5).standard_normal(200)
+    path.write_text("x,y\n" + "".join(f"{m},{v:.17g}\n" for m, v in enumerate(noise)))
+    code, out, err = run_cli(
+        capsys, "estimate", str(path), "--source", "y", "--target", "x", "--normalize", *json_flag
+    )
+    assert code == 4
+    assert out == ""
+    assert "all zero" in err
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(c, f) for c in ("estimate", "matrix", "window") for f in (["--alpha", "0.1"], ["--correction", "bonferroni"])]
+    + [("window", ["--normalize"]), ("graph", ["--normalize"]), ("graph", ["--per-step"])]
+    + [("simulate", f) for f in (["--k", "2"], ["--json"], ["--alpha", "0.1"], ["--correction", "bonferroni"],
+                                 ["--surrogates", "19"], ["--surrogate-method", "permutation"],
+                                 ["--normalize"], ["--per-step"])],
+)
+def test_flags_a_subcommand_does_not_read_exit_2(capsys, tmp_path, command, flag):
+    data = tmp_path / "d.csv"
+    argv = {
+        "estimate": ["estimate", str(data), "--source", "x", "--target", "y"],
+        "matrix": ["matrix", str(data)],
+        "graph": ["graph", str(data)],
+        "window": ["window", str(data), "--window", "100"],
+        "simulate": ["simulate", "--benchmark", "one_way_2d", "--n", "200", "--seed", "1", "-o", str(data)],
+    }[command]
+    code, _, err = run_cli(capsys, *argv, *flag)
+    assert code == 2
+    assert "unrecognized arguments" in err

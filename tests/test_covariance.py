@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from infoflow import TimeSeriesPanel, build_covariance_set, forward_difference
+from infoflow import (
+    TimeSeriesPanel,
+    build_covariance_set,
+    estimate_flow_matrix,
+    forward_difference,
+    surrogate_flow_samples,
+)
 from infoflow.errors import InsufficientDataError
 from conftest import cofactor_matrix, lstsq_fit, make_rng, random_panel, random_spd
 
@@ -129,7 +135,7 @@ def test_deriv_cross_matches_naive_loop():
     panel = random_panel(rng, d=2, n=50)
     k = 2
     got = build_covariance_set(panel, k).deriv[:, 0]
-    dx = forward_difference(panel, 0, k).values
+    dx = forward_difference(panel, 0, k)
     n_eff = panel.n - k
     dbar = sum(dx) / n_eff
     for j in range(2):
@@ -230,3 +236,19 @@ def test_singular_matrix_allowed_in_cofactors():
     cof, det = cofactor_matrix(C)
     assert det == 0.0
     assert np.array_equal(cof, [[1.0, -1.0], [-1.0, 1.0]])
+
+
+def test_flows_are_scale_invariant_down_to_tiny_series():
+    # the singularity rule reads the correlation matrix, whose determinant
+    # does not underflow when det C and the variance product both do
+    panel = random_panel(make_rng(1), 3, 500)
+    base = estimate_flow_matrix(panel)
+    for scale in (1e-60, 1e-120):
+        tiny = TimeSeriesPanel(panel.labels, panel.values * scale, panel.dt)
+        assert not build_covariance_set(tiny, 1).near_singular
+        for got, want in zip(estimate_flow_matrix(tiny).iter_flows(), base.iter_flows()):
+            assert got.value == pytest.approx(want.value, rel=1e-12, abs=0)
+            assert got.p_value_asymptotic == pytest.approx(want.p_value_asymptotic, rel=1e-9)
+        samples = surrogate_flow_samples(tiny, 1, 0, n_surrogates=19, seed=2)
+        expected = surrogate_flow_samples(panel, 1, 0, n_surrogates=19, seed=2)
+        assert np.allclose(samples, expected, rtol=0, atol=1e-12 * np.abs(expected).max())

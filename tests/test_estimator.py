@@ -15,6 +15,7 @@ from infoflow import (
     euler_maruyama,
     fit_linear_model,
     normalize_flow,
+    surrogate_significance,
 )
 from infoflow.errors import (
     DegenerateNormalizerError,
@@ -322,3 +323,34 @@ def test_normalized_sign_matches_flow_sign():
         assert abs(est.normalized) <= 1.0
         if est.value != 0.0:
             assert np.sign(est.normalized) == np.sign(est.value)
+
+
+def test_one_pair_matrix_equals_full_matrix_entry():
+    panel = benchmark("chain_3", None, n=5000, seed=8).panel
+    full = estimate_flow_matrix(panel, normalize=True, surrogates=19, seed=4)
+    for est in full.iter_flows():
+        j, i = est.source, est.target
+        one = estimate_flow_matrix(panel, pairs=[(j, i)], normalize=True, surrogates=19,
+                                   seed=np.random.SeedSequence(4))
+        assert one.flows[i][j] == est  # every field, p_surrogate and z_score included
+        assert list(one.iter_flows()) == [est]
+        assert one.self_reports == full.self_reports
+    with pytest.raises(InvalidPairError):
+        estimate_flow_matrix(panel, pairs=[(1, -2)])
+
+
+def test_core_from_another_panel_or_stride_is_refused():
+    panel = benchmark("one_way_2d", None, n=5000, seed=0).panel
+    other = benchmark("one_way_2d", None, n=5000, seed=1).panel
+    calls = (
+        lambda k, cov: estimate_flow(panel, 1, 0, k, cov=cov),
+        lambda k, cov: estimate_self_influence(panel, 0, k, cov=cov),
+        lambda k, cov: fit_linear_model(panel, 0, k, cov=cov),
+        lambda k, cov: surrogate_significance(panel, 1, 0, k, n_surrogates=19, seed=0, cov=cov),
+    )
+    for call in calls:
+        with pytest.raises(UsageError, match="stride"):
+            call(2, build_covariance_set(panel, 1))
+        with pytest.raises(UsageError, match="another panel"):
+            call(1, build_covariance_set(other, 1))
+        call(2, build_covariance_set(panel, 2))

@@ -147,3 +147,20 @@ def test_regime_switch_coupling_visible_in_second_half():
     second = np.corrcoef(panel.values[:, switch:])[0, 1]
     assert abs(first) < 0.1
     assert second > 0.4
+
+
+def test_regime_switch_matches_its_two_matrix_loop():
+    # reference: the regime loop as a standalone recursion, the drift
+    # coupling switched on after global step burn_in + switch_at
+    n, switch, coupling, dt, burn_in = 20_000, 10_000, 2.0, 0.01, 10_000
+    step_off = (np.eye(2) - np.eye(2) * dt).T.copy()
+    step_on = (np.eye(2) + np.array([[-1.0, coupling], [0.0, -1.0]]) * dt).T.copy()
+    for seed in range(50):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        drive = rng.standard_normal((burn_in + n - 1, 2)) * np.sqrt(dt)
+        traj = np.zeros((burn_in + n, 2))
+        for m in range(1, burn_in + n):
+            step = step_off if m <= burn_in + switch else step_on
+            traj[m] = traj[m - 1] @ step + drive[m - 1]
+        panel, _ = regime_switch_panel(n, switch, coupling=coupling, dt=dt, seed=seed)
+        assert np.array_equal(panel.values, traj[burn_in:].T)

@@ -5,6 +5,7 @@ from infoflow import (
     TimeSeriesPanel,
     benchmark,
     estimate_flow,
+    estimate_flow_matrix,
     regime_switch_panel,
     windowed_flows,
 )
@@ -90,3 +91,15 @@ def test_regime_switch_from_insignificant_to_significant():
     post = [p for s, p in zip(starts, ps) if s >= switch]
     assert min(pre) > 0.01
     assert max(post) < 1e-6
+
+
+def test_window_entries_equal_seeded_matrix_of_sub_panel():
+    b = benchmark("chain_3", None, n=4000, seed=9)
+    pairs = [(0, 1), (2, 0)]
+    res = windowed_flows(b.panel, 1500, 1000, pairs=pairs, surrogates=19, seed=12)
+    children = np.random.SeedSequence(12).spawn(res.n_windows)
+    for w, start in enumerate(range(0, 4000 - 1500 + 1, 1000)):
+        sub = estimate_flow_matrix(b.panel.window(start, 1500), pairs=pairs, surrogates=19,
+                                   seed=children[w])
+        for (j, i), key in zip(pairs, res.pairs):
+            assert res.flows[key][w] == sub.flows[i][j]
