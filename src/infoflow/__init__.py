@@ -75,6 +75,7 @@ from .simulate import (
     benchmark,
     euler_maruyama,
     regime_switch_panel,
+    simulate_system,
 )
 from .window import WindowedFlowSeries, windowed_flows
 
@@ -131,6 +132,7 @@ __all__ = [
     "reconstruct_graph",
     "regime_switch_panel",
     "self_influence_significance",
+    "simulate_system",
     "stationary_covariance",
     "surrogate_flow_samples",
     "surrogate_significance",

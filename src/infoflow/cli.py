@@ -28,14 +28,7 @@ from .errors import (
 from .estimator import estimate_flow_matrix
 from .graph import export_graph, reconstruct_graph
 from .panel import TimeSeriesPanel, ingest_csv, write_csv
-from .simulate import (
-    BENCHMARK_NAMES,
-    DEFAULT_BURN_IN,
-    RNG_ALGORITHM,
-    SimulationSpec,
-    benchmark,
-    euler_maruyama,
-)
+from .simulate import BENCHMARK_NAMES, DEFAULT_BURN_IN, RNG_ALGORITHM, benchmark, simulate_system
 from .window import windowed_flows
 
 ESTIMATE_SCHEMA = "infoflow-estimate/1"
@@ -63,7 +56,7 @@ FLAGS = {
     "--strict-repro": dict(action="store_true", help="refuse randomized runs without an explicit --seed"),
 }
 
-ESTIMATION_FLAGS = ("--k", "--dt", "--json", "--seed", "--surrogates", "--surrogate-method", "--strict-repro")
+ESTIMATION_FLAGS = ("--k", "--dt", "--seed", "--surrogates", "--surrogate-method", "--strict-repro")
 
 
 def _flags(parser: argparse.ArgumentParser, *names: str) -> None:
@@ -91,13 +84,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", required=True, help="source series (label or 1-based index)")
     p.add_argument("--target", required=True, help="target series (label or 1-based index)")
     _ingest_flags(p)
-    _flags(p, *ESTIMATION_FLAGS, "--normalize", "--per-step")
+    _flags(p, *ESTIMATION_FLAGS, "--json", "--normalize", "--per-step")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("matrix", help="all pairwise flows plus self influences")
     p.add_argument("csv", help="input CSV file")
     _ingest_flags(p)
-    _flags(p, *ESTIMATION_FLAGS, "--normalize", "--per-step")
+    _flags(p, *ESTIMATION_FLAGS, "--json", "--normalize", "--per-step")
     p.set_defaults(func=cmd_matrix)
 
     p = sub.add_parser("graph", help="significance-filtered causal graph (DOT or JSON)")
@@ -123,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", default=None, help="target series for a single pair")
     p.add_argument("-o", "--output", default=None, help="output file (default stdout)")
     _ingest_flags(p)
-    _flags(p, *ESTIMATION_FLAGS, "--per-step")
+    _flags(p, *ESTIMATION_FLAGS, "--json", "--per-step")
     p.set_defaults(func=cmd_window)
 
     p = sub.add_parser("simulate", help="generate benchmark or user-defined linear SDE data")
@@ -132,9 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--system", help="JSON file with fields f, A, B")
     p.add_argument("--n", type=int, required=True, help="number of samples to keep")
     p.add_argument("--burn-in", type=int, default=None, help=f"discarded initial steps (default {DEFAULT_BURN_IN})")
-    p.add_argument("--coupling", type=float, default=None, help="benchmark coupling strength")
-    p.add_argument("--noise", type=float, default=None, help="benchmark noise amplitude")
-    p.add_argument("--d", type=int, default=None, help="dimension for independent_d")
+    p.add_argument("--coupling", type=float, default=None, help="benchmark coupling strength (--benchmark only)")
+    p.add_argument("--noise", type=float, default=None, help="benchmark noise amplitude (--benchmark only)")
+    p.add_argument("--d", type=int, default=None, help="dimension for independent_d (--benchmark only)")
     p.add_argument("-o", "--output", required=True, help="output CSV path")
     p.add_argument("--meta", default=None, help="metadata JSON path (default: <output stem>.meta.json)")
     _flags(p, "--dt", "--seed", "--strict-repro")
@@ -229,10 +222,9 @@ def _effective_seed(args) -> int:
 def _surrogate_plan(args) -> dict:
     """Surrogate keywords of ``estimate_flow_matrix`` and ``windowed_flows``; the
     seed is resolved (or generated and announced) only when surrogates are drawn."""
-    n_surr = max(args.surrogates, 0)
     return {
-        "surrogates": n_surr,
-        "seed": _effective_seed(args) if n_surr else None,
+        "surrogates": args.surrogates,
+        "seed": _effective_seed(args) if args.surrogates else None,
         "surrogate_method": args.surrogate_method,
     }
 
@@ -394,8 +386,7 @@ def cmd_graph(args) -> int:
     # edge penwidths want the normalized weight
     matrix = estimate_flow_matrix(panel, args.k, normalize=True, **_surrogate_plan(args))
     graph = reconstruct_graph(matrix, alpha=args.alpha, correction=args.correction)
-    fmt = "json" if (args.json and args.format == "dot") else args.format
-    _emit(export_graph(graph, fmt), args.output)
+    _emit(export_graph(graph, args.format), args.output)
     return 0
 
 
@@ -464,51 +455,15 @@ def cmd_simulate(args) -> int:
     seed = _effective_seed(args)
     if args.n <= 0:
         raise UsageError("--n must be positive")
-    burn_in = args.burn_in
-
+    flags = {"coupling": args.coupling, "noise": args.noise, "d": args.d, "dt": args.dt, "burn_in": args.burn_in}
+    params = {key: value for key, value in flags.items() if value is not None}
     if args.benchmark:
-        params = {}
-        if args.coupling is not None:
-            params["coupling"] = args.coupling
-        if args.noise is not None:
-            params["noise"] = args.noise
-        if args.d is not None:
-            params["d"] = args.d
-        if args.dt is not None:
-            params["dt"] = args.dt
-        if burn_in is not None:
-            params["burn_in"] = burn_in
         result = benchmark(args.benchmark, params, n=args.n, seed=seed)
-        panel = result.panel
-        system = result.system
-        meta_extra = {
-            "benchmark": result.name,
-            "params": result.params,
-            "true_edges": result.true_edge_strings(),
-        }
     else:
         system = load_system(args.system)
         stationary_covariance(system)  # rejects non-Hurwitz drift up front
-        dt = args.dt if args.dt is not None else 0.01
-        spec = SimulationSpec(
-            system=system,
-            n=args.n,
-            dt=dt,
-            seed=seed,
-            burn_in=burn_in if burn_in is not None else DEFAULT_BURN_IN,
-        )
-        panel = euler_maruyama(spec)
-        edges = [
-            f"{j + 1}->{i + 1}"
-            for i in range(system.d)
-            for j in range(system.d)
-            if i != j and system.A[i, j] != 0.0
-        ]
-        meta_extra = {
-            "benchmark": None,
-            "params": {"dt": dt, "burn_in": spec.burn_in},
-            "true_edges": sorted(edges),
-        }
+        result = simulate_system(system, params, n=args.n, seed=seed)
+    panel, system = result.panel, result.system
 
     with open(args.output, "w", encoding="utf-8", newline="") as fh:
         write_csv(panel, fh)
@@ -523,7 +478,9 @@ def cmd_simulate(args) -> int:
         "system": None
         if system is None
         else {"f": system.f.tolist(), "A": system.A.tolist(), "B": system.B.tolist()},
-        **meta_extra,
+        "benchmark": result.name,
+        "params": result.params,
+        "true_edges": result.true_edge_strings(),
     }
     with open(_meta_path(args.output, args.meta), "w", encoding="utf-8", newline="") as fh:
         fh.write(json.dumps(meta, indent=2) + "\n")

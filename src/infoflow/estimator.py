@@ -91,8 +91,15 @@ def _invertible_covariance(panel, k, cov: CovarianceSet | None) -> CovarianceSet
 
 
 def _spawn_seeds(seed, n: int) -> list[np.random.SeedSequence]:
-    """The first ``n`` children of ``seed``: an int, None or a SeedSequence."""
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    """The first ``n`` children of ``seed``: an int, None or a SeedSequence.
+
+    ``spawn`` advances the sequence it is called on, so a SeedSequence is
+    rebuilt first: the same object passed twice gives the same children.
+    """
+    if isinstance(seed, np.random.SeedSequence):
+        root = np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size)
+    else:
+        root = np.random.SeedSequence(seed)
     return root.spawn(n)
 
 
@@ -118,8 +125,6 @@ def estimate_flow(
         )
     cov = _invertible_covariance(panel, k, cov)
     C = cov.matrix
-    if C[target, target] <= 0.0:
-        raise SingularCovarianceError(f"target series {target} has zero variance")
     value = cov.coefficients[source, target] * C[target, source] / C[target, target]
     return FlowEstimate(value=float(value), source=source, target=target, k=int(k), n_eff=cov.n_eff)
 

@@ -96,10 +96,13 @@ def reconstruct_graph(
         raise UsageError("self-influence entries do not cover every node")
 
     flows = list(matrix.iter_flows())
+    if len(flows) != d * (d - 1):
+        raise UsageError(
+            f"flow matrix must cover all {d * (d - 1)} ordered pairs, not {len(flows)};"
+            " the correction spans that family"
+        )
     ps = []
     for est in flows:
-        if est is None:
-            raise UsageError("flow matrix must cover all ordered pairs")
         p = est.p_value_surrogate if est.p_value_surrogate is not None else est.p_value_asymptotic
         if p is None:
             raise UsageError(

@@ -53,7 +53,6 @@ class SignificanceReport:
     p_asymptotic: float | None = None
     p_surrogate: float | None = None
     n_surrogates: int = 0
-    alpha: float | None = None
     lag1_residual_autocorr: float | None = None
 
     @property
@@ -67,27 +66,12 @@ def two_sided_p(z: float) -> float:
     return math.erfc(abs(z) / math.sqrt(2.0))
 
 
-def _coefficient_variance(fit: LinearModelFit, cov: CovarianceSet, index: int) -> float:
-    """Sampling variance of fitted coefficient ``index``.
-
-    Inverse-information form: residual_variance * [C^-1]_jj / (n_eff - 1).
-    """
-    if cov.near_singular:
-        raise SingularCovarianceError("cannot attach significance to a singular fit")
-    if fit.n_eff <= cov.d + 2:
-        raise InsufficientDataError(
-            f"need n_eff > d + 2 for asymptotic inference (n_eff={fit.n_eff}, d={cov.d})"
-        )
-    inv_jj = cov.inverse[index, index]
-    return max(fit.residual_variance * inv_jj / (fit.n_eff - 1), 0.0)
-
-
 def _z_and_p(value: float, stderr: float, residual_variance: float) -> tuple[float, float]:
     if residual_variance == 0.0:
         warnings.warn(
             "perfect fit: zero residual variance collapses the standard error",
             DegenerateInferenceWarning,
-            stacklevel=3,
+            stacklevel=4,  # the caller of the public report function
         )
         return (0.0, 1.0) if value == 0.0 else (math.inf, 0.0)
     if stderr == 0.0:
@@ -95,6 +79,33 @@ def _z_and_p(value: float, stderr: float, residual_variance: float) -> tuple[flo
         return 0.0, 1.0
     z = value / stderr
     return z, two_sided_p(z)
+
+
+def _delta_method_report(
+    fit: LinearModelFit, cov: CovarianceSet, value: float, source: int
+) -> SignificanceReport:
+    """Report for ``value`` = coefficient ``source`` of the target fit times C_ij / C_ii.
+
+    stderr = |C_ij / C_ii| * sqrt(residual_variance * [C^-1]_jj / (n_eff - 1)),
+    the inverse-information variance of the coefficient. The self influence
+    is the case j = i, where the ratio is exactly 1.
+    """
+    if cov.near_singular:
+        raise SingularCovarianceError("cannot attach significance to a singular fit")
+    if fit.n_eff <= cov.d + 2:
+        raise InsufficientDataError(
+            f"need n_eff > d + 2 for asymptotic inference (n_eff={fit.n_eff}, d={cov.d})"
+        )
+    i, j = fit.target, source
+    var = max(fit.residual_variance * cov.inverse[j, j] / (fit.n_eff - 1), 0.0)
+    stderr = abs(cov.matrix[i, j] / cov.matrix[i, i]) * math.sqrt(var)
+    z, p = _z_and_p(value, stderr, fit.residual_variance)
+    return SignificanceReport(
+        stderr=stderr,
+        z_score=z,
+        p_asymptotic=p,
+        lag1_residual_autocorr=fit.lag1_residual_autocorr,
+    )
 
 
 def asymptotic_significance(
@@ -108,17 +119,7 @@ def asymptotic_significance(
     """
     if fit.target != flow.target:
         raise UsageError("fit and flow describe different targets")
-    i, j = flow.target, flow.source
-    var_a = _coefficient_variance(fit, cov, j)
-    ratio = abs(cov.matrix[i, j] / cov.matrix[i, i])
-    stderr = ratio * math.sqrt(var_a)
-    z, p = _z_and_p(flow.value, stderr, fit.residual_variance)
-    return SignificanceReport(
-        stderr=stderr,
-        z_score=z,
-        p_asymptotic=p,
-        lag1_residual_autocorr=fit.lag1_residual_autocorr,
-    )
+    return _delta_method_report(fit, cov, flow.value, flow.source)
 
 
 def self_influence_significance(
@@ -129,14 +130,7 @@ def self_influence_significance(
     """Same delta-method machinery applied to the self-influence estimate."""
     if fit.target != estimate.target:
         raise UsageError("fit and estimate describe different targets")
-    stderr = math.sqrt(_coefficient_variance(fit, cov, estimate.target))
-    z, p = _z_and_p(estimate.value, stderr, fit.residual_variance)
-    return SignificanceReport(
-        stderr=stderr,
-        z_score=z,
-        p_asymptotic=p,
-        lag1_residual_autocorr=fit.lag1_residual_autocorr,
-    )
+    return _delta_method_report(fit, cov, estimate.value, estimate.target)
 
 
 def _surrogate_series(row: np.ndarray, rng: np.random.Generator, method: str) -> np.ndarray:

@@ -8,7 +8,7 @@ given spec reproduces its panel bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -99,7 +99,7 @@ class BenchmarkResult:
     """Simulated panel plus the planted causal structure that generated it."""
 
     panel: TimeSeriesPanel
-    name: str
+    name: str | None  # None for a system not among the named benchmarks
     true_edges: tuple[tuple[int, int], ...]  # (source, target), 0-based
     system: LinearSDE | None
     params: dict = field(default_factory=dict)
@@ -109,16 +109,42 @@ class BenchmarkResult:
         return [f"{src + 1}->{tgt + 1}" for src, tgt in self.true_edges]
 
 
-def _linear_benchmark(name, A, labels, true_edges, n, seed, dt, burn_in, noise, params):
-    sys = LinearSDE(f=np.zeros(A.shape[0]), A=A, B=noise * np.eye(A.shape[0]))
-    spec = SimulationSpec(system=sys, n=n, dt=dt, seed=seed, burn_in=burn_in, labels=labels)
+def simulate_system(
+    system: LinearSDE,
+    params: dict | None = None,
+    *,
+    n: int,
+    seed: int,
+    labels: tuple[str, ...] | None = None,
+) -> BenchmarkResult:
+    """Seeded Euler-Maruyama run of ``system`` with its planted edges.
+
+    params: dt (default 0.01), burn_in (default ``DEFAULT_BURN_IN``). The
+    flow j -> i of a linear system vanishes exactly where A[i, j] does, so
+    the true edges are the nonzero off-diagonal drift entries, in
+    (source, target) order.
+    """
+    params = dict(params or {})
+    dt = float(params.pop("dt", 0.01))
+    burn_in = int(params.pop("burn_in", DEFAULT_BURN_IN))
+    _reject_unknown(params)
+    spec = SimulationSpec(system=system, n=n, dt=dt, seed=seed, burn_in=burn_in, labels=labels)
+    d, A = system.d, system.A
     return BenchmarkResult(
         panel=euler_maruyama(spec),
-        name=name,
-        true_edges=true_edges,
-        system=sys,
-        params=params,
+        name=None,
+        true_edges=tuple((j, i) for j in range(d) for i in range(d) if i != j and A[i, j] != 0.0),
+        system=system,
+        params={"dt": dt, "burn_in": burn_in},
     )
+
+
+# Drift of each coupled linear benchmark as a function of the coupling c.
+_COUPLED_DRIFTS = {
+    "one_way_2d": (("x", "y"), lambda c: [[-1.0, c], [0.0, -1.0]]),
+    "chain_3": (("x1", "x2", "x3"), lambda c: [[-1.0, 0.0, 0.0], [c, -1.0, 0.0], [0.0, c, -1.0]]),
+    "confounder_3": (("x1", "x2", "x3"), lambda c: [[-1.0, 0.0, c], [0.0, -1.0, c], [0.0, 0.0, -1.0]]),
+}
 
 
 def benchmark(name: str, params: dict | None = None, *, n: int, seed: int) -> BenchmarkResult:
@@ -130,7 +156,9 @@ def benchmark(name: str, params: dict | None = None, *, n: int, seed: int) -> Be
     independent_d diagonal drift, no cross edges (params: d)
     henon         chaotic map x <- 1 - a x^2 + y, y <- b x, unit time step
 
-    Linear benchmarks accept params coupling, noise, dt, burn_in.
+    The coupled linear benchmarks accept params coupling, noise, dt,
+    burn_in; independent_d accepts d, noise, dt, burn_in. Their true edges
+    are read off the drift by ``simulate_system``, so coupling 0 plants none.
     """
     params = dict(params or {})
     if name not in BENCHMARK_NAMES:
@@ -160,40 +188,25 @@ def benchmark(name: str, params: dict | None = None, *, n: int, seed: int) -> Be
             params={"a": a, "b": b, "burn_in": burn_in},
         )
 
-    coupling = float(params.pop("coupling", 0.5))
+    head, tail = {}, {}
+    if name == "independent_d":
+        d = int(params.pop("d", 4))
+        if d < 1:
+            raise UsageError("independent_d needs d >= 1")
+        A, labels, tail = -np.eye(d), None, {"d": d}
+    else:
+        head = {"coupling": float(params.pop("coupling", 0.5))}
+        labels, drift = _COUPLED_DRIFTS[name]
+        A = drift(head["coupling"])
     noise = float(params.pop("noise", 1.0))
-    dt = float(params.pop("dt", 0.01))
-    burn_in = int(params.pop("burn_in", DEFAULT_BURN_IN))
-    kept = {"coupling": coupling, "noise": noise, "dt": dt, "burn_in": burn_in}
-
-    if name == "one_way_2d":
-        _reject_unknown(params)
-        A = np.array([[-1.0, coupling], [0.0, -1.0]])
-        return _linear_benchmark(name, A, ("x", "y"), ((1, 0),), n, seed, dt, burn_in, noise, kept)
-    if name == "chain_3":
-        _reject_unknown(params)
-        A = np.array([[-1.0, 0.0, 0.0], [coupling, -1.0, 0.0], [0.0, coupling, -1.0]])
-        labels = ("x1", "x2", "x3")
-        return _linear_benchmark(name, A, labels, ((0, 1), (1, 2)), n, seed, dt, burn_in, noise, kept)
-    if name == "confounder_3":
-        _reject_unknown(params)
-        A = np.array([[-1.0, 0.0, coupling], [0.0, -1.0, coupling], [0.0, 0.0, -1.0]])
-        labels = ("x1", "x2", "x3")
-        return _linear_benchmark(name, A, labels, ((2, 0), (2, 1)), n, seed, dt, burn_in, noise, kept)
-    # independent_d
-    d = int(params.pop("d", 4))
-    _reject_unknown(params)
-    if d < 1:
-        raise UsageError("independent_d needs d >= 1")
-    kept["d"] = d
-    A = -np.eye(d)
-    labels = tuple(f"x{i + 1}" for i in range(d))
-    return _linear_benchmark(name, A, labels, (), n, seed, dt, burn_in, noise, kept)
+    system = LinearSDE(f=np.zeros(len(A)), A=A, B=noise * np.eye(len(A)))
+    result = simulate_system(system, params, n=n, seed=seed, labels=labels)
+    return replace(result, name=name, params={**head, "noise": noise, **result.params, **tail})
 
 
 def _reject_unknown(params: dict) -> None:
     if params:
-        raise UsageError(f"unknown benchmark parameter(s): {', '.join(sorted(params))}")
+        raise UsageError(f"unknown simulation parameter(s): {', '.join(sorted(params))}")
 
 
 def regime_switch_panel(

@@ -1,13 +1,16 @@
+import argparse
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
 from importlib.resources import files
 
-from infoflow.cli import main
+from infoflow.cli import _ingest_flags, build_parser, main
 from conftest import make_rng
 
 
@@ -394,7 +397,8 @@ def test_estimate_degenerate_normalizer_exit_4(capsys, tmp_path, json_flag):
     + [("window", ["--normalize"]), ("graph", ["--normalize"]), ("graph", ["--per-step"])]
     + [("simulate", f) for f in (["--k", "2"], ["--json"], ["--alpha", "0.1"], ["--correction", "bonferroni"],
                                  ["--surrogates", "19"], ["--surrogate-method", "permutation"],
-                                 ["--normalize"], ["--per-step"])],
+                                 ["--normalize"], ["--per-step"])]
+    + [("graph", ["--json"])],
 )
 def test_flags_a_subcommand_does_not_read_exit_2(capsys, tmp_path, command, flag):
     data = tmp_path / "d.csv"
@@ -408,3 +412,64 @@ def test_flags_a_subcommand_does_not_read_exit_2(capsys, tmp_path, command, flag
     code, _, err = run_cli(capsys, *argv, *flag)
     assert code == 2
     assert "unrecognized arguments" in err
+
+
+def test_simulate_coupling_zero_plants_no_edges(tmp_path):
+    out = tmp_path / "zero.csv"
+    argv = ["simulate", "--benchmark", "one_way_2d", "--coupling", "0", "--n", "200", "--seed", "1", "-o", str(out)]
+    assert main(argv) == 0
+    meta = json.loads((tmp_path / "zero.meta.json").read_text())
+    assert meta["true_edges"] == []
+    assert meta["params"]["coupling"] == 0.0
+
+
+@pytest.mark.parametrize("flag", [["--coupling", "0.3"], ["--noise", "2"], ["--d", "3"]])
+def test_simulate_system_refuses_benchmark_flags(capsys, tmp_path, flag):
+    system = tmp_path / "sys.json"
+    system.write_text('{"f": [0, 0], "A": [[-1, 0.5], [0, -1]], "B": [[1, 0], [0, 1]]}')
+    code, _, err = run_cli(
+        capsys, "simulate", "--system", str(system), "--n", "200", "--seed", "1",
+        "-o", str(tmp_path / "sys.csv"), *flag,
+    )
+    assert code == 2
+    assert flag[0][2:] in err
+
+
+def test_simulate_independent_d_refuses_coupling(capsys, tmp_path):
+    code, _, err = run_cli(
+        capsys, "simulate", "--benchmark", "independent_d", "--d", "3", "--coupling", "3",
+        "--n", "200", "--seed", "1", "-o", str(tmp_path / "ind.csv"),
+    )
+    assert code == 2
+    assert "coupling" in err
+
+
+@pytest.mark.parametrize("command", ["estimate", "matrix", "graph", "window"])
+def test_negative_surrogate_count_exit_2(capsys, one_way_csv, command):
+    extra = {
+        "estimate": ["--source", "y", "--target", "x"],
+        "matrix": [],
+        "graph": [],
+        "window": ["--window", "100000"],
+    }[command]
+    code, out, err = run_cli(capsys, command, str(one_way_csv), *extra, "--surrogates", "-5", "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert "surrogates" in err
+
+
+def test_readme_options_table_matches_the_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| subcommand |", 1)[1].split("\n\n", 1)[0]
+    rows = dict(re.findall(r"^\| `(\w+)` +\|(.*)\|$", table, flags=re.MULTILINE))
+    csv_parser = argparse.ArgumentParser()
+    _ingest_flags(csv_parser)
+    skip = {"-h", "--help", *csv_parser._option_string_actions}
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(rows) == set(subparsers.choices)
+    for command, sub in subparsers.choices.items():
+        named = set(re.findall(r"`(-[-\w]+)`", rows[command]))
+        options = [set(a.option_strings) - skip for a in sub._actions]
+        options = [strings for strings in options if strings]
+        assert all(strings & named for strings in options), command  # every option is listed
+        assert named <= set().union(*options), command  # and nothing else is

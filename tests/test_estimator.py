@@ -15,6 +15,7 @@ from infoflow import (
     euler_maruyama,
     fit_linear_model,
     normalize_flow,
+    surrogate_flow_samples,
     surrogate_significance,
 )
 from infoflow.errors import (
@@ -354,3 +355,22 @@ def test_core_from_another_panel_or_stride_is_refused():
         with pytest.raises(UsageError, match="another panel"):
             call(1, build_covariance_set(other, 1))
         call(2, build_covariance_set(panel, 2))
+
+
+def test_constant_target_refused_as_singular():
+    row = make_rng(3).standard_normal(200)
+    panel = TimeSeriesPanel(("a", "b"), np.vstack([row, np.full(200, 2.5)]))
+    with pytest.raises(SingularCovarianceError):
+        estimate_flow(panel, 0, 1)
+
+
+def test_same_seed_sequence_twice_gives_same_surrogates():
+    panel = benchmark("chain_3", None, n=3000, seed=1).panel
+    seed = np.random.SeedSequence(5)
+    runs = [estimate_flow_matrix(panel, surrogates=19, seed=s)
+            for s in (seed, seed, np.random.SeedSequence(5))]
+    p_values = [[est.p_value_surrogate for est in m.iter_flows()] for m in runs]
+    assert p_values[0] == p_values[1] == p_values[2]
+    samples = [surrogate_flow_samples(panel, 0, 1, n_surrogates=19, seed=s)
+               for s in (seed, seed, np.random.SeedSequence(5))]
+    assert np.array_equal(samples[0], samples[1]) and np.array_equal(samples[0], samples[2])

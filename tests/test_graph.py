@@ -244,3 +244,12 @@ def test_confounder_recovery_single_seed():
     g = reconstruct_graph(m, alpha=0.05)
     got = {(e.source, e.target) for e in g.edges}
     assert got == {("x3", "x1"), ("x3", "x2")}
+
+
+def test_matrix_restricted_by_pairs_is_refused():
+    # the correction spans all d(d-1) directed pairs, so a graph of a
+    # restricted matrix would correct over too small a family
+    panel = benchmark("chain_3", None, n=5000, seed=1).panel
+    m = estimate_flow_matrix(panel, pairs=[(0, 1)])
+    with pytest.raises(UsageError, match="ordered pairs"):
+        reconstruct_graph(m, correction="bonferroni")

@@ -7,6 +7,7 @@ from infoflow import (
     benchmark,
     euler_maruyama,
     regime_switch_panel,
+    simulate_system,
     stationary_covariance,
 )
 from infoflow.errors import InstabilityError, UsageError, ValidationError
@@ -164,3 +165,29 @@ def test_regime_switch_matches_its_two_matrix_loop():
             traj[m] = traj[m - 1] @ step + drive[m - 1]
         panel, _ = regime_switch_panel(n, switch, coupling=coupling, dt=dt, seed=seed)
         assert np.array_equal(panel.values, traj[burn_in:].T)
+
+
+def test_simulate_system_reads_edges_off_the_drift():
+    sys = LinearSDE(f=np.zeros(3), A=[[-1.0, 0.0, 0.3], [0.2, -1.0, 0.0], [0.0, -0.4, -1.0]], B=np.eye(3))
+    r = simulate_system(sys, None, n=100, seed=2)
+    assert r.name is None
+    assert r.true_edges == ((0, 1), (1, 2), (2, 0))  # (source, target), A[target, source] != 0
+    assert r.params == {"dt": 0.01, "burn_in": 10_000}
+    assert r.panel.labels == ("x1", "x2", "x3")
+    spec = SimulationSpec(system=sys, n=100, dt=0.01, seed=2)
+    assert np.array_equal(r.panel.values, euler_maruyama(spec).values)
+    with pytest.raises(UsageError, match="coupling"):
+        simulate_system(sys, {"coupling": 0.5}, n=100, seed=2)
+
+
+def test_benchmark_edges_follow_the_coupling():
+    for name in ("one_way_2d", "chain_3", "confounder_3"):
+        assert benchmark(name, {"coupling": 0.0}, n=50, seed=0).true_edges == ()
+    assert benchmark("one_way_2d", {"coupling": -0.3}, n=50, seed=0).true_edges == ((1, 0),)
+
+
+def test_independent_d_takes_no_coupling():
+    b = benchmark("independent_d", {"d": 3}, n=50, seed=1)
+    assert b.params == {"noise": 1.0, "dt": 0.01, "burn_in": 10_000, "d": 3}
+    with pytest.raises(UsageError, match="coupling"):
+        benchmark("independent_d", {"d": 3, "coupling": 3.0}, n=50, seed=1)
