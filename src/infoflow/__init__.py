@@ -40,13 +40,10 @@ from .errors import (
 from .estimator import (
     FlowEstimate,
     FlowMatrix,
-    LinearModelFit,
     SelfInfluenceEstimate,
     estimate_flow,
     estimate_flow_matrix,
     estimate_self_influence,
-    fit_linear_model,
-    normalize_flow,
 )
 from .graph import (
     CausalGraph,
@@ -64,8 +61,7 @@ from .panel import (
 )
 from .significance import (
     SignificanceReport,
-    asymptotic_significance,
-    self_influence_significance,
+    asymptotic_inference,
     surrogate_flow_samples,
     surrogate_significance,
 )
@@ -99,7 +95,6 @@ __all__ = [
     "InvalidPairError",
     "InvalidStrideError",
     "InvalidTransformError",
-    "LinearModelFit",
     "LinearSDE",
     "NonStationaryError",
     "NumericalError",
@@ -115,7 +110,7 @@ __all__ = [
     "ValidationError",
     "WindowedFlowSeries",
     "analytic_flow",
-    "asymptotic_significance",
+    "asymptotic_inference",
     "benchmark",
     "build_covariance_set",
     "estimate_flow",
@@ -123,15 +118,12 @@ __all__ = [
     "estimate_self_influence",
     "euler_maruyama",
     "export_graph",
-    "fit_linear_model",
     "forward_difference",
     "import_graph",
     "ingest_csv",
     "load_system",
-    "normalize_flow",
     "reconstruct_graph",
     "regime_switch_panel",
-    "self_influence_significance",
     "simulate_system",
     "stationary_covariance",
     "surrogate_flow_samples",

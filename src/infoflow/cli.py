@@ -130,7 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=None, help="dimension for independent_d (--benchmark only)")
     p.add_argument("-o", "--output", required=True, help="output CSV path")
     p.add_argument("--meta", default=None, help="metadata JSON path (default: <output stem>.meta.json)")
-    _flags(p, "--dt", "--seed", "--strict-repro")
+    p.add_argument("--dt", type=float, default=None, help="integration time step (default 0.01)")
+    _flags(p, "--seed", "--strict-repro")
     p.set_defaults(func=cmd_simulate)
 
     return parser
@@ -211,6 +212,8 @@ def _resolve_series(panel: TimeSeriesPanel, token: str) -> int:
 def _effective_seed(args) -> int:
     """Explicit seed, or a generated one announced on stderr."""
     if args.seed is not None:
+        if args.seed < 0:
+            raise UsageError(f"--seed must be non-negative, got {args.seed}")
         return args.seed
     if args.strict_repro:
         raise UsageError("--strict-repro requires an explicit --seed for randomized runs")

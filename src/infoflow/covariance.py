@@ -1,5 +1,5 @@
 """The moment core: one pass over a panel gives every quantity the flow
-estimators, fits and significance tests read.
+estimators, fits and significance tests read, each as one array.
 
 For a panel X and stride k the core holds C, the sample covariance of the
 series, and G, their cross-covariances with the forward-differenced series
@@ -39,8 +39,11 @@ class CovarianceSet:
     ``inverse`` is C^-1, column i of ``coefficients`` (B = C^-1 G) and entry
     i of ``intercepts`` are the least-squares fit of dX_i on intercept plus
     all series, and ``residual_variance`` (mean squared residual) and
-    ``lag1_residual_autocorr`` describe that fit's residuals; all five are
-    None otherwise.
+    ``lag1_residual_autocorr`` describe that fit's residuals.
+    ``noise_intensity`` is k*dt times the residual variance, the
+    additive-noise magnitude g_ii of the fitted SDE, and entry [i, j] of
+    ``flows`` is the flow j -> i, B[j, i] C[i, j] / C[i, i], with the self
+    influence B[i, i] on its diagonal. All seven are None otherwise.
     """
 
     matrix: np.ndarray
@@ -55,6 +58,8 @@ class CovarianceSet:
     intercepts: np.ndarray | None = None
     residual_variance: np.ndarray | None = None
     lag1_residual_autocorr: np.ndarray | None = None
+    noise_intensity: np.ndarray | None = None
+    flows: np.ndarray | None = None
 
     @property
     def d(self) -> int:
@@ -127,6 +132,8 @@ def build_covariance_set(panel: TimeSeriesPanel, k: int = 1) -> CovarianceSet:
     denom = _rowwise_dot(E, E)
     lag1 = np.divide(_rowwise_dot(E[:, :-1], E[:, 1:]), denom,
                      out=np.zeros(d), where=~exact & (denom != 0.0))
+    flows = B.T * C / np.diag(C)[:, None]
+    np.fill_diagonal(flows, np.diag(B))  # the ratio form can miss B[i, i] by an ulp
     return CovarianceSet(
         matrix=C,
         deriv=G,
@@ -140,4 +147,6 @@ def build_covariance_set(panel: TimeSeriesPanel, k: int = 1) -> CovarianceSet:
         intercepts=means[d:] - B.T @ means[:d],
         residual_variance=residual_variance,
         lag1_residual_autocorr=lag1,
+        noise_intensity=k * panel.dt * residual_variance,
+        flows=flows,
     )

@@ -15,17 +15,12 @@ time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .covariance import CovarianceSet, build_covariance_set
-from .errors import (
-    DegenerateNormalizerError,
-    InvalidPairError,
-    SingularCovarianceError,
-    UsageError,
-)
+from .errors import InvalidPairError, SingularCovarianceError, UsageError
 from .panel import TimeSeriesPanel
 
 
@@ -51,28 +46,6 @@ class SelfInfluenceEstimate:
 
     value: float
     target: int
-    k: int
-    n_eff: int
-
-
-@dataclass(frozen=True, eq=False)
-class LinearModelFit:
-    """Least-squares fit of the differenced target on intercept plus all series.
-
-    ``coefficients[j]`` is (C^-1 G)[j, target]. ``residual_variance`` is the
-    mean squared residual on the derivative scale; ``noise_intensity`` is
-    k*dt times that, the additive-noise magnitude g_ii of the fitted SDE.
-    ``target_variance`` is the sample variance of the target over the window
-    and ``lag1_residual_autocorr`` the lag-1 autocorrelation of the residuals.
-    """
-
-    target: int
-    intercept: float
-    coefficients: np.ndarray
-    residual_variance: float
-    noise_intensity: float
-    target_variance: float
-    lag1_residual_autocorr: float
     k: int
     n_eff: int
 
@@ -124,9 +97,8 @@ def estimate_flow(
             "source equals target; use estimate_self_influence for self loops"
         )
     cov = _invertible_covariance(panel, k, cov)
-    C = cov.matrix
-    value = cov.coefficients[source, target] * C[target, source] / C[target, target]
-    return FlowEstimate(value=float(value), source=source, target=target, k=int(k), n_eff=cov.n_eff)
+    value = float(cov.flows[target, source])
+    return FlowEstimate(value=value, source=source, target=target, k=int(k), n_eff=cov.n_eff)
 
 
 def estimate_self_influence(
@@ -143,63 +115,8 @@ def estimate_self_influence(
     """
     target = range(panel.d)[target]
     cov = _invertible_covariance(panel, k, cov)
-    value = float(cov.coefficients[target, target])
+    value = float(cov.flows[target, target])
     return SelfInfluenceEstimate(value=value, target=target, k=int(k), n_eff=cov.n_eff)
-
-
-def fit_linear_model(
-    panel: TimeSeriesPanel,
-    target: int,
-    k: int = 1,
-    *,
-    cov: CovarianceSet | None = None,
-) -> LinearModelFit:
-    """Least-squares fit of the differenced target on intercept plus all series.
-
-    Read off the same moments as the flow estimates, so coefficients and
-    flows agree exactly; it feeds the asymptotic significance tests. Pass a
-    prebuilt ``cov`` to share one covariance pass.
-    """
-    target = range(panel.d)[target]
-    cov = _invertible_covariance(panel, k, cov)
-    residual_variance = float(cov.residual_variance[target])
-    return LinearModelFit(
-        target=target,
-        intercept=float(cov.intercepts[target]),
-        coefficients=cov.coefficients[:, target],
-        residual_variance=residual_variance,
-        noise_intensity=float(k * panel.dt * residual_variance),
-        target_variance=float(cov.matrix[target, target]),
-        lag1_residual_autocorr=float(cov.lag1_residual_autocorr[target]),
-        k=int(k),
-        n_eff=cov.n_eff,
-    )
-
-
-def normalize_flow(
-    flow: FlowEstimate,
-    self_influence: SelfInfluenceEstimate,
-    fit: LinearModelFit,
-) -> float:
-    """Relative importance of a flow, in [-1, 1].
-
-    The flow is divided by the total magnitude of flow, self-influence, and
-    the noise contribution g_ii / (2 C_ii) to the target's entropy budget;
-    contributions of the remaining sources are not included.
-    """
-    if not (flow.target == self_influence.target == fit.target):
-        raise UsageError("flow, self influence and fit must share one target")
-    if not (flow.k == self_influence.k == fit.k):
-        raise UsageError("flow, self influence and fit must share one stride k")
-    if fit.target_variance <= 0.0:
-        raise DegenerateNormalizerError("target variance is zero")
-    noise_rate = fit.noise_intensity / (2.0 * fit.target_variance)
-    z = abs(flow.value) + abs(self_influence.value) + abs(noise_rate)
-    if z == 0.0:
-        raise DegenerateNormalizerError(
-            "flow, self influence and noise contributions are all zero"
-        )
-    return flow.value / z
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,14 +162,17 @@ def estimate_flow_matrix(
     ordered pairs by default; the flows of the others are None. Asymptotic
     significance is always attached; surrogate p values are added when
     ``surrogates`` >= 19, pair j -> i drawing from child i * d + j of
-    ``seed`` (an int, None or a SeedSequence). A degenerate normalizer
-    leaves ``normalized`` None. One covariance factorization is shared
-    across all sources and targets. This is the one place that attaches
-    inference to a flow.
+    ``seed`` (an int, None or a SeedSequence). With ``normalize``, a flow
+    is divided by |flow| + |self influence| + |noise intensity / (2 C_ii)|
+    of its target; a zero normalizer leaves ``normalized`` None. Every
+    number is read off the one moment core (``cov.flows`` and
+    ``asymptotic_inference``) and only packed here. This is the one place
+    that attaches inference to a flow.
     """
     from .significance import (
-        asymptotic_significance,
-        self_influence_significance,
+        SignificanceReport,
+        _require_surrogates,
+        asymptotic_inference,
         surrogate_significance,
     )
 
@@ -263,40 +183,45 @@ def estimate_flow_matrix(
         wanted = {(range(d)[j], range(d)[i]) for j, i in pairs}
         if any(j == i for j, i in wanted):
             raise InvalidPairError("pairs must have source != target")
+    if surrogates:
+        _require_surrogates(surrogates)
     cov = _invertible_covariance(panel, k, None)
     children = _spawn_seeds(seed, d * d) if surrogates else None
+    stderr, z, p = asymptotic_inference(cov)
+    normalized = None
+    if normalize:
+        noise = np.abs(cov.noise_intensity / (2.0 * np.diag(cov.matrix)))
+        total = np.abs(cov.flows) + np.abs(np.diag(cov.flows))[:, None] + noise[:, None]
+        nonzero = total != 0.0
+        ratio = np.divide(cov.flows, total, out=np.zeros((d, d)), where=nonzero)
+        normalized = np.where(nonzero, ratio, None).tolist()
+    values, stderr, z, p = (a.tolist() for a in (cov.flows, stderr, z, p))
+    lag1 = cov.lag1_residual_autocorr.tolist()
+    k, n_eff = int(k), cov.n_eff
 
     rows = []
     selfs = []
     self_reports = []
     for i in range(d):
-        fit = fit_linear_model(panel, i, k, cov=cov)
-        self_est = estimate_self_influence(panel, i, k, cov=cov)
-        selfs.append(self_est)
-        self_reports.append(self_influence_significance(fit, cov, self_est))
+        selfs.append(SelfInfluenceEstimate(value=values[i][i], target=i, k=k, n_eff=n_eff))
+        self_reports.append(SignificanceReport(stderr=stderr[i][i], z_score=z[i][i], p_asymptotic=p[i][i],
+                                               lag1_residual_autocorr=lag1[i]))
         row = []
         for j in range(d):
             if j == i or (wanted is not None and (j, i) not in wanted):
                 row.append(None)
                 continue
-            est = estimate_flow(panel, j, i, k, cov=cov)
-            report = asymptotic_significance(fit, cov, est)
-            est = replace(
-                est,
-                stderr=report.stderr,
-                p_value_asymptotic=report.p_asymptotic,
-                z_score=report.z_score,
-            )
+            p_surrogate = None
             if surrogates:
-                surr = surrogate_significance(panel, j, i, k, n_surrogates=surrogates,
-                                              seed=children[i * d + j], method=surrogate_method, cov=cov)
-                est = replace(est, p_value_surrogate=surr.p_surrogate)
-            if normalize:
-                try:
-                    est = replace(est, normalized=normalize_flow(est, self_est, fit))
-                except DegenerateNormalizerError:
-                    pass  # leave normalized absent rather than abort the matrix
-            row.append(est)
+                p_surrogate = surrogate_significance(panel, j, i, k, n_surrogates=surrogates,
+                                                     seed=children[i * d + j], method=surrogate_method,
+                                                     cov=cov).p_surrogate
+            row.append(FlowEstimate(
+                value=values[i][j], source=j, target=i, k=k, n_eff=n_eff,
+                stderr=stderr[i][j], p_value_asymptotic=p[i][j], p_value_surrogate=p_surrogate,
+                normalized=normalized[i][j] if normalize else None,
+                z_score=z[i][j],
+            ))
         rows.append(tuple(row))
 
     return FlowMatrix(
@@ -304,7 +229,7 @@ def estimate_flow_matrix(
         flows=tuple(rows),
         self_influence=tuple(selfs),
         self_reports=tuple(self_reports),
-        k=int(k),
+        k=k,
         dt=panel.dt,
-        n_eff=cov.n_eff,
+        n_eff=n_eff,
     )

@@ -85,12 +85,6 @@ class TimeSeriesPanel:
             raise UsageError(f"window [{start}, {start + length}) outside 0..{self.n}")
         return TimeSeriesPanel(self.labels, self.values[:, start : start + length].copy(), self.dt)
 
-    def with_series(self, j: int, new_values: np.ndarray) -> "TimeSeriesPanel":
-        """Copy of the panel with series ``j`` replaced (used by surrogate tests)."""
-        values = self.values.copy()
-        values[j] = new_values
-        return TimeSeriesPanel(self.labels, values, self.dt)
-
 
 def forward_difference(panel: TimeSeriesPanel, j: int, k: int = 1) -> np.ndarray:
     """Euler forward difference of series ``j`` with stride ``k``.

@@ -26,13 +26,7 @@ from .errors import (
     SingularCovarianceError,
     UsageError,
 )
-from .estimator import (
-    FlowEstimate,
-    LinearModelFit,
-    SelfInfluenceEstimate,
-    _spawn_seeds,
-    estimate_flow,
-)
+from .estimator import _spawn_seeds, estimate_flow
 from .panel import TimeSeriesPanel, forward_difference
 
 # Lag-1 residual autocorrelation above this is flagged in reports: the
@@ -66,71 +60,46 @@ def two_sided_p(z: float) -> float:
     return math.erfc(abs(z) / math.sqrt(2.0))
 
 
-def _z_and_p(value: float, stderr: float, residual_variance: float) -> tuple[float, float]:
-    if residual_variance == 0.0:
-        warnings.warn(
-            "perfect fit: zero residual variance collapses the standard error",
-            DegenerateInferenceWarning,
-            stacklevel=4,  # the caller of the public report function
-        )
-        return (0.0, 1.0) if value == 0.0 else (math.inf, 0.0)
-    if stderr == 0.0:
-        # the |C_ij / C_ii| factor vanished, which forces value == 0 as well
-        return 0.0, 1.0
-    z = value / stderr
-    return z, two_sided_p(z)
+def asymptotic_inference(cov: CovarianceSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Delta-method standard errors, z scores and two-sided p values of every
+    entry of ``cov.flows``, as d x d arrays in its [target, source] layout.
 
-
-def _delta_method_report(
-    fit: LinearModelFit, cov: CovarianceSet, value: float, source: int
-) -> SignificanceReport:
-    """Report for ``value`` = coefficient ``source`` of the target fit times C_ij / C_ii.
-
-    stderr = |C_ij / C_ii| * sqrt(residual_variance * [C^-1]_jj / (n_eff - 1)),
-    the inverse-information variance of the coefficient. The self influence
-    is the case j = i, where the ratio is exactly 1.
+    stderr[i, j] = |C_ij / C_ii| * sqrt(residual_variance_i * [C^-1]_jj / (n_eff - 1)),
+    the inverse-information variance of coefficient j of target i's fit
+    scaled by the covariance ratio; on the diagonal (the self influence)
+    the ratio is exactly 1. A zero stderr gives z 0. A target with zero
+    residual variance (a perfect fit) warns and gives z 0 where the value
+    is 0 and +inf elsewhere.
     """
     if cov.near_singular:
         raise SingularCovarianceError("cannot attach significance to a singular fit")
-    if fit.n_eff <= cov.d + 2:
+    if cov.n_eff <= cov.d + 2:
         raise InsufficientDataError(
-            f"need n_eff > d + 2 for asymptotic inference (n_eff={fit.n_eff}, d={cov.d})"
+            f"need n_eff > d + 2 for asymptotic inference (n_eff={cov.n_eff}, d={cov.d})"
         )
-    i, j = fit.target, source
-    var = max(fit.residual_variance * cov.inverse[j, j] / (fit.n_eff - 1), 0.0)
-    stderr = abs(cov.matrix[i, j] / cov.matrix[i, i]) * math.sqrt(var)
-    z, p = _z_and_p(value, stderr, fit.residual_variance)
-    return SignificanceReport(
-        stderr=stderr,
-        z_score=z,
-        p_asymptotic=p,
-        lag1_residual_autocorr=fit.lag1_residual_autocorr,
-    )
+    C, values, residual_variance = cov.matrix, cov.flows, cov.residual_variance
+    var = np.maximum(residual_variance[:, None] * np.diag(cov.inverse) / (cov.n_eff - 1), 0.0)
+    stderr = np.abs(C / np.diag(C)[:, None]) * np.sqrt(var)
+    # the |C_ij / C_ii| factor vanishes only with the value itself
+    z = np.divide(values, stderr, out=np.zeros_like(values), where=stderr != 0.0)
+    perfect = residual_variance == 0.0
+    if perfect.any():
+        warnings.warn(
+            "perfect fit: zero residual variance collapses the standard error",
+            DegenerateInferenceWarning,
+            stacklevel=3,  # the caller of estimate_flow_matrix
+        )
+        z[perfect] = np.where(values[perfect] == 0.0, 0.0, math.inf)
+    p = np.array([two_sided_p(x) for x in z.ravel().tolist()]).reshape(z.shape)
+    return stderr, z, p
 
 
-def asymptotic_significance(
-    fit: LinearModelFit,
-    cov: CovarianceSet,
-    flow: FlowEstimate,
-) -> SignificanceReport:
-    """Delta-method standard error and two-sided p value for a flow estimate.
-
-    stderr(T) = |C_ij / C_ii| * stderr(coefficient j of the target fit).
-    """
-    if fit.target != flow.target:
-        raise UsageError("fit and flow describe different targets")
-    return _delta_method_report(fit, cov, flow.value, flow.source)
-
-
-def self_influence_significance(
-    fit: LinearModelFit,
-    cov: CovarianceSet,
-    estimate: SelfInfluenceEstimate,
-) -> SignificanceReport:
-    """Same delta-method machinery applied to the self-influence estimate."""
-    if fit.target != estimate.target:
-        raise UsageError("fit and estimate describe different targets")
-    return _delta_method_report(fit, cov, estimate.value, estimate.target)
+def _require_surrogates(n_surrogates: int) -> None:
+    if n_surrogates < MIN_SURROGATES:
+        raise ResolutionError(
+            f"need at least {MIN_SURROGATES} surrogates for a usable p value,"
+            f" got {n_surrogates}"
+        )
 
 
 def _surrogate_series(row: np.ndarray, rng: np.random.Generator, method: str) -> np.ndarray:
@@ -234,11 +203,7 @@ def surrogate_significance(
     resolution is exactly 1/(n_surrogates + 1). Pass a prebuilt ``cov`` to
     reuse its covariance pass for the observed flow.
     """
-    if n_surrogates < MIN_SURROGATES:
-        raise ResolutionError(
-            f"need at least {MIN_SURROGATES} surrogates for a usable p value,"
-            f" got {n_surrogates}"
-        )
+    _require_surrogates(n_surrogates)
     observed = estimate_flow(panel, source, target, k, cov=cov).value
     samples = surrogate_flow_samples(
         panel,

@@ -37,6 +37,13 @@ def random_panel(rng, d, n, dt=1.0):
     return TimeSeriesPanel(labels=labels, values=values, dt=dt)
 
 
+def with_series(panel, j, new_values):
+    """Copy of the panel with series ``j`` replaced."""
+    values = panel.values.copy()
+    values[j] = new_values
+    return TimeSeriesPanel(panel.labels, values, panel.dt)
+
+
 @pytest.fixture
 def rng():
     return make_rng(20240817)

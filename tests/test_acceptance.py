@@ -15,14 +15,13 @@ from infoflow import (
     LinearSDE,
     SimulationSpec,
     analytic_flow,
-    asymptotic_significance,
+    asymptotic_inference,
     benchmark,
     build_covariance_set,
     estimate_flow,
     estimate_flow_matrix,
     estimate_self_influence,
     euler_maruyama,
-    fit_linear_model,
     reconstruct_graph,
     regime_switch_panel,
     stationary_covariance,
@@ -103,14 +102,13 @@ def _null_pair_p_values(trial_seed: int, with_surrogates: bool):
     b2 = benchmark("one_way_2d", None, n=6000, seed=50_000 + trial_seed)
     for bench, (j, i) in ((b1, (1, 0)), (b2, (0, 1))):
         cov = build_covariance_set(bench.panel, 1)
-        est = estimate_flow(bench.panel, j, i, cov=cov)
-        rep = asymptotic_significance(fit_linear_model(bench.panel, i), cov, est)
+        p_asym = asymptotic_inference(cov)[2][i, j]
         p_surr = None
         if with_surrogates:
             p_surr = surrogate_significance(
                 bench.panel, j, i, n_surrogates=199, seed=trial_seed
             ).p_surrogate
-        out.append((rep.p_asymptotic, p_surr))
+        out.append((p_asym, p_surr))
     return out
 
 
@@ -174,11 +172,8 @@ def test_05_correlation_without_causation():
     both_insig = 0
     for seed in range(100):
         b = benchmark("confounder_3", None, n=100_000, seed=seed)
-        cov = build_covariance_set(b.panel, 1)
-        e01 = estimate_flow(b.panel, 0, 1, cov=cov)
-        e10 = estimate_flow(b.panel, 1, 0, cov=cov)
-        p01 = asymptotic_significance(fit_linear_model(b.panel, 1), cov, e01).p_asymptotic
-        p10 = asymptotic_significance(fit_linear_model(b.panel, 0), cov, e10).p_asymptotic
+        p = asymptotic_inference(build_covariance_set(b.panel, 1))[2]
+        p01, p10 = p[1, 0], p[0, 1]
         both_insig += (p01 > 0.05) and (p10 > 0.05)
     criterion(
         "correlation without causation",

@@ -473,3 +473,53 @@ def test_readme_options_table_matches_the_parser():
         options = [strings for strings in options if strings]
         assert all(strings & named for strings in options), command  # every option is listed
         assert named <= set().union(*options), command  # and nothing else is
+
+
+@pytest.fixture
+def short_chain_csv(tmp_path):
+    path = tmp_path / "c.csv"
+    assert main(["simulate", "--benchmark", "chain_3", "--n", "400", "--seed", "1", "-o", str(path)]) == 0
+    return path
+
+
+@pytest.mark.parametrize("command", ["simulate", "graph", "window"])
+def test_negative_seed_exit_2(capsys, tmp_path, short_chain_csv, command):
+    argv = {
+        "simulate": ["simulate", "--benchmark", "chain_3", "--n", "400", "-o", str(tmp_path / "neg.csv")],
+        "graph": ["graph", str(short_chain_csv), "--surrogates", "19"],
+        "window": ["window", str(short_chain_csv), "--window", "200", "--surrogates", "19"],
+    }[command]
+    code, out, err = run_cli(capsys, *argv, "--seed", "-3")
+    assert code == 2
+    assert out == ""
+    assert "--seed" in err
+    assert not (tmp_path / "neg.csv").exists()
+
+
+@pytest.mark.parametrize("count", ["-5", "5"])
+def test_window_surrogate_count_checked_before_any_window(capsys, short_chain_csv, count):
+    # every 4-sample window is too short for d=3, yet the count is refused
+    code, out, err = run_cli(capsys, "window", str(short_chain_csv), "--window", "4", "--step", "100",
+                             "--surrogates", count, "--seed", "1", "--json")
+    assert code == 2
+    assert out == ""
+    assert "surrogates" in err
+
+
+def test_simulate_help_describes_the_integration_step(capsys):
+    code, out, _ = run_cli(capsys, "simulate", "--help")
+    assert code == 0
+    text = " ".join(out.split())
+    assert "--dt DT integration time step (default 0.01)" in text
+    assert "without a time column" not in text
+
+
+def test_readme_entry_points_resolve():
+    import infoflow
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = readme.split("Key entry points:", 1)[1].split("\n\n", 1)[0]
+    names = re.findall(r"`(\w+)`", listed)
+    assert len(names) >= 10
+    for name in names:
+        assert hasattr(infoflow, name) and name in infoflow.__all__, name

@@ -9,7 +9,7 @@ from infoflow import (
     surrogate_flow_samples,
 )
 from infoflow.errors import InsufficientDataError
-from conftest import cofactor_matrix, lstsq_fit, make_rng, random_panel, random_spd
+from conftest import cofactor_matrix, lstsq_fit, make_rng, random_panel, random_spd, with_series
 
 
 # --- independent oracles -------------------------------------------------
@@ -90,7 +90,7 @@ def test_covariance_shift_invariance():
     panel = random_panel(rng, d=3, n=80)
     cov = build_covariance_set(panel, k=1)
     for j in range(panel.d):
-        shifted = panel.with_series(j, panel.values[j] + 7.5)
+        shifted = with_series(panel, j, panel.values[j] + 7.5)
         cov2 = build_covariance_set(shifted, k=1)
         assert np.allclose(cov2.matrix, cov.matrix, rtol=0, atol=1e-10)
 

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from infoflow import (
-    FlowEstimate,
     LinearSDE,
-    SelfInfluenceEstimate,
     SimulationSpec,
     TimeSeriesPanel,
     benchmark,
@@ -13,19 +11,11 @@ from infoflow import (
     estimate_flow_matrix,
     estimate_self_influence,
     euler_maruyama,
-    fit_linear_model,
-    normalize_flow,
     surrogate_flow_samples,
     surrogate_significance,
 )
-from infoflow.errors import (
-    DegenerateNormalizerError,
-    InvalidPairError,
-    SingularCovarianceError,
-    UsageError,
-)
-from infoflow.estimator import LinearModelFit
-from conftest import lstsq_fit, make_rng, random_panel
+from infoflow.errors import InvalidPairError, SingularCovarianceError, UsageError
+from conftest import lstsq_fit, make_rng, random_panel, with_series
 
 
 def orthogonal_pair_panel(cycles=25, k=1):
@@ -113,10 +103,10 @@ def test_fit_exact_linear_relation():
     for m in range(n - 1):
         x1[m + 1] = x1[m] + dt * (2.0 * x1[m] - x2[m])
     panel = TimeSeriesPanel(("x1", "x2"), np.vstack([x1, x2]), dt=dt)
-    fit = fit_linear_model(panel, 0)
-    assert fit.coefficients == pytest.approx([2.0, -1.0], rel=1e-9)
-    assert fit.residual_variance < 1e-16
-    assert fit.intercept == pytest.approx(0.0, abs=1e-10)
+    cov = build_covariance_set(panel, 1)
+    assert cov.coefficients[:, 0] == pytest.approx([2.0, -1.0], rel=1e-9)
+    assert cov.residual_variance[0] < 1e-16
+    assert cov.intercepts[0] == pytest.approx(0.0, abs=1e-10)
 
 
 def test_cofactor_route_matches_normal_equations():
@@ -128,9 +118,8 @@ def test_cofactor_route_matches_normal_equations():
         k = 1 + seed % 2
         cov = build_covariance_set(panel, k)
         for i in range(d):
-            fit = fit_linear_model(panel, i, k, cov=cov)
             _, coefficients, _, _ = lstsq_fit(panel, i, k)
-            assert np.allclose(fit.coefficients, coefficients, rtol=1e-9, atol=1e-12)
+            assert np.allclose(cov.coefficients[:, i], coefficients, rtol=1e-9, atol=1e-12)
             for j in range(d):
                 if j == i:
                     continue
@@ -146,12 +135,12 @@ def test_negative_indices_map_like_python_sequences():
     est = estimate_flow(b.panel, -1, 0)
     assert est.source == 1 and est.value == estimate_flow(b.panel, 1, 0).value
     assert estimate_self_influence(b.panel, -2).target == 0
-    assert fit_linear_model(b.panel, -1).target == 1
+    assert estimate_flow_matrix(b.panel, pairs=[(0, -1)]).flows[1][0].target == 1
     for call in (
         lambda: estimate_flow(b.panel, 2, 0),
         lambda: estimate_flow(b.panel, 0, -3),
         lambda: estimate_self_influence(b.panel, 2),
-        lambda: fit_linear_model(b.panel, -3),
+        lambda: estimate_flow_matrix(b.panel, pairs=[(0, -3)]),
     ):
         with pytest.raises(IndexError):
             call()
@@ -160,15 +149,15 @@ def test_negative_indices_map_like_python_sequences():
 def test_ou_noise_intensity_recovers_diffusion():
     sys = LinearSDE(f=[0.0], A=[[-1.0]], B=[[1.0]])
     panel = euler_maruyama(SimulationSpec(system=sys, n=200_000, dt=0.01, seed=6))
-    fit = fit_linear_model(panel, 0)
-    assert fit.noise_intensity == pytest.approx(1.0, rel=0.10)
+    cov = build_covariance_set(panel, 1)
+    assert cov.noise_intensity[0] == pytest.approx(1.0, rel=0.10)
 
 
 def test_rank_deficient_design_rejected():
     row = make_rng(7).standard_normal(60)
     panel = TimeSeriesPanel(("a", "b"), np.vstack([row, 2.0 * row]))
     with pytest.raises(SingularCovarianceError):
-        fit_linear_model(panel, 0)
+        estimate_flow_matrix(panel)
 
 
 def test_scale_equivariance():
@@ -177,8 +166,8 @@ def test_scale_equivariance():
     panel = random_panel(rng, d=3, n=500)
     base = estimate_flow(panel, 2, 0).value
     for c in (0.1, -3.0, 40.0):
-        scaled_src = panel.with_series(2, c * panel.values[2])
-        scaled_tgt = panel.with_series(0, c * panel.values[0])
+        scaled_src = with_series(panel, 2, c * panel.values[2])
+        scaled_tgt = with_series(panel, 0, c * panel.values[0])
         assert estimate_flow(scaled_src, 2, 0).value == pytest.approx(base, rel=1e-9)
         assert estimate_flow(scaled_tgt, 2, 0).value == pytest.approx(base, rel=1e-9)
 
@@ -189,7 +178,7 @@ def test_shift_invariance():
     base = estimate_flow(panel, 1, 0).value
     self_base = estimate_self_influence(panel, 0).value
     for j in range(3):
-        shifted = panel.with_series(j, panel.values[j] + 11.0)
+        shifted = with_series(panel, j, panel.values[j] + 11.0)
         assert estimate_flow(shifted, 1, 0).value == pytest.approx(base, rel=1e-9)
         assert estimate_self_influence(shifted, 0).value == pytest.approx(self_base, rel=1e-9)
 
@@ -241,78 +230,38 @@ def test_independent_noise_false_positive_rate():
 
 
 def test_normalize_zero_flow_is_zero():
-    b = benchmark("one_way_2d", None, n=20_000, seed=12)
-    cov = build_covariance_set(b.panel, 1)
-    flow = FlowEstimate(value=0.0, source=1, target=0, k=1, n_eff=cov.n_eff)
-    si = estimate_self_influence(b.panel, 0, cov=cov)
-    fit = fit_linear_model(b.panel, 0)
-    assert normalize_flow(flow, si, fit) == 0.0
+    m = estimate_flow_matrix(orthogonal_pair_panel(), normalize=True)
+    assert m.flows[0][1].normalized == 0.0
 
 
 def test_normalize_boundary_is_plus_minus_one():
-    # synthetic inputs where the flow is the only nonzero contribution
-    fit = LinearModelFit(
-        target=0,
-        intercept=0.0,
-        coefficients=np.array([0.0, 2.0]),
-        residual_variance=0.0,
-        noise_intensity=0.0,
-        target_variance=1.0,
-        lag1_residual_autocorr=0.0,
-        k=1,
-        n_eff=10,
-    )
-    si = SelfInfluenceEstimate(value=0.0, target=0, k=1, n_eff=10)
-    flow = FlowEstimate(value=0.25, source=1, target=0, k=1, n_eff=10)
-    assert normalize_flow(flow, si, fit) == 1.0
-    flow = FlowEstimate(value=-0.25, source=1, target=0, k=1, n_eff=10)
-    assert normalize_flow(flow, si, fit) == -1.0
+    # an integer source drives the target exactly: the flow is the only
+    # nonzero contribution to the target's normalizer
+    y = np.random.default_rng(0).integers(-5, 6, 40).astype(float)
+    x = np.zeros(40)
+    for m in range(39):
+        x[m + 1] = x[m] + y[m]
+    panel = TimeSeriesPanel(("x", "y"), np.vstack([x, y]))
+    cov = build_covariance_set(panel, 1)
+    assert cov.flows[0, 0] == 0.0 and cov.noise_intensity[0] == 0.0
+    flow = estimate_flow_matrix(panel, normalize=True).flows[0][1]
+    assert flow.value != 0.0
+    assert abs(flow.normalized) == 1.0
+    assert np.sign(flow.normalized) == np.sign(flow.value)
 
 
 def test_normalize_degenerate_normalizer():
-    fit = LinearModelFit(
-        target=0,
-        intercept=0.0,
-        coefficients=np.zeros(2),
-        residual_variance=0.0,
-        noise_intensity=0.0,
-        target_variance=1.0,
-        lag1_residual_autocorr=0.0,
-        k=1,
-        n_eff=10,
-    )
-    si = SelfInfluenceEstimate(value=0.0, target=0, k=1, n_eff=10)
-    flow = FlowEstimate(value=0.0, source=1, target=0, k=1, n_eff=10)
-    with pytest.raises(DegenerateNormalizerError):
-        normalize_flow(flow, si, fit)
-
-
-def test_normalize_mismatched_inputs_rejected():
-    fit = LinearModelFit(
-        target=0,
-        intercept=0.0,
-        coefficients=np.zeros(2),
-        residual_variance=1.0,
-        noise_intensity=0.01,
-        target_variance=1.0,
-        lag1_residual_autocorr=0.0,
-        k=1,
-        n_eff=10,
-    )
-    si = SelfInfluenceEstimate(value=-1.0, target=1, k=1, n_eff=10)
-    flow = FlowEstimate(value=0.2, source=1, target=0, k=1, n_eff=10)
-    with pytest.raises(UsageError):
-        normalize_flow(flow, si, fit)
+    # a ramp target has a constant derivative: zero flow, zero self
+    # influence and zero noise leave nothing to normalize by
+    panel = TimeSeriesPanel(("x", "y"), np.vstack([np.arange(200.0), make_rng(5).standard_normal(200)]))
+    m = estimate_flow_matrix(panel, normalize=True)
+    assert m.flows[0][1].normalized is None
 
 
 def test_normalized_flow_regression_baseline():
     # frozen from the first verified run; the value sits strictly inside (0, 1)
     b = benchmark("one_way_2d", None, n=200_000, seed=7)
-    cov = build_covariance_set(b.panel, 1)
-    flow = estimate_flow(b.panel, 1, 0, cov=cov)
-    si = estimate_self_influence(b.panel, 0, cov=cov)
-    fit = fit_linear_model(b.panel, 0)
-    norm = normalize_flow(flow, si, fit)
+    norm = estimate_flow_matrix(b.panel, normalize=True).flows[0][1].normalized
     assert 0.0 < norm < 1.0
     assert norm == pytest.approx(0.0637455781278692, rel=1e-10)
 
@@ -346,7 +295,6 @@ def test_core_from_another_panel_or_stride_is_refused():
     calls = (
         lambda k, cov: estimate_flow(panel, 1, 0, k, cov=cov),
         lambda k, cov: estimate_self_influence(panel, 0, k, cov=cov),
-        lambda k, cov: fit_linear_model(panel, 0, k, cov=cov),
         lambda k, cov: surrogate_significance(panel, 1, 0, k, n_surrogates=19, seed=0, cov=cov),
     )
     for call in calls:

@@ -4,15 +4,14 @@ import pytest
 from infoflow import (
     LinearSDE,
     SimulationSpec,
+    SignificanceReport,
     TimeSeriesPanel,
-    asymptotic_significance,
+    asymptotic_inference,
     benchmark,
     build_covariance_set,
     estimate_flow,
-    estimate_self_influence,
+    estimate_flow_matrix,
     euler_maruyama,
-    fit_linear_model,
-    self_influence_significance,
     surrogate_flow_samples,
     surrogate_significance,
 )
@@ -22,15 +21,16 @@ from infoflow.errors import (
     ResolutionError,
     UsageError,
 )
-from conftest import make_rng
+from conftest import make_rng, with_series
 from test_estimator import orthogonal_pair_panel
 
 
 def pair_significance(panel, source, target, k=1):
     cov = build_covariance_set(panel, k)
     est = estimate_flow(panel, source, target, k, cov=cov)
-    fit = fit_linear_model(panel, target, k)
-    return est, asymptotic_significance(fit, cov, est)
+    stderr, z, p = asymptotic_inference(cov)
+    i, j = est.target, est.source
+    return est, SignificanceReport(stderr=stderr[i, j], z_score=z[i, j], p_asymptotic=p[i, j])
 
 
 def test_zero_flow_centers_the_null():
@@ -102,29 +102,18 @@ def test_perfect_fit_degenerates_with_warning():
     for m in range(n - 1):
         x1[m + 1] = x1[m] + dt * (2.0 * x1[m] - x2[m])
     panel = TimeSeriesPanel(("x1", "x2"), np.vstack([x1, x2]), dt=dt)
-    cov = build_covariance_set(panel, 1)
-    est = estimate_flow(panel, 1, 0, cov=cov)
-    fit = fit_linear_model(panel, 0)
     with pytest.warns(DegenerateInferenceWarning):
-        report = asymptotic_significance(fit, cov, est)
+        _, report = pair_significance(panel, 1, 0)
     assert report.stderr == 0.0
     assert report.p_asymptotic == 0.0
-
-
-def test_mismatched_fit_and_flow_rejected():
-    b = benchmark("one_way_2d", None, n=5000, seed=0)
-    cov = build_covariance_set(b.panel, 1)
-    est = estimate_flow(b.panel, 1, 0, cov=cov)
-    wrong_fit = fit_linear_model(b.panel, 1)
-    with pytest.raises(UsageError):
-        asymptotic_significance(wrong_fit, cov, est)
+    with pytest.warns(DegenerateInferenceWarning) as caught:
+        estimate_flow_matrix(panel)
+    assert caught[0].filename == __file__  # the warning names the caller of the matrix
 
 
 def test_self_influence_significance_detects_mean_reversion():
     b = benchmark("one_way_2d", None, n=20_000, seed=1)
-    cov = build_covariance_set(b.panel, 1)
-    est = estimate_self_influence(b.panel, 0, cov=cov)
-    rep = self_influence_significance(fit_linear_model(b.panel, 0), cov, est)
+    rep = estimate_flow_matrix(b.panel).self_reports[0]
     assert rep.p_asymptotic < 1e-6
     assert rep.stderr > 0.0
 
@@ -132,9 +121,7 @@ def test_self_influence_significance_detects_mean_reversion():
 def test_serial_correlation_flag_on_coarse_stride():
     # k=2 differencing overlaps windows, residuals turn serially correlated
     b = benchmark("one_way_2d", None, n=20_000, seed=2)
-    cov = build_covariance_set(b.panel, 2)
-    est = estimate_flow(b.panel, 1, 0, 2, cov=cov)
-    rep = asymptotic_significance(fit_linear_model(b.panel, 0, 2), cov, est)
+    rep = estimate_flow_matrix(b.panel, 2).self_reports[0]  # target 0's fit
     assert rep.lag1_residual_autocorr is not None
     assert rep.serial_correlation_flag
 
@@ -223,7 +210,7 @@ def replaced_source_flows(panel, source, target, k, n_surrogates, seed, method):
         rng = np.random.Generator(np.random.PCG64(child))
         surr = _surrogate_series(panel.values[source], rng, method)
         try:
-            values.append(estimate_flow(panel.with_series(source, surr), source, target, k).value)
+            values.append(estimate_flow(with_series(panel, source, surr), source, target, k).value)
         except SingularCovarianceError:
             values.append(np.inf)
     return np.asarray(values)
@@ -286,7 +273,7 @@ def test_surrogate_samples_invariant_to_source_scale(scale):
     # T = coef * C_ij / C_ii does not change when the source is rescaled,
     # and neither does the scale-free near-singular test
     panel = correlated_panel(3, 1000, seed=50)
-    scaled = panel.with_series(0, scale * panel.values[0])
+    scaled = with_series(panel, 0, scale * panel.values[0])
     base = surrogate_flow_samples(panel, 0, 2, n_surrogates=20, seed=4)
     got = surrogate_flow_samples(scaled, 0, 2, n_surrogates=20, seed=4)
     assert np.isfinite(base).all()

@@ -9,7 +9,7 @@ from infoflow import (
     regime_switch_panel,
     windowed_flows,
 )
-from infoflow.errors import UsageError
+from infoflow.errors import ResolutionError, UsageError
 from conftest import make_rng
 
 
@@ -103,3 +103,9 @@ def test_window_entries_equal_seeded_matrix_of_sub_panel():
                                    seed=children[w])
         for (j, i), key in zip(pairs, res.pairs):
             assert res.flows[key][w] == sub.flows[i][j]
+
+
+def test_surrogate_count_checked_when_every_window_is_short():
+    panel = benchmark("chain_3", None, n=400, seed=1).panel
+    with pytest.raises(ResolutionError):
+        windowed_flows(panel, 4, 100, surrogates=5, seed=1)
