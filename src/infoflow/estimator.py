@@ -71,6 +71,8 @@ def _spawn_seeds(seed, n: int) -> list[np.random.SeedSequence]:
     """
     if isinstance(seed, np.random.SeedSequence):
         root = np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size)
+    elif isinstance(seed, (int, np.integer)) and seed < 0:
+        raise UsageError(f"seed must be non-negative, got {seed}")
     else:
         root = np.random.SeedSequence(seed)
     return root.spawn(n)

@@ -12,6 +12,7 @@ source's autocorrelation, so it tests cross-coupling specifically.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -87,11 +88,20 @@ def asymptotic_inference(cov: CovarianceSet) -> tuple[np.ndarray, np.ndarray, np
         warnings.warn(
             "perfect fit: zero residual variance collapses the standard error",
             DegenerateInferenceWarning,
-            stacklevel=3,  # the caller of estimate_flow_matrix
+            stacklevel=_outside_stacklevel(),
         )
         z[perfect] = np.where(values[perfect] == 0.0, 0.0, math.inf)
     p = np.array([two_sided_p(x) for x in z.ravel().tolist()]).reshape(z.shape)
     return stderr, z, p
+
+
+def _outside_stacklevel() -> int:
+    """``stacklevel`` for a warning raised by this function's caller that
+    names the first frame outside the package: the user's calling line."""
+    frame, level = sys._getframe(1), 1
+    while frame.f_globals.get("__name__", "").partition(".")[0] == __package__:
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 def _require_surrogates(n_surrogates: int) -> None:

@@ -13,6 +13,7 @@ from infoflow import (
     euler_maruyama,
     surrogate_flow_samples,
     surrogate_significance,
+    windowed_flows,
 )
 from infoflow.errors import InvalidPairError, SingularCovarianceError, UsageError
 from conftest import lstsq_fit, make_rng, random_panel, with_series
@@ -322,3 +323,17 @@ def test_same_seed_sequence_twice_gives_same_surrogates():
     samples = [surrogate_flow_samples(panel, 0, 1, n_surrogates=19, seed=s)
                for s in (seed, seed, np.random.SeedSequence(5))]
     assert np.array_equal(samples[0], samples[1]) and np.array_equal(samples[0], samples[2])
+
+
+def test_negative_seed_refused_by_every_surrogate_route():
+    panel = benchmark("chain_3", None, n=400, seed=1).panel
+    calls = (
+        lambda s: estimate_flow_matrix(panel, surrogates=19, seed=s),
+        lambda s: surrogate_significance(panel, 0, 1, n_surrogates=19, seed=s),
+        lambda s: surrogate_flow_samples(panel, 0, 1, n_surrogates=19, seed=s),
+        lambda s: windowed_flows(panel, 200, 100, surrogates=19, seed=s),
+    )
+    for call in calls:
+        for seed in (-1, np.int64(-1)):
+            with pytest.raises(UsageError, match="seed must be non-negative"):
+                call(seed)

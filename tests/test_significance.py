@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -106,9 +108,16 @@ def test_perfect_fit_degenerates_with_warning():
         _, report = pair_significance(panel, 1, 0)
     assert report.stderr == 0.0
     assert report.p_asymptotic == 0.0
-    with pytest.warns(DegenerateInferenceWarning) as caught:
+    # both routes name the line in this file that called into the package
+    cov = build_covariance_set(panel, 1)
+    with pytest.warns(DegenerateInferenceWarning) as direct:
+        line = inspect.currentframe().f_lineno + 1
+        asymptotic_inference(cov)
+    assert (direct[0].filename, direct[0].lineno) == (__file__, line)
+    with pytest.warns(DegenerateInferenceWarning) as nested:
+        line = inspect.currentframe().f_lineno + 1
         estimate_flow_matrix(panel)
-    assert caught[0].filename == __file__  # the warning names the caller of the matrix
+    assert (nested[0].filename, nested[0].lineno) == (__file__, line)
 
 
 def test_self_influence_significance_detects_mean_reversion():

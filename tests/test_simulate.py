@@ -10,17 +10,38 @@ from infoflow import (
     simulate_system,
     stationary_covariance,
 )
-from infoflow.errors import InstabilityError, UsageError, ValidationError
+from infoflow.errors import InstabilityError, InsufficientDataError, UsageError, ValidationError
+from conftest import make_rng, random_stable_system
 
 
 def decay_system(d=1):
     return LinearSDE(f=np.zeros(d), A=-np.eye(d), B=np.zeros((d, d)))
 
 
+def loop_oracle(spec):
+    """Step-by-step Euler-Maruyama over the same noise draw as the library:
+    X[m] = X[m-1] (I + A dt)' + f dt + B sqrt(dt) xi[m-1]."""
+    sys, dt = spec.system, spec.dt
+    total = spec.burn_in + spec.n
+    rng = np.random.Generator(np.random.PCG64(spec.seed))
+    drive = rng.standard_normal((total - 1, sys.m)) @ (sys.B.T * np.sqrt(dt)) + sys.f * dt
+    step = (np.eye(sys.d) + sys.A * dt).T
+    traj = np.empty((total, sys.d))
+    traj[0] = spec.x0
+    for m in range(1, total):
+        traj[m] = traj[m - 1] @ step + drive[m - 1]
+    return traj[spec.burn_in :].T
+
+
+def assert_round_off(values, oracle):
+    # the scan sums in another order than the loop: equal up to round-off
+    assert np.abs(values - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+
 def test_noise_free_decay_is_exact():
     # with B = 0 the scheme is the exact geometric recursion x[m] = (1 - dt)^m;
-    # compare bit-for-bit against the independently run recursion and to the
-    # closed-form power up to round-off
+    # compare against the independently run recursion and to the closed-form
+    # power, both up to round-off
     dt, n = 0.1, 50
     spec = SimulationSpec(system=decay_system(), n=n, dt=dt, seed=0, burn_in=0, x0=[1.0])
     panel = euler_maruyama(spec)
@@ -28,7 +49,7 @@ def test_noise_free_decay_is_exact():
     recursion[0] = 1.0
     for m in range(1, n):
         recursion[m] = recursion[m - 1] * (1 - dt)
-    assert np.array_equal(panel.values[0], recursion)
+    assert_round_off(panel.values[0], recursion)
     assert np.allclose(panel.values[0], (1 - dt) ** np.arange(n), rtol=1e-13)
 
 
@@ -164,7 +185,51 @@ def test_regime_switch_matches_its_two_matrix_loop():
             step = step_off if m <= burn_in + switch else step_on
             traj[m] = traj[m - 1] @ step + drive[m - 1]
         panel, _ = regime_switch_panel(n, switch, coupling=coupling, dt=dt, seed=seed)
-        assert np.array_equal(panel.values, traj[burn_in:].T)
+        assert_round_off(panel.values, traj[burn_in:].T)
+
+
+def test_scan_matches_step_loop_on_every_block_shape():
+    # n - 1 steps run in blocks of L = ceil(sqrt(n - 1)); these lengths give
+    # one step, blocks with and without a partial tail, and 255, 256 and 257
+    # steps around L^2 for L = 16; nonzero f and x0, m != d. A single state
+    # (no step) is no panel.
+    lengths = (2, 3, 15, 16, 17, 18, 256, 257, 258)
+    for d in range(1, 9):
+        rng = make_rng(100 + d)
+        for m in (d, d + 1, max(d - 1, 1)):
+            base = random_stable_system(rng, d, m)
+            sys = LinearSDE(f=rng.standard_normal(d), A=base.A, B=base.B)
+            x0 = rng.standard_normal(d)
+            for n in lengths:
+                spec = SimulationSpec(system=sys, n=n, dt=0.05, seed=d * 1000 + n, burn_in=0, x0=x0)
+                assert_round_off(euler_maruyama(spec).values, loop_oracle(spec))
+            with pytest.raises(InsufficientDataError):
+                euler_maruyama(SimulationSpec(system=sys, n=1, dt=0.05, seed=0, burn_in=0, x0=x0))
+            # a burn-in shifts the kept states off the block grid
+            spec = SimulationSpec(system=sys, n=300, dt=0.05, seed=d, burn_in=1234, x0=x0)
+            assert_round_off(euler_maruyama(spec).values, loop_oracle(spec))
+
+
+def test_unexcited_mode_stays_finite():
+    # M = I + A dt = diag(0, -10): the second mode is never excited and stays
+    # exactly 0, although M^k overflows long before a block of sqrt(n) steps
+    sys = LinearSDE(f=np.zeros(2), A=np.diag([-1.0, -11.0]), B=np.diag([1.0, 0.0]))
+    spec = SimulationSpec(system=sys, n=100_000, dt=1.0, seed=0, burn_in=0)
+    panel = euler_maruyama(spec)
+    assert np.isfinite(panel.values).all()
+    assert not panel.values[1].any()
+    assert_round_off(panel.values, loop_oracle(spec))
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(ValidationError, match="seed"):
+        SimulationSpec(system=decay_system(), n=10, dt=0.1, seed=-1)
+    with pytest.raises(ValidationError, match="seed"):
+        benchmark("chain_3", n=10, seed=-1)
+    with pytest.raises(ValidationError, match="seed"):
+        benchmark("henon", n=10, seed=-1)
+    with pytest.raises(ValidationError, match="seed"):
+        regime_switch_panel(100, 50, seed=-2)
 
 
 def test_simulate_system_reads_edges_off_the_drift():
