@@ -60,7 +60,6 @@ from .panel import (
     write_csv,
 )
 from .significance import (
-    SignificanceReport,
     asymptotic_inference,
     surrogate_flow_samples,
     surrogate_significance,
@@ -101,7 +100,6 @@ __all__ = [
     "ResolutionError",
     "SelfInfluenceEstimate",
     "SelfLoop",
-    "SignificanceReport",
     "SimulationSpec",
     "SingularCovarianceError",
     "StationaryCovariance",

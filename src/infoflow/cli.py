@@ -26,8 +26,9 @@ from .errors import (
     UsageError,
 )
 from .estimator import estimate_flow_matrix
-from .graph import export_graph, reconstruct_graph
+from .graph import CORRECTIONS, export_graph, reconstruct_graph
 from .panel import TimeSeriesPanel, ingest_csv, write_csv
+from .significance import SURROGATE_METHODS
 from .simulate import BENCHMARK_NAMES, DEFAULT_BURN_IN, RNG_ALGORITHM, benchmark, simulate_system
 from .window import windowed_flows
 
@@ -47,7 +48,7 @@ FLAGS = {
     "--seed": dict(type=int, default=None, help="seed for randomized operations"),
     "--surrogates": dict(type=int, default=0, help="surrogate count for nonparametric p values (>= 19)"),
     "--surrogate-method": dict(
-        choices=("circular_shift", "permutation"),
+        choices=SURROGATE_METHODS,
         default="circular_shift",
         help="surrogate construction (default circular_shift)",
     ),
@@ -100,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.05, help="significance level (default 0.05)")
     p.add_argument(
         "--correction",
-        choices=("none", "bonferroni", "benjamini_hochberg"),
+        choices=CORRECTIONS,
         default="none",
         help="multiple-testing correction over directed pairs (default none)",
     )
@@ -175,7 +176,13 @@ def _detect_time_column(path, delimiter) -> str | None:
     return None
 
 
+def _require_dt(dt: float | None) -> None:
+    if dt is not None and not (math.isfinite(dt) and dt > 0):
+        raise UsageError(f"--dt must be a finite positive number, got {dt}")
+
+
 def _load_panel(args) -> TimeSeriesPanel:
+    _require_dt(args.dt)
     has_header = not args.no_header
     time_column = args.time_column
     if time_column is None and has_header and not args.no_time_column:
@@ -281,8 +288,7 @@ def cmd_estimate(args) -> int:
     plan = _surrogate_plan(args)
     matrix = estimate_flow_matrix(panel, args.k, pairs=[(j, i)], normalize=args.normalize, **plan)
     est = matrix.flows[i][j]
-    self_value = matrix.self_influence[i].value
-    report = matrix.self_reports[i]  # the target's fit, hence its residual autocorrelation
+    own = matrix.self_influence[i]  # the target's fit, hence its residual autocorrelation
     if args.normalize and est.normalized is None:
         raise DegenerateNormalizerError(
             f"cannot normalize {panel.labels[j]} -> {panel.labels[i]}:"
@@ -299,12 +305,12 @@ def cmd_estimate(args) -> int:
             **_flow_fields(est, scale, z=True),
             "n_surrogates": n_surr,
             "normalized": _json_float(est.normalized),
-            "self_influence": _json_float(self_value * scale if args.normalize else None),
+            "self_influence": _json_float(own.value * scale if args.normalize else None),
             "units": units,
             "k": args.k,
             "dt": panel.dt,
             "n_eff": est.n_eff,
-            "serial_correlation_flag": report.serial_correlation_flag,
+            "serial_correlation_flag": own.serial_correlation_flag,
         }
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
         return 0
@@ -319,11 +325,11 @@ def cmd_estimate(args) -> int:
         lines.append(f"  p (surrogate, {n_surr}): {est.p_value_surrogate:.4g}")
     if args.normalize:
         lines.append(f"  normalized: {est.normalized:.6g}")
-        lines.append(f"  self influence of {panel.labels[i]}: {self_value * scale:.6g} {units}")
+        lines.append(f"  self influence of {panel.labels[i]}: {own.value * scale:.6g} {units}")
     lines.append(f"  k: {args.k}  dt: {panel.dt:g}  n_eff: {est.n_eff}")
-    if report.serial_correlation_flag:
+    if own.serial_correlation_flag:
         lines.append(
-            f"  note: lag-1 residual autocorrelation {report.lag1_residual_autocorr:.3g}"
+            f"  note: lag-1 residual autocorrelation {own.lag1_residual_autocorr:.3g}"
             " exceeds 0.2; asymptotic errors may be optimistic"
         )
     sys.stdout.write("\n".join(lines) + "\n")
@@ -349,10 +355,10 @@ def cmd_matrix(args) -> int:
             {
                 "target": matrix.labels[s.target],
                 "value": _json_float(s.value * scale),
-                "stderr": _json_float(r.stderr * scale),
-                "p_asymptotic": _json_float(r.p_asymptotic),
+                "stderr": _json_float(s.stderr * scale),
+                "p_asymptotic": _json_float(s.p_value_asymptotic),
             }
-            for s, r in zip(matrix.self_influence, matrix.self_reports)
+            for s in matrix.self_influence
         ]
         payload = {
             "schema": MATRIX_SCHEMA,
@@ -455,9 +461,12 @@ def _meta_path(output: str, override: str | None) -> str:
 
 
 def cmd_simulate(args) -> int:
-    seed = _effective_seed(args)
     if args.n <= 0:
         raise UsageError("--n must be positive")
+    if args.burn_in is not None and args.burn_in < 0:
+        raise UsageError(f"--burn-in must be non-negative, got {args.burn_in}")
+    _require_dt(args.dt)
+    seed = _effective_seed(args)
     flags = {"coupling": args.coupling, "noise": args.noise, "d": args.d, "dt": args.dt, "burn_in": args.burn_in}
     params = {key: value for key, value in flags.items() if value is not None}
     if args.benchmark:

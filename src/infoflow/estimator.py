@@ -20,8 +20,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import CovarianceSet, build_covariance_set
-from .errors import InvalidPairError, SingularCovarianceError, UsageError
+from .errors import InvalidPairError, SingularCovarianceError
 from .panel import TimeSeriesPanel
+from .significance import (
+    SERIAL_CORRELATION_LIMIT,
+    _require_method,
+    _require_surrogates,
+    _spawn_seeds,
+    asymptotic_inference,
+    surrogate_significance,
+)
 
 
 @dataclass(frozen=True)
@@ -42,19 +50,30 @@ class FlowEstimate:
 
 @dataclass(frozen=True)
 class SelfInfluenceEstimate:
-    """Rate at which a component's own dynamics move its marginal entropy."""
+    """Rate at which a component's own dynamics move its marginal entropy,
+    with whatever uncertainty has been attached.
+
+    ``lag1_residual_autocorr`` describes the residuals of the target's fit,
+    which every flow into the target shares.
+    """
 
     value: float
     target: int
     k: int
     n_eff: int
+    stderr: float | None = None
+    p_value_asymptotic: float | None = None
+    z_score: float | None = None
+    lag1_residual_autocorr: float | None = None
+
+    @property
+    def serial_correlation_flag(self) -> bool:
+        r = self.lag1_residual_autocorr
+        return r is not None and abs(r) > SERIAL_CORRELATION_LIMIT
 
 
-def _invertible_covariance(panel, k, cov: CovarianceSet | None) -> CovarianceSet:
-    if cov is None:
-        cov = build_covariance_set(panel, k)
-    elif cov.panel is not panel or cov.k != k:
-        raise UsageError(f"cov was built from another panel or at another stride (k={cov.k}, not {k})")
+def _invertible_covariance(panel, k) -> CovarianceSet:
+    cov = build_covariance_set(panel, k)
     if cov.near_singular:
         raise SingularCovarianceError(
             "covariance matrix is singular or near-singular"
@@ -63,34 +82,16 @@ def _invertible_covariance(panel, k, cov: CovarianceSet | None) -> CovarianceSet
     return cov
 
 
-def _spawn_seeds(seed, n: int) -> list[np.random.SeedSequence]:
-    """The first ``n`` children of ``seed``: an int, None or a SeedSequence.
-
-    ``spawn`` advances the sequence it is called on, so a SeedSequence is
-    rebuilt first: the same object passed twice gives the same children.
-    """
-    if isinstance(seed, np.random.SeedSequence):
-        root = np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size)
-    elif isinstance(seed, (int, np.integer)) and seed < 0:
-        raise UsageError(f"seed must be non-negative, got {seed}")
-    else:
-        root = np.random.SeedSequence(seed)
-    return root.spawn(n)
-
-
 def estimate_flow(
     panel: TimeSeriesPanel,
     source: int,
     target: int,
     k: int = 1,
-    *,
-    cov: CovarianceSet | None = None,
 ) -> FlowEstimate:
     """Flow rate from series ``source`` into series ``target``.
 
     Zero sample covariance between the pair forces an exact zero: in the
-    linear setting causation implies correlation. Pass a prebuilt ``cov``
-    to share one covariance pass across several estimates.
+    linear setting causation implies correlation.
     """
     # range() maps negative indices and raises IndexError out of range
     source, target = range(panel.d)[source], range(panel.d)[target]
@@ -98,7 +99,7 @@ def estimate_flow(
         raise InvalidPairError(
             "source equals target; use estimate_self_influence for self loops"
         )
-    cov = _invertible_covariance(panel, k, cov)
+    cov = _invertible_covariance(panel, k)
     value = float(cov.flows[target, source])
     return FlowEstimate(value=value, source=source, target=target, k=int(k), n_eff=cov.n_eff)
 
@@ -107,8 +108,6 @@ def estimate_self_influence(
     panel: TimeSeriesPanel,
     target: int,
     k: int = 1,
-    *,
-    cov: CovarianceSet | None = None,
 ) -> SelfInfluenceEstimate:
     """Self-influence rate of series ``target``: (C^-1 G)[target, target].
 
@@ -116,7 +115,7 @@ def estimate_self_influence(
     the series itself. Significant values mark self loops in a causal graph.
     """
     target = range(panel.d)[target]
-    cov = _invertible_covariance(panel, k, cov)
+    cov = _invertible_covariance(panel, k)
     value = float(cov.flows[target, target])
     return SelfInfluenceEstimate(value=value, target=target, k=int(k), n_eff=cov.n_eff)
 
@@ -126,14 +125,13 @@ class FlowMatrix:
     """All pairwise flows of a panel plus per-target self influences.
 
     ``flows[i][j]`` is the estimate for j -> i (None on the diagonal and
-    for pairs not estimated); ``self_influence[i]`` and ``self_reports[i]``
-    describe target i.
+    for pairs not estimated); ``self_influence[i]`` is target i's self
+    influence with its inference and the residual autocorrelation of its fit.
     """
 
     labels: tuple[str, ...]
     flows: tuple
     self_influence: tuple
-    self_reports: tuple
     k: int
     dt: float
     n_eff: int
@@ -171,13 +169,6 @@ def estimate_flow_matrix(
     ``asymptotic_inference``) and only packed here. This is the one place
     that attaches inference to a flow.
     """
-    from .significance import (
-        SignificanceReport,
-        _require_surrogates,
-        asymptotic_inference,
-        surrogate_significance,
-    )
-
     d = panel.d
     wanted = None  # every ordered pair
     if pairs is not None:
@@ -187,7 +178,8 @@ def estimate_flow_matrix(
             raise InvalidPairError("pairs must have source != target")
     if surrogates:
         _require_surrogates(surrogates)
-    cov = _invertible_covariance(panel, k, None)
+        _require_method(surrogate_method)
+    cov = _invertible_covariance(panel, k)
     children = _spawn_seeds(seed, d * d) if surrogates else None
     stderr, z, p = asymptotic_inference(cov)
     normalized = None
@@ -203,11 +195,11 @@ def estimate_flow_matrix(
 
     rows = []
     selfs = []
-    self_reports = []
     for i in range(d):
-        selfs.append(SelfInfluenceEstimate(value=values[i][i], target=i, k=k, n_eff=n_eff))
-        self_reports.append(SignificanceReport(stderr=stderr[i][i], z_score=z[i][i], p_asymptotic=p[i][i],
-                                               lag1_residual_autocorr=lag1[i]))
+        selfs.append(SelfInfluenceEstimate(
+            value=values[i][i], target=i, k=k, n_eff=n_eff, stderr=stderr[i][i],
+            p_value_asymptotic=p[i][i], z_score=z[i][i], lag1_residual_autocorr=lag1[i],
+        ))
         row = []
         for j in range(d):
             if j == i or (wanted is not None and (j, i) not in wanted):
@@ -215,9 +207,8 @@ def estimate_flow_matrix(
                 continue
             p_surrogate = None
             if surrogates:
-                p_surrogate = surrogate_significance(panel, j, i, k, n_surrogates=surrogates,
-                                                     seed=children[i * d + j], method=surrogate_method,
-                                                     cov=cov).p_surrogate
+                p_surrogate = surrogate_significance(cov, j, i, n_surrogates=surrogates,
+                                                     seed=children[i * d + j], method=surrogate_method)
             row.append(FlowEstimate(
                 value=values[i][j], source=j, target=i, k=k, n_eff=n_eff,
                 stderr=stderr[i][j], p_value_asymptotic=p[i][j], p_value_surrogate=p_surrogate,
@@ -230,7 +221,6 @@ def estimate_flow_matrix(
         labels=panel.labels,
         flows=tuple(rows),
         self_influence=tuple(selfs),
-        self_reports=tuple(self_reports),
         k=k,
         dt=panel.dt,
         n_eff=n_eff,

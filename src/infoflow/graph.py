@@ -92,7 +92,7 @@ def reconstruct_graph(
     d = matrix.d
     if len(matrix.flows) != d or any(len(row) != d for row in matrix.flows):
         raise UsageError("flow matrix shape does not match its labels")
-    if len(matrix.self_influence) != d or len(matrix.self_reports) != d:
+    if len(matrix.self_influence) != d:
         raise UsageError("self-influence entries do not cover every node")
 
     flows = list(matrix.iter_flows())
@@ -126,8 +126,8 @@ def reconstruct_graph(
     edges.sort(key=lambda e: (e.source, e.target))
 
     self_loops = []
-    for est, report in zip(matrix.self_influence, matrix.self_reports):
-        p = report.p_asymptotic
+    for est in matrix.self_influence:
+        p = est.p_value_asymptotic
         included = est.value != 0.0 and p is not None and p <= alpha
         self_loops.append(
             SelfLoop(node=matrix.labels[est.target], value=est.value, p=p, included=included)

@@ -44,8 +44,8 @@ class SimulationSpec:
         _require_seed(self.seed)
         if self.n <= 0:
             raise ValidationError(f"n must be positive, got {self.n}")
-        if not self.dt > 0:
-            raise ValidationError(f"dt must be positive, got {self.dt}")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValidationError(f"dt must be a positive finite number, got {self.dt!r}")
         if self.burn_in < 0:
             raise ValidationError(f"burn_in must be nonnegative, got {self.burn_in}")
         x0 = np.zeros(self.system.d) if self.x0 is None else np.asarray(self.x0, float).reshape(-1)

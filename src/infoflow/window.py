@@ -5,8 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InsufficientDataError, SingularCovarianceError, UsageError
-from .estimator import _spawn_seeds, estimate_flow_matrix
+from .estimator import estimate_flow_matrix
 from .panel import TimeSeriesPanel
+from .significance import _spawn_seeds
 
 
 @dataclass(frozen=True, eq=False)

@@ -496,6 +496,29 @@ def test_negative_seed_exit_2(capsys, tmp_path, short_chain_csv, command):
     assert not (tmp_path / "neg.csv").exists()
 
 
+@pytest.mark.parametrize("command,flag,value", [
+    *((command, "--dt", dt) for command in ("estimate", "matrix", "graph", "window", "simulate")
+      for dt in ("-1", "0", "nan", "inf")),
+    ("simulate", "--burn-in", "-5"),
+])
+def test_bad_step_or_burn_in_exit_2(capsys, tmp_path, command, flag, value):
+    data = tmp_path / "plain.csv"  # no time column, so --dt is allowed
+    data.write_text("a,b\n" + "".join(f"{x:.17g},{y:.17g}\n" for x, y in make_rng(9).standard_normal((300, 2))))
+    out_csv = tmp_path / "sim.csv"
+    argv = {
+        "estimate": ["estimate", str(data), "--source", "a", "--target", "b"],
+        "matrix": ["matrix", str(data)],
+        "graph": ["graph", str(data)],
+        "window": ["window", str(data), "--window", "100"],
+        "simulate": ["simulate", "--benchmark", "chain_3", "--n", "400", "--seed", "1", "-o", str(out_csv)],
+    }[command]
+    code, out, err = run_cli(capsys, *argv, flag, value)
+    assert code == 2
+    assert out == ""
+    assert flag in err
+    assert not out_csv.exists()
+
+
 @pytest.mark.parametrize("count", ["-5", "5"])
 def test_window_surrogate_count_checked_before_any_window(capsys, short_chain_csv, count):
     # every 4-sample window is too short for d=3, yet the count is refused

@@ -249,6 +249,6 @@ def test_flows_are_scale_invariant_down_to_tiny_series():
         for got, want in zip(estimate_flow_matrix(tiny).iter_flows(), base.iter_flows()):
             assert got.value == pytest.approx(want.value, rel=1e-12, abs=0)
             assert got.p_value_asymptotic == pytest.approx(want.p_value_asymptotic, rel=1e-9)
-        samples = surrogate_flow_samples(tiny, 1, 0, n_surrogates=19, seed=2)
-        expected = surrogate_flow_samples(panel, 1, 0, n_surrogates=19, seed=2)
+        samples = surrogate_flow_samples(build_covariance_set(tiny, 1), 1, 0, n_surrogates=19, seed=2)
+        expected = surrogate_flow_samples(build_covariance_set(panel, 1), 1, 0, n_surrogates=19, seed=2)
         assert np.allclose(samples, expected, rtol=0, atol=1e-12 * np.abs(expected).max())

@@ -7,7 +7,6 @@ from infoflow import (
     FlowEstimate,
     FlowMatrix,
     SelfInfluenceEstimate,
-    SignificanceReport,
     benchmark,
     estimate_flow_matrix,
     export_graph,
@@ -42,16 +41,14 @@ def toy_matrix(p_values, labels=("a", "b"), self_p=(1.0, 1.0), normalized=None):
             )
         flows.append(tuple(row))
     selfs = tuple(
-        SelfInfluenceEstimate(value=-1.0 - i, target=i, k=1, n_eff=500) for i in range(d)
-    )
-    reports = tuple(
-        SignificanceReport(stderr=0.1, z_score=-5.0, p_asymptotic=self_p[i]) for i in range(d)
+        SelfInfluenceEstimate(value=-1.0 - i, target=i, k=1, n_eff=500,
+                              stderr=0.1, z_score=-5.0, p_value_asymptotic=self_p[i])
+        for i in range(d)
     )
     return FlowMatrix(
         labels=tuple(labels),
         flows=tuple(flows),
         self_influence=selfs,
-        self_reports=reports,
         k=1,
         dt=0.5,
         n_eff=500,
@@ -184,7 +181,6 @@ def test_mismatched_dimensions_rejected():
         labels=("a", "b", "c"),
         flows=m.flows,
         self_influence=m.self_influence,
-        self_reports=m.self_reports,
         k=1,
         dt=0.5,
         n_eff=500,
@@ -218,7 +214,6 @@ def test_surrogate_p_preferred_when_present():
         labels=m.labels,
         flows=tuple(tuple(r) for r in flows),
         self_influence=m.self_influence,
-        self_reports=m.self_reports,
         k=1,
         dt=0.5,
         n_eff=500,

@@ -6,7 +6,6 @@ import pytest
 from infoflow import (
     LinearSDE,
     SimulationSpec,
-    SignificanceReport,
     TimeSeriesPanel,
     asymptotic_inference,
     benchmark,
@@ -16,11 +15,13 @@ from infoflow import (
     euler_maruyama,
     surrogate_flow_samples,
     surrogate_significance,
+    windowed_flows,
 )
 from infoflow.errors import (
     DegenerateInferenceWarning,
     InvalidPairError,
     ResolutionError,
+    SingularCovarianceError,
     UsageError,
 )
 from conftest import make_rng, with_series
@@ -28,22 +29,19 @@ from test_estimator import orthogonal_pair_panel
 
 
 def pair_significance(panel, source, target, k=1):
-    cov = build_covariance_set(panel, k)
-    est = estimate_flow(panel, source, target, k, cov=cov)
-    stderr, z, p = asymptotic_inference(cov)
-    i, j = est.target, est.source
-    return est, SignificanceReport(stderr=stderr[i, j], z_score=z[i, j], p_asymptotic=p[i, j])
+    """The flow source -> target with its entries of ``asymptotic_inference``."""
+    return estimate_flow_matrix(panel, k, pairs=[(source, target)]).flows[target][source]
 
 
 def test_zero_flow_centers_the_null():
     # exactly uncorrelated pair: flow 0, z 0, p 1 (the scale factor in the
     # stderr vanishes together with the estimate)
     panel = orthogonal_pair_panel()
-    est, report = pair_significance(panel, 1, 0)
+    est = pair_significance(panel, 1, 0)
     assert est.value == 0.0
-    assert report.stderr == 0.0
-    assert report.z_score == 0.0
-    assert report.p_asymptotic == 1.0
+    assert est.stderr == 0.0
+    assert est.z_score == 0.0
+    assert est.p_value_asymptotic == 1.0
 
 
 def test_zero_z_means_p_one():
@@ -60,10 +58,10 @@ def test_one_way_benchmark_power_and_size():
     size_hits = 0
     for seed in range(100):
         b = benchmark("one_way_2d", None, n=50_000, seed=seed)
-        _, fwd = pair_significance(b.panel, 1, 0)
-        _, rev = pair_significance(b.panel, 0, 1)
-        power_hits += fwd.p_asymptotic < 0.01
-        size_hits += rev.p_asymptotic > 0.05
+        fwd = pair_significance(b.panel, 1, 0)
+        rev = pair_significance(b.panel, 0, 1)
+        power_hits += fwd.p_value_asymptotic < 0.01
+        size_hits += rev.p_value_asymptotic > 0.05
     assert power_hits >= 90
     assert size_hits >= 90
 
@@ -76,8 +74,8 @@ def test_stderr_shrinks_like_inverse_sqrt_n():
     for seed in range(50):
         p1 = euler_maruyama(SimulationSpec(system=sys, n=10_000, dt=0.01, seed=seed, burn_in=1000))
         p2 = euler_maruyama(SimulationSpec(system=sys, n=20_000, dt=0.01, seed=5000 + seed, burn_in=1000))
-        small.append(pair_significance(p1, 1, 0)[1].stderr)
-        big.append(pair_significance(p2, 1, 0)[1].stderr)
+        small.append(pair_significance(p1, 1, 0).stderr)
+        big.append(pair_significance(p2, 1, 0).stderr)
     ratio = float(np.mean(big) / np.mean(small))
     assert ratio == pytest.approx(1 / np.sqrt(2), rel=0.20)
 
@@ -89,8 +87,7 @@ def test_stderr_decreases_on_nested_subsamples():
     panel = TimeSeriesPanel(("a", "b"), mix @ rng.standard_normal((2, 40_000)))
     errs = []
     for n in (5000, 10_000, 20_000, 40_000):
-        _, rep = pair_significance(panel.window(0, n), 1, 0)
-        errs.append(rep.stderr)
+        errs.append(pair_significance(panel.window(0, n), 1, 0).stderr)
     assert all(a > b for a, b in zip(errs, errs[1:]))
 
 
@@ -105,9 +102,9 @@ def test_perfect_fit_degenerates_with_warning():
         x1[m + 1] = x1[m] + dt * (2.0 * x1[m] - x2[m])
     panel = TimeSeriesPanel(("x1", "x2"), np.vstack([x1, x2]), dt=dt)
     with pytest.warns(DegenerateInferenceWarning):
-        _, report = pair_significance(panel, 1, 0)
-    assert report.stderr == 0.0
-    assert report.p_asymptotic == 0.0
+        est = pair_significance(panel, 1, 0)
+    assert est.stderr == 0.0
+    assert est.p_value_asymptotic == 0.0
     # both routes name the line in this file that called into the package
     cov = build_covariance_set(panel, 1)
     with pytest.warns(DegenerateInferenceWarning) as direct:
@@ -122,15 +119,15 @@ def test_perfect_fit_degenerates_with_warning():
 
 def test_self_influence_significance_detects_mean_reversion():
     b = benchmark("one_way_2d", None, n=20_000, seed=1)
-    rep = estimate_flow_matrix(b.panel).self_reports[0]
-    assert rep.p_asymptotic < 1e-6
+    rep = estimate_flow_matrix(b.panel).self_influence[0]
+    assert rep.p_value_asymptotic < 1e-6
     assert rep.stderr > 0.0
 
 
 def test_serial_correlation_flag_on_coarse_stride():
     # k=2 differencing overlaps windows, residuals turn serially correlated
     b = benchmark("one_way_2d", None, n=20_000, seed=2)
-    rep = estimate_flow_matrix(b.panel, 2).self_reports[0]  # target 0's fit
+    rep = estimate_flow_matrix(b.panel, 2).self_influence[0]  # target 0's fit
     assert rep.lag1_residual_autocorr is not None
     assert rep.serial_correlation_flag
 
@@ -138,37 +135,35 @@ def test_serial_correlation_flag_on_coarse_stride():
 def test_surrogate_needs_19():
     b = benchmark("one_way_2d", None, n=2000, seed=0)
     with pytest.raises(ResolutionError):
-        surrogate_significance(b.panel, 1, 0, n_surrogates=18, seed=0)
+        surrogate_significance(build_covariance_set(b.panel, 1), 1, 0, n_surrogates=18, seed=0)
 
 
 def test_surrogate_p_resolution_and_reproducibility():
     rng = make_rng(6)
     panel = TimeSeriesPanel(("a", "b"), rng.standard_normal((2, 500)))
-    rep1 = surrogate_significance(panel, 0, 1, n_surrogates=19, seed=42)
-    rep2 = surrogate_significance(panel, 0, 1, n_surrogates=19, seed=42)
-    assert rep1.p_surrogate == rep2.p_surrogate
-    assert rep1.n_surrogates == 19
+    cov = build_covariance_set(panel, 1)
+    p1 = surrogate_significance(cov, 0, 1, n_surrogates=19, seed=42)
+    p2 = surrogate_significance(cov, 0, 1, n_surrogates=19, seed=42)
+    assert p1 == p2
     # p is an integer multiple of 1/(n_surrogates + 1), at least the minimum
-    steps = rep1.p_surrogate * 20
+    steps = p1 * 20
     assert steps == pytest.approx(round(steps), abs=1e-12)
-    assert rep1.p_surrogate >= 1 / 20
+    assert p1 >= 1 / 20
 
 
 def test_surrogate_same_seed_repeats():
     b = benchmark("one_way_2d", None, n=4000, seed=3)
-    first = surrogate_flow_samples(b.panel, 1, 0, n_surrogates=49, seed=9)
-    again = surrogate_flow_samples(b.panel, 1, 0, n_surrogates=49, seed=9)
-    assert np.array_equal(first, again)
     cov = build_covariance_set(b.panel, 1)
-    shared = surrogate_significance(b.panel, 1, 0, n_surrogates=49, seed=9, cov=cov)
-    assert shared.p_surrogate == surrogate_significance(b.panel, 1, 0, n_surrogates=49, seed=9).p_surrogate
+    first = surrogate_flow_samples(cov, 1, 0, n_surrogates=49, seed=9)
+    again = surrogate_flow_samples(cov, 1, 0, n_surrogates=49, seed=9)
+    assert np.array_equal(first, again)
 
 
 def test_surrogate_monotone_in_observed_magnitude():
     # against a fixed surrogate sample, a larger |T| can only lower the count
     b = benchmark("one_way_2d", None, n=4000, seed=4)
     samples = np.abs(
-        surrogate_flow_samples(b.panel, 1, 0, n_surrogates=99, seed=11)
+        surrogate_flow_samples(build_covariance_set(b.panel, 1), 1, 0, n_surrogates=99, seed=11)
     )
     observed = abs(estimate_flow(b.panel, 1, 0).value)
     p_at = lambda t: (1 + int(np.sum(samples >= t))) / 100
@@ -183,8 +178,8 @@ def test_surrogate_calibration_under_the_null():
     for seed in range(trials):
         rng = make_rng(80_000 + seed)
         panel = TimeSeriesPanel(("a", "b"), rng.standard_normal((2, 400)))
-        rep = surrogate_significance(panel, 0, 1, n_surrogates=199, seed=seed)
-        hits += rep.p_surrogate < 0.05
+        p = surrogate_significance(build_covariance_set(panel, 1), 0, 1, n_surrogates=199, seed=seed)
+        hits += p < 0.05
     assert 0.01 <= hits / trials <= 0.10
 
 
@@ -193,25 +188,59 @@ def test_surrogate_power_on_driven_direction():
     floor_hits = 0
     for seed in range(10):
         b = benchmark("one_way_2d", None, n=20_000, seed=900 + seed)
-        rep = surrogate_significance(b.panel, 1, 0, n_surrogates=199, seed=seed)
-        floor_hits += rep.p_surrogate == pytest.approx(1 / 200)
+        p = surrogate_significance(build_covariance_set(b.panel, 1), 1, 0, n_surrogates=199, seed=seed)
+        floor_hits += p == pytest.approx(1 / 200)
     assert floor_hits >= 9
 
 
 def test_permutation_method_available():
     b = benchmark("one_way_2d", None, n=2000, seed=5)
-    rep = surrogate_significance(
-        b.panel, 1, 0, n_surrogates=19, seed=0, method="permutation"
-    )
-    assert 0.0 < rep.p_surrogate <= 1.0
+    cov = build_covariance_set(b.panel, 1)
+    p = surrogate_significance(cov, 1, 0, n_surrogates=19, seed=0, method="permutation")
+    assert 0.0 < p <= 1.0
     with pytest.raises(UsageError):
-        surrogate_significance(b.panel, 1, 0, n_surrogates=19, seed=0, method="mirror")
+        surrogate_significance(cov, 1, 0, n_surrogates=19, seed=0, method="mirror")
+
+
+def test_unknown_method_refused_when_every_window_is_short():
+    panel = benchmark("chain_3", None, n=400, seed=1).panel
+    with pytest.raises(UsageError, match="mirror"):
+        windowed_flows(panel, 4, 100, surrogates=19, seed=1, surrogate_method="mirror")
+
+
+def test_unknown_method_refused_before_the_singular_core():
+    a, b = make_rng(23).standard_normal((2, 300))
+    panel = TimeSeriesPanel(("a", "b", "a2"), np.vstack([a, b, a]))
+    with pytest.raises(UsageError, match="mirror"):
+        estimate_flow_matrix(panel, surrogates=19, seed=0, surrogate_method="mirror")
+    with pytest.raises(SingularCovarianceError):
+        surrogate_significance(build_covariance_set(panel, 1), 0, 1, n_surrogates=19, seed=0)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_self_influence_carries_its_targets_inference(k):
+    panel = benchmark("chain_3", None, n=5000, seed=7).panel
+    cov = build_covariance_set(panel, k)
+    stderr, z, p = asymptotic_inference(cov)
+    for i, est in enumerate(estimate_flow_matrix(panel, k).self_influence):
+        assert est.target == i and est.value == cov.flows[i, i]
+        assert (est.stderr, est.z_score, est.p_value_asymptotic) == (stderr[i, i], z[i, i], p[i, i])
+        assert est.lag1_residual_autocorr == cov.lag1_residual_autocorr[i]
+
+
+def test_matrix_surrogate_p_is_surrogate_significance_of_its_child_seed():
+    panel = benchmark("confounder_3", None, n=3000, seed=4).panel
+    cov = build_covariance_set(panel, 1)
+    children = np.random.SeedSequence(12).spawn(9)
+    matrix = estimate_flow_matrix(panel, surrogates=19, seed=12)
+    for est in matrix.iter_flows():
+        j, i = est.source, est.target
+        assert est.p_value_surrogate == surrogate_significance(cov, j, i, n_surrogates=19, seed=children[i * 3 + j])
 
 
 def replaced_source_flows(panel, source, target, k, n_surrogates, seed, method):
     """Surrogate flows the direct way: copy the panel with the source
     replaced by surrogate m (same seeded substreams) and re-estimate."""
-    from infoflow.errors import SingularCovarianceError
     from infoflow.significance import _surrogate_series
 
     values = []
@@ -240,7 +269,7 @@ def test_surrogate_samples_match_replaced_source_estimates(d, k, method):
     panel = correlated_panel(d, 1500, seed=40 + d)
     for source, target in ((0, d - 1), (d - 1, 0), (-1, 0)):
         got = surrogate_flow_samples(
-            panel, source, target, k, n_surrogates=25, seed=13, method=method
+            build_covariance_set(panel, k), source, target, n_surrogates=25, seed=13, method=method
         )
         want = replaced_source_flows(panel, source, target, k, 25, 13, method)
         assert got.shape == want.shape == (25,)
@@ -258,7 +287,7 @@ def test_surrogate_that_duplicates_another_series_is_inf():
     child = np.random.SeedSequence(17).spawn(30)[3]
     c = _surrogate_series(a, np.random.Generator(np.random.PCG64(child)), "circular_shift")
     panel = TimeSeriesPanel(("a", "b", "c"), np.vstack([a, b, c]))
-    got = surrogate_flow_samples(panel, 0, 1, n_surrogates=30, seed=17)
+    got = surrogate_flow_samples(build_covariance_set(panel, 1), 0, 1, n_surrogates=30, seed=17)
     want = replaced_source_flows(panel, 0, 1, 1, 30, 17, "circular_shift")
     assert got[3] == np.inf and want[3] == np.inf
     finite = np.isfinite(want)
@@ -272,7 +301,7 @@ def test_singular_other_series_block_gives_all_inf():
     rng = make_rng(22)
     a, b, c = rng.standard_normal((3, 600))
     panel = TimeSeriesPanel(("a", "b", "c", "c2"), np.vstack([a, b, c, c]))
-    got = surrogate_flow_samples(panel, 0, 1, n_surrogates=20, seed=3)
+    got = surrogate_flow_samples(build_covariance_set(panel, 1), 0, 1, n_surrogates=20, seed=3)
     assert got.shape == (20,)
     assert np.all(got == np.inf)
 
@@ -283,19 +312,19 @@ def test_surrogate_samples_invariant_to_source_scale(scale):
     # and neither does the scale-free near-singular test
     panel = correlated_panel(3, 1000, seed=50)
     scaled = with_series(panel, 0, scale * panel.values[0])
-    base = surrogate_flow_samples(panel, 0, 2, n_surrogates=20, seed=4)
-    got = surrogate_flow_samples(scaled, 0, 2, n_surrogates=20, seed=4)
+    base = surrogate_flow_samples(build_covariance_set(panel, 1), 0, 2, n_surrogates=20, seed=4)
+    got = surrogate_flow_samples(build_covariance_set(scaled, 1), 0, 2, n_surrogates=20, seed=4)
     assert np.isfinite(base).all()
     assert np.allclose(got, base, rtol=1e-9, atol=0.0)
 
 
 def test_surrogate_indices_negative_and_out_of_range():
-    panel = correlated_panel(3, 600, seed=51)
-    got = surrogate_flow_samples(panel, -1, -3, n_surrogates=20, seed=6)
-    assert np.array_equal(got, surrogate_flow_samples(panel, 2, 0, n_surrogates=20, seed=6))
-    rep = surrogate_significance(panel, -1, 0, n_surrogates=19, seed=6)
-    assert rep == surrogate_significance(panel, 2, 0, n_surrogates=19, seed=6)
+    cov = build_covariance_set(correlated_panel(3, 600, seed=51), 1)
+    got = surrogate_flow_samples(cov, -1, -3, n_surrogates=20, seed=6)
+    assert np.array_equal(got, surrogate_flow_samples(cov, 2, 0, n_surrogates=20, seed=6))
+    p = surrogate_significance(cov, -1, 0, n_surrogates=19, seed=6)
+    assert p == surrogate_significance(cov, 2, 0, n_surrogates=19, seed=6)
     with pytest.raises(IndexError):
-        surrogate_flow_samples(panel, 3, 0, n_surrogates=20, seed=6)
+        surrogate_flow_samples(cov, 3, 0, n_surrogates=20, seed=6)
     with pytest.raises(InvalidPairError):
-        surrogate_flow_samples(panel, -1, 2, n_surrogates=20, seed=6)
+        surrogate_flow_samples(cov, -1, 2, n_surrogates=20, seed=6)

@@ -90,6 +90,9 @@ def test_spec_validation():
         SimulationSpec(system=sys, n=0, dt=0.1, seed=0)
     with pytest.raises(ValidationError):
         SimulationSpec(system=sys, n=10, dt=-0.1, seed=0)
+    for dt in (float("inf"), float("nan")):
+        with pytest.raises(ValidationError, match="finite"):
+            SimulationSpec(system=sys, n=10, dt=dt, seed=0)
     with pytest.raises(ValidationError):
         SimulationSpec(system=sys, n=10, dt=0.1, seed=0, burn_in=-1)
     with pytest.raises(ValidationError):
