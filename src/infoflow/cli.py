@@ -466,6 +466,10 @@ def cmd_simulate(args) -> int:
     if args.burn_in is not None and args.burn_in < 0:
         raise UsageError(f"--burn-in must be non-negative, got {args.burn_in}")
     _require_dt(args.dt)
+    if args.coupling is not None and not math.isfinite(args.coupling):
+        raise UsageError(f"--coupling must be finite, got {args.coupling}")
+    if args.noise is not None and not (math.isfinite(args.noise) and args.noise >= 0):
+        raise UsageError(f"--noise must be a finite non-negative number, got {args.noise}")
     seed = _effective_seed(args)
     flags = {"coupling": args.coupling, "noise": args.noise, "d": args.d, "dt": args.dt, "burn_in": args.burn_in}
     params = {key: value for key, value in flags.items() if value is not None}

@@ -146,6 +146,15 @@ class FlowMatrix:
             yield from (est for est in row if est is not None)
 
 
+def _resolve_pairs(pairs, d: int) -> list[tuple[int, int]]:
+    """(source, target) ``pairs`` with negative indices mapped into range(d)."""
+    # range() maps negative indices and raises IndexError out of range
+    resolved = [(range(d)[j], range(d)[i]) for j, i in pairs]
+    if any(j == i for j, i in resolved):
+        raise InvalidPairError("pairs must have source != target")
+    return resolved
+
+
 def estimate_flow_matrix(
     panel: TimeSeriesPanel,
     k: int = 1,
@@ -170,12 +179,7 @@ def estimate_flow_matrix(
     that attaches inference to a flow.
     """
     d = panel.d
-    wanted = None  # every ordered pair
-    if pairs is not None:
-        # range() maps negative indices and raises IndexError out of range
-        wanted = {(range(d)[j], range(d)[i]) for j, i in pairs}
-        if any(j == i for j, i in wanted):
-            raise InvalidPairError("pairs must have source != target")
+    wanted = None if pairs is None else set(_resolve_pairs(pairs, d))  # None: every ordered pair
     if surrogates:
         _require_surrogates(surrogates)
         _require_method(surrogate_method)
@@ -188,40 +192,49 @@ def estimate_flow_matrix(
         total = np.abs(cov.flows) + np.abs(np.diag(cov.flows))[:, None] + noise[:, None]
         nonzero = total != 0.0
         ratio = np.divide(cov.flows, total, out=np.zeros((d, d)), where=nonzero)
-        normalized = np.where(nonzero, ratio, None).tolist()
-    values, stderr, z, p = (a.tolist() for a in (cov.flows, stderr, z, p))
-    lag1 = cov.lag1_residual_autocorr.tolist()
+        normalized = [np.where(nonzero, ratio, None).tolist()]
     k, n_eff = int(k), cov.n_eff
-
-    rows = []
-    selfs = []
-    for i in range(d):
-        selfs.append(SelfInfluenceEstimate(
-            value=values[i][i], target=i, k=k, n_eff=n_eff, stderr=stderr[i][i],
-            p_value_asymptotic=p[i][i], z_score=z[i][i], lag1_residual_autocorr=lag1[i],
-        ))
-        row = []
-        for j in range(d):
-            if j == i or (wanted is not None and (j, i) not in wanted):
-                row.append(None)
-                continue
-            p_surrogate = None
-            if surrogates:
-                p_surrogate = surrogate_significance(cov, j, i, n_surrogates=surrogates,
-                                                     seed=children[i * d + j], method=surrogate_method)
-            row.append(FlowEstimate(
-                value=values[i][j], source=j, target=i, k=k, n_eff=n_eff,
-                stderr=stderr[i][j], p_value_asymptotic=p[i][j], p_value_surrogate=p_surrogate,
-                normalized=normalized[i][j] if normalize else None,
-                z_score=z[i][j],
-            ))
-        rows.append(tuple(row))
-
+    values, stderr, z, p = (a.tolist() for a in (cov.flows, stderr, z, p))
+    estimated = [(j, i) for i in range(d) for j in range(d)
+                 if j != i and (wanted is None or (j, i) in wanted)]
+    p_surrogate = None
+    if surrogates:
+        p_surrogate = [[surrogate_significance(cov, j, i, n_surrogates=surrogates,
+                                               seed=children[i * d + j], method=surrogate_method)
+                        for j, i in estimated]]
+    rows = [[None] * d for _ in range(d)]
+    for est in pack_flows(estimated, k, n_eff, [values], [stderr], [z], [p],
+                          normalized=normalized, p_surrogate=p_surrogate)[0]:
+        rows[est.target][est.source] = est
+    selfs = tuple([
+        SelfInfluenceEstimate(value=values[i][i], target=i, k=k, n_eff=n_eff, stderr=stderr[i][i],
+                              p_value_asymptotic=p[i][i], z_score=z[i][i], lag1_residual_autocorr=lag1)
+        for i, lag1 in enumerate(cov.lag1_residual_autocorr.tolist())
+    ])
     return FlowMatrix(
         labels=panel.labels,
-        flows=tuple(rows),
-        self_influence=tuple(selfs),
+        flows=tuple(map(tuple, rows)),
+        self_influence=selfs,
         k=k,
         dt=panel.dt,
         n_eff=n_eff,
     )
+
+
+def pack_flows(pairs, k: int, n_eff: int, values, stderr, z, p, *, normalized=None,
+               p_surrogate=None) -> list[list[FlowEstimate]]:
+    """The ``FlowEstimate`` of each (source, target) in ``pairs``, for each
+    core of a stack: ``values``, ``stderr``, ``z``, ``p`` and the optional
+    ``normalized`` are W x d x d nested lists (``ndarray.tolist``) in the
+    [target, source] layout of ``CovarianceSet.flows``, and ``p_surrogate``
+    is W lists aligned with ``pairs``. Returns W lists aligned with
+    ``pairs``."""
+    return [
+        [FlowEstimate(value=value[i][j], source=j, target=i, k=k, n_eff=n_eff, stderr=se[i][j],
+                      p_value_asymptotic=pv[i][j],
+                      p_value_surrogate=None if p_surrogate is None else p_surrogate[w][c],
+                      normalized=None if normalized is None else normalized[w][i][j],
+                      z_score=zs[i][j])
+         for c, (j, i) in enumerate(pairs)]
+        for w, (value, se, zs, pv) in enumerate(zip(values, stderr, z, p))
+    ]

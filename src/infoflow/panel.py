@@ -8,7 +8,9 @@ so they are safe to share across threads.
 from __future__ import annotations
 
 import csv
+import io
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +30,11 @@ TIME_UNIFORMITY_RTOL = 1e-6
 
 # Significant digits used when writing floats; 17 round-trips IEEE doubles.
 CSV_FLOAT_DIGITS = 17
+
+# ASCII characters the fast ingest path leaves to the strict one: str.splitlines
+# breaks lines at all of them and csv at none, and np.loadtxt strips the last
+# four around a number as whitespace where float() does not.
+_FAST_PATH_EXCLUDED = "\v\f\x1c\x1d\x1e\x1f"
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,6 +93,11 @@ class TimeSeriesPanel:
         return TimeSeriesPanel(self.labels, self.values[:, start : start + length].copy(), self.dt)
 
 
+def _require_stride(k) -> None:
+    if not isinstance(k, (int, np.integer)) or k < 1:
+        raise InvalidStrideError(f"stride k must be a positive integer, got {k!r}")
+
+
 def forward_difference(panel: TimeSeriesPanel, j: int, k: int = 1) -> np.ndarray:
     """Euler forward difference of series ``j`` with stride ``k``.
 
@@ -93,8 +105,7 @@ def forward_difference(panel: TimeSeriesPanel, j: int, k: int = 1) -> np.ndarray
     (x[m+k] - x[m]) / (k * dt). A linear ramp yields its slope exactly
     (up to floating round-off) for any stride.
     """
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise InvalidStrideError(f"stride k must be a positive integer, got {k!r}")
+    _require_stride(k)
     if k >= panel.n:
         raise InvalidStrideError(f"stride k={k} must be smaller than n={panel.n}")
     row = panel.values[j]
@@ -129,44 +140,13 @@ def ingest_csv(
         raise UsageError("time_column requires a header row")
     try:
         with open(path, "r", newline="", encoding="utf-8") as fh:
-            rows = [row for row in csv.reader(fh, delimiter=delimiter) if row]
+            text = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read input: {exc}") from exc
-
-    if not rows:
-        raise InsufficientDataError(f"{path}: empty file")
-
-    if has_header:
-        labels = tuple(cell.strip() for cell in rows[0])
-        data_rows = rows[1:]
-        first_data_line = 2
-    else:
-        labels = _default_labels(len(rows[0]))
-        data_rows = rows
-        first_data_line = 1
-
-    if len(data_rows) < 2:
-        raise InsufficientDataError(f"{path}: need at least 2 data rows, found {len(data_rows)}")
-
-    width = len(labels)
-    parsed = np.empty((len(data_rows), width), dtype=np.float64)
-    for r, row in enumerate(data_rows):
-        if len(row) != width:
-            raise CsvFormatError(
-                f"{path}: row {first_data_line + r} has {len(row)} cells, expected {width}"
-            )
-        for c, cell in enumerate(row):
-            try:
-                # float() also takes Python-only forms such as 1_000 or
-                # non-ASCII digits; a data file gets plain decimal text only
-                if "_" in cell or not cell.isascii():
-                    raise ValueError
-                parsed[r, c] = float(cell)
-            except ValueError:
-                raise CsvParseError(
-                    f"{path}: non-numeric value {cell.strip()!r} at row {first_data_line + r},"
-                    f" column {labels[c]!r}"
-                ) from None
+    first_data_line = 2 if has_header else 1
+    labels, parsed = _parse_fast(text, delimiter, has_header) or _parse_strict(
+        path, text, delimiter, has_header, first_data_line
+    )
 
     dt = 1.0 if dt_override is None else float(dt_override)
     if time_column is not None:
@@ -191,7 +171,7 @@ def ingest_csv(
                 f"{path}: non-uniform time column {time_column!r} near row"
                 f" {first_data_line + r + 1} (step {steps[r]!r} vs {dt!r})"
             )
-        keep = [i for i in range(width) if i != t_idx]
+        keep = [i for i in range(len(labels)) if i != t_idx]
         labels = tuple(labels[i] for i in keep)
         parsed = parsed[:, keep]
 
@@ -203,6 +183,78 @@ def ingest_csv(
         )
 
     return TimeSeriesPanel(labels=labels, values=parsed.T, dt=dt)
+
+
+def _parse_fast(text: str, delimiter: str, has_header: bool):
+    """Labels and (rows x columns) values of a plain-ASCII file, the header
+    taken with ``csv`` and the body with ``np.loadtxt``; None wherever
+    ``_parse_strict`` must decide, including every input it refuses.
+
+    ``loadtxt`` reads some cells that the strict parser refuses: it strips
+    a non-breaking space or a \\x1f around a number, where ``float`` does
+    not. Hence ASCII text without the ``_FAST_PATH_EXCLUDED`` characters
+    only, and ``comments=None``, since it would drop ``#`` lines as comments.
+    """
+    if not text.isascii() or any(c in text for c in _FAST_PATH_EXCLUDED):
+        return None
+    lines = text.splitlines(keepends=True)
+    reader = csv.reader(lines, delimiter=delimiter)
+    first = next((row for row in reader if row), None)
+    if first is None:
+        return None
+    if has_header:
+        labels = tuple(cell.strip() for cell in first)
+        lines = lines[reader.line_num:]
+    else:
+        labels = _default_labels(len(first))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # "input contained no data"
+            values = np.loadtxt(lines, delimiter=delimiter, comments=None, ndmin=2)
+    except Exception:  # whatever loadtxt refuses, the strict parser words
+        return None
+    if values.shape[0] < 2 or values.shape[1] != len(labels):
+        return None
+    return labels, values
+
+
+def _parse_strict(path, text: str, delimiter: str, has_header: bool, first_data_line: int):
+    """Labels and values cell by cell with ``csv`` and ``float``, naming the
+    row and column of the first refused cell."""
+    rows = [row for row in csv.reader(io.StringIO(text, newline=""), delimiter=delimiter) if row]
+    if not rows:
+        raise InsufficientDataError(f"{path}: empty file")
+
+    if has_header:
+        labels = tuple(cell.strip() for cell in rows[0])
+        data_rows = rows[1:]
+    else:
+        labels = _default_labels(len(rows[0]))
+        data_rows = rows
+
+    if len(data_rows) < 2:
+        raise InsufficientDataError(f"{path}: need at least 2 data rows, found {len(data_rows)}")
+
+    width = len(labels)
+    parsed = np.empty((len(data_rows), width), dtype=np.float64)
+    for r, row in enumerate(data_rows):
+        if len(row) != width:
+            raise CsvFormatError(
+                f"{path}: row {first_data_line + r} has {len(row)} cells, expected {width}"
+            )
+        for c, cell in enumerate(row):
+            try:
+                # float() also takes Python-only forms such as 1_000 or
+                # non-ASCII digits; a data file gets plain decimal text only
+                if "_" in cell or not cell.isascii():
+                    raise ValueError
+                parsed[r, c] = float(cell)
+            except ValueError:
+                raise CsvParseError(
+                    f"{path}: non-numeric value {cell.strip()!r} at row {first_data_line + r},"
+                    f" column {labels[c]!r}"
+                ) from None
+    return labels, parsed
 
 
 def write_csv(

@@ -26,7 +26,7 @@ import warnings
 
 import numpy as np
 
-from .covariance import CovarianceSet, _correlation_det, _near_singular
+from .covariance import CovarianceSet, WindowCores, _correlation_det, _diagonal, _near_singular
 from .errors import (
     DegenerateInferenceWarning,
     InsufficientDataError,
@@ -51,9 +51,11 @@ def two_sided_p(z: float) -> float:
     return math.erfc(abs(z) / math.sqrt(2.0))
 
 
-def asymptotic_inference(cov: CovarianceSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def asymptotic_inference(cov: CovarianceSet | WindowCores) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Delta-method standard errors, z scores and two-sided p values of every
-    entry of ``cov.flows``, as d x d arrays in its [target, source] layout.
+    entry of ``cov.flows``, as d x d arrays in its [target, source] layout;
+    for a stack of window cores (``covariance.WindowCores``), as W x d x d
+    arrays.
 
     stderr[i, j] = |C_ij / C_ii| * sqrt(residual_variance_i * [C^-1]_jj / (n_eff - 1)),
     the inverse-information variance of coefficient j of target i's fit
@@ -69,8 +71,9 @@ def asymptotic_inference(cov: CovarianceSet) -> tuple[np.ndarray, np.ndarray, np
             f"need n_eff > d + 2 for asymptotic inference (n_eff={cov.n_eff}, d={cov.d})"
         )
     C, values, residual_variance = cov.matrix, cov.flows, cov.residual_variance
-    var = np.maximum(residual_variance[:, None] * np.diag(cov.inverse) / (cov.n_eff - 1), 0.0)
-    stderr = np.abs(C / np.diag(C)[:, None]) * np.sqrt(var)
+    inverse_diagonal = _diagonal(cov.inverse)[..., None, :]
+    var = np.maximum(residual_variance[..., :, None] * inverse_diagonal / (cov.n_eff - 1), 0.0)
+    stderr = np.abs(C / _diagonal(C)[..., :, None]) * np.sqrt(var)
     # the |C_ij / C_ii| factor vanishes only with the value itself
     z = np.divide(values, stderr, out=np.zeros_like(values), where=stderr != 0.0)
     perfect = residual_variance == 0.0

@@ -4,10 +4,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InsufficientDataError, SingularCovarianceError, UsageError
-from .estimator import estimate_flow_matrix
+from .covariance import window_cores
+from .errors import InsufficientDataError, UsageError
+from .estimator import _resolve_pairs, pack_flows
 from .panel import TimeSeriesPanel
-from .significance import _spawn_seeds
+from .significance import (
+    _require_method,
+    _require_surrogates,
+    _spawn_seeds,
+    asymptotic_inference,
+    surrogate_significance,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,33 +63,48 @@ def windowed_flows(
     """Slide a window of ``window_length`` samples by ``step`` and estimate flows.
 
     ``pairs`` are (source, target) index pairs; all ordered pairs by default.
-    Window centers are reported in time units. Window w is the
-    ``estimate_flow_matrix`` of its sub-panel restricted to ``pairs``, seeded
-    with child w of ``seed``; a window with too few samples or a singular
-    covariance gives None for every pair.
+    Window centers are reported in time units. Window w gives the flows of
+    the ``estimate_flow_matrix`` of its sub-panel restricted to ``pairs``,
+    seeded with child w of ``seed``, up to round-off: every window's core is
+    merged from one pass of segment moments and read off with the matrix's
+    own array functions (``covariance.window_cores``). A window with too
+    few samples or a singular covariance gives None for every pair.
     """
     starts = window_starts(panel.n, window_length, step)
+    d = panel.d
     if pairs is None:
-        pairs = [(j, i) for i in range(panel.d) for j in range(panel.d) if i != j]
+        pairs = [(j, i) for i in range(d) for j in range(d) if i != j]
+    seeds = _spawn_seeds(seed, len(starts)) if surrogates else None
+    resolved = _resolve_pairs(pairs, d)
+    if surrogates:
+        _require_surrogates(surrogates)
+        _require_method(surrogate_method)
 
-    seeds = _spawn_seeds(seed, len(starts)) if surrogates else [None] * len(starts)
-    window_rows = []
-    for start, child in zip(starts, seeds):
-        try:
-            matrix = estimate_flow_matrix(
-                panel.window(start, window_length),
-                k,
-                pairs=pairs,
-                surrogates=surrogates,
-                seed=child,
-                surrogate_method=surrogate_method,
-            )
-        except (InsufficientDataError, SingularCovarianceError):
-            window_rows.append([None] * len(pairs))
-            continue
-        window_rows.append([matrix.flows[i][j] for j, i in pairs])
+    window_rows = [[None] * len(pairs)] * len(starts)
+    try:
+        cores = window_cores(panel, k, window_length, step, len(starts))
+    except InsufficientDataError:  # every window is equally short
+        cores = None
+    if cores is not None:
+        stderr, z, p = asymptotic_inference(cores)
+        windows = cores.windows.tolist()
+        p_surrogate = None
+        if surrogates:
+            p_surrogate = []
+            for g, w in enumerate(windows):
+                core = cores.core(g, panel.window(starts[w], window_length))
+                children = _spawn_seeds(seeds[w], d * d)
+                p_surrogate.append([
+                    surrogate_significance(core, j, i, n_surrogates=surrogates,
+                                           seed=children[i * d + j], method=surrogate_method)
+                    for j, i in resolved
+                ])
+        packed = pack_flows(resolved, int(k), cores.n_eff,
+                            *(a.tolist() for a in (cores.flows, stderr, z, p)), p_surrogate=p_surrogate)
+        for w, row in zip(windows, packed):
+            window_rows[w] = row
 
-    label_pairs = tuple((panel.labels[j], panel.labels[i]) for j, i in pairs)
+    label_pairs = tuple((panel.labels[j], panel.labels[i]) for j, i in resolved)
     flows = {
         pair: tuple(row[p] for row in window_rows) for p, pair in enumerate(label_pairs)
     }

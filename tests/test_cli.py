@@ -435,6 +435,19 @@ def test_simulate_system_refuses_benchmark_flags(capsys, tmp_path, flag):
     assert flag[0][2:] in err
 
 
+@pytest.mark.parametrize("flag, value", [("--coupling", "nan"), ("--coupling", "inf"), ("--coupling", "-inf"),
+                                         ("--noise", "nan"), ("--noise", "inf"), ("--noise", "-1")])
+def test_simulate_bad_coupling_or_noise_exit_2_before_any_seed(capsys, tmp_path, flag, value):
+    # no --seed: the value is refused before a seed is generated and announced
+    code, _, err = run_cli(
+        capsys, "simulate", "--benchmark", "chain_3", "--n", "400", "-o", str(tmp_path / "c.csv"),
+        f"{flag}={value}",
+    )
+    assert code == 2
+    assert flag in err and "seed" not in err
+    assert not (tmp_path / "c.csv").exists()
+
+
 def test_simulate_independent_d_refuses_coupling(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, "simulate", "--benchmark", "independent_d", "--d", "3", "--coupling", "3",

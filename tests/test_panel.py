@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -217,3 +218,102 @@ def test_python_only_float_literal_rejected(tmp_path, cell):
     path = write_file(tmp_path, f"x,y\n1.0,2.0\n1.5,{cell}\n")
     with pytest.raises(CsvParseError, match=r"at row 3, column 'y'"):
         ingest_csv(path)
+
+
+def _ingest_outcome(path, **kwargs):
+    """What ``ingest_csv`` makes of a file: labels, value bits and dt, or the
+    type and message of what it raised."""
+    try:
+        panel = ingest_csv(path, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return panel.labels, panel.values.tobytes(), panel.dt
+
+
+def _random_decimals(rng, count):
+    """Decimal strings with long mantissas, wide exponents and subnormals."""
+    out = []
+    for _ in range(count):
+        digits = "".join(rng.choice(list("0123456789"), size=int(rng.integers(1, 26))))
+        point = int(rng.integers(0, len(digits) + 1))
+        cell = rng.choice(["", "-", "+"]) + digits[:point] + rng.choice([".", ""]) + digits[point:]
+        if cell.rstrip(".").lstrip("+-") == "":
+            cell += "0"
+        if rng.random() < 0.6:
+            cell += rng.choice(["e", "E"]) + rng.choice(["", "-", "+"]) + str(int(rng.integers(0, 340)))
+        if math.isfinite(float(cell)):
+            out.append(cell)
+    out += ["4.9406564584124654e-324", "2.4703282292062327e-324", "2.4703282292062328e-324",
+            "2.2250738585072011e-308", "1.7976931348623157e308", "-0.0", ".5", "5."]
+    return out
+
+
+_INGEST_CASES = {
+    "plain": ("a,b\n1.5,2\n3,4\n", {}),
+    "blank lines": ("a,b\n\n1,2\n\n\n3,4\n\n", {}),
+    "whitespace-only line": ("a,b\n1,2\n   \n3,4\n", {}),
+    "whitespace-only line, one column": ("a\n1\n \t\n3\n", {}),
+    "crlf": ("a,b\r\n1,2\r\n3,4\r\n", {}),
+    "cr": ("a,b\r1,2\r3,4\r", {}),
+    "trailing delimiter": ("a,b\n1,2,\n3,4,\n", {}),
+    "quoted cells": ('a,b\n"1",2\n3,"4"\n', {}),
+    "quoted header": ('"a, x",b\n1,2\n3,4\n', {}),
+    "quoted header with a line break": ('"a\r\nx",b\r\n1,2\r\n3,4\r\n', {}),
+    "nbsp": ("a,b\n1, 2\n3,4\n", {}),
+    "full-width digits": ("a,b\n1,２\n3,4\n", {}),
+    "arabic digits": ("a,b\n1,٢\n3,4\n", {}),
+    "underscore": ("a,b\n1,1_000\n3,4\n", {}),
+    "hash line": ("a,b\n1,2\n#3,4\n5,6\n", {}),
+    "hash cell": ("a,b\n1,2 # note\n3,4\n", {}),
+    "nan and infinity": ("a,b\nnan,2\n-Infinity,+inf\n", {}),
+    "spaces around cells": ("a,b\n 1 , 2\t\n3,4\n", {}),
+    "form feed and vertical tab": ("a,b\n1,2\f\n3,\v4\n", {}),
+    **{f"control {code:#04x}": (f"a,b\n1,{chr(code)}2{chr(code)}\n3,4{chr(code)}\n", {})
+       for code in [*range(0x20), 0x7F]},
+    "nul": ("a,b\n1,2\x00\n3,4\n", {}),
+    "hex and d exponent": ("a,b\n0x1p3,2\n1d5,4\n", {}),
+    "empty cell": ("a,b\n,2\n3,4\n", {}),
+    "double delimiter": ("a,b\n1,,2\n3,4\n", {}),
+    "short row": ("a,b,c\n1,2\n3,4\n", {}),
+    "one data row": ("a,b\n1,2\n", {}),
+    "header only": ("a,b\n", {}),
+    "empty": ("", {}),
+    "blank only": ("\n\n", {}),
+    "no header": ("1,2\n3,4\n5,6\n", {"has_header": False}),
+    "no header, leading blank": ("\n1,2\n3,4\n", {"has_header": False}),
+    "semicolon": ("a;b\n1.5;2\n3;4\n", {"delimiter": ";"}),
+    "semicolon decimal comma": ("a;b\n1,5;2\n3;4,0\n", {"delimiter": ";"}),
+    "tab": ("a\tb\n1\t2\n3\t4\n", {"delimiter": "\t"}),
+    "tab, empty cell": ("a\tb\n1\t\t2\n3\t4\n", {"delimiter": "\t"}),
+    "space": ("a b\n1 2\n3 4\n", {"delimiter": " "}),
+    "space, doubled": ("a b\n1 2\n3  4\n", {"delimiter": " "}),
+    "time column": ("t,x\n0,1\n0.5,2\n1.0,4\n", {"time_column": "t"}),
+    "non-uniform time": ("t,x\n0,1\n0.5,2\n1.7,4\n", {"time_column": "t"}),
+}
+
+
+@pytest.mark.parametrize("name", list(_INGEST_CASES))
+def test_ingest_fast_path_agrees_with_strict_parser(tmp_path, monkeypatch, name):
+    from infoflow import panel as panel_module
+
+    text, kwargs = _INGEST_CASES[name]
+    path = tmp_path / "case.csv"
+    path.write_bytes(text.encode("utf-8"))
+    fast = _ingest_outcome(path, **kwargs)
+    monkeypatch.setattr(panel_module, "_parse_fast", lambda *args: None)
+    assert _ingest_outcome(path, **kwargs) == fast
+
+
+def test_ingest_fast_path_reads_random_decimals_bit_for_bit(tmp_path, monkeypatch):
+    from infoflow import panel as panel_module
+
+    cells = _random_decimals(make_rng(21), 12_000)
+    assert len(cells) >= 10_000
+    cells += ["0"] * (len(cells) % 2)
+    rows = [f"{a},{b}" for a, b in zip(cells[::2], cells[1::2])]
+    text = "a,b\n" + "\n".join(rows) + "\n"
+    assert panel_module._parse_fast(text, ",", True) is not None
+    path = write_file(tmp_path, text)
+    fast = _ingest_outcome(path)
+    monkeypatch.setattr(panel_module, "_parse_fast", lambda *args: None)
+    assert _ingest_outcome(path) == fast

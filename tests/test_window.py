@@ -1,3 +1,6 @@
+import inspect
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,8 +12,14 @@ from infoflow import (
     regime_switch_panel,
     windowed_flows,
 )
-from infoflow.errors import ResolutionError, UsageError
-from conftest import make_rng
+from infoflow.errors import (
+    DegenerateInferenceWarning,
+    InsufficientDataError,
+    ResolutionError,
+    SingularCovarianceError,
+    UsageError,
+)
+from conftest import make_rng, random_panel
 
 
 def test_window_count_arithmetic():
@@ -93,6 +102,22 @@ def test_regime_switch_from_insignificant_to_significant():
     assert max(post) < 1e-6
 
 
+def assert_flow_parity(got, want):
+    """A window's flow against its sub-panel matrix's: value and stderr within
+    1e-12 stderr, z and p within 1e-12, every other field exactly equal."""
+    assert (got is None) == (want is None)
+    if got is None:
+        return
+    for field in ("source", "target", "k", "n_eff", "p_value_surrogate", "normalized"):
+        assert getattr(got, field) == getattr(want, field), field
+    scale = 1e-12 * want.stderr
+    assert abs(got.value - want.value) <= scale
+    assert abs(got.stderr - want.stderr) <= scale
+    for field in ("z_score", "p_value_asymptotic"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a == b or abs(a - b) <= 1e-12, field
+
+
 def test_window_entries_equal_seeded_matrix_of_sub_panel():
     b = benchmark("chain_3", None, n=4000, seed=9)
     pairs = [(0, 1), (2, 0)]
@@ -102,10 +127,114 @@ def test_window_entries_equal_seeded_matrix_of_sub_panel():
         sub = estimate_flow_matrix(b.panel.window(start, 1500), pairs=pairs, surrogates=19,
                                    seed=children[w])
         for (j, i), key in zip(pairs, res.pairs):
-            assert res.flows[key][w] == sub.flows[i][j]
+            assert_flow_parity(res.flows[key][w], sub.flows[i][j])
 
 
 def test_surrogate_count_checked_when_every_window_is_short():
     panel = benchmark("chain_3", None, n=400, seed=1).panel
     with pytest.raises(ResolutionError):
         windowed_flows(panel, 4, 100, surrogates=5, seed=1)
+
+
+def sub_panel_flows(panel, window_length, step, pairs, k=1):
+    """Per window, the flows of ``pairs`` of its sub-panel's matrix, or None."""
+    out = []
+    for start in range(0, panel.n - window_length + 1, step):
+        try:
+            sub = estimate_flow_matrix(panel.window(start, window_length), k, pairs=pairs)
+        except (InsufficientDataError, SingularCovarianceError):
+            out.append([None] * len(pairs))
+            continue
+        out.append([sub.flows[i][j] for j, i in pairs])
+    return out
+
+
+def assert_windows_match_sub_panels(panel, window_length, step, pairs, k=1):
+    res = windowed_flows(panel, window_length, step, pairs=pairs, k=k)
+    want = sub_panel_flows(panel, window_length, step, pairs, k)
+    assert res.n_windows == len(want)
+    for w, row in enumerate(want):
+        for key, expected in zip(res.pairs, row):
+            assert_flow_parity(res.flows[key][w], expected)
+    return res
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_windows_match_sub_panels_over_k_and_d(k, d):
+    # n_eff = 401 - k is coprime to the step 37: windows cut segments of 2 lengths
+    panel = random_panel(make_rng(40 + d), d, 1200, dt=0.1)
+    pairs = [(j, i) for i in range(d) for j in range(d) if i != j]
+    assert_windows_match_sub_panels(panel, 401, 37, pairs, k)
+
+
+@pytest.mark.parametrize("window_length, step", [(60, 1), (150, 400), (150, 150)])
+def test_windows_match_sub_panels_at_step_1_and_step_beyond_window(window_length, step):
+    panel = benchmark("chain_3", None, n=900, seed=4).panel
+    assert_windows_match_sub_panels(panel, window_length, step, [(0, 1), (1, 2), (2, 0)])
+
+
+def test_windows_match_sub_panels_for_negative_pair_indices():
+    panel = benchmark("chain_3", None, n=3000, seed=8).panel
+    res = assert_windows_match_sub_panels(panel, 700, 90, [(-3, 1), (2, -2), (-1, 0)])
+    assert res.pairs == (("x1", "x2"), ("x3", "x2"), ("x3", "x1"))
+
+
+def test_windows_match_sub_panels_on_criterion_9_panel():
+    panel, _ = regime_switch_panel(200_000, 100_000, coupling=2.0, dt=0.01, seed=0)
+    assert_windows_match_sub_panels(panel, 4000, 1000, [(1, 0), (0, 1)])
+
+
+def test_singular_windows_are_none_among_good_ones():
+    rng = make_rng(14)
+    a = rng.standard_normal(600)
+    b = np.concatenate([np.zeros(250), rng.standard_normal(350)])
+    panel = TimeSeriesPanel(("a", "b"), np.vstack([a, b]))
+    res = assert_windows_match_sub_panels(panel, 100, 30, [(1, 0), (0, 1)])
+    missing = [est is None for est in res.flows[("b", "a")]]
+    assert missing == [start + 100 <= 251 for start in range(0, 501, 30)]
+
+
+def test_perfect_fit_window_warns_and_matches_its_sub_panel():
+    # x1 follows x2 without noise for its first 300 samples, with noise after
+    rng = make_rng(15)
+    n, dt = 600, 0.01
+    x2 = rng.standard_normal(n)
+    x1 = np.empty(n)
+    x1[0] = 0.1
+    for m in range(n - 1):
+        x1[m + 1] = x1[m] + dt * (2.0 * x1[m] - x2[m]) + (0.1 * rng.standard_normal() if m >= 300 else 0.0)
+    panel = TimeSeriesPanel(("x1", "x2"), np.vstack([x1, x2]), dt=dt)
+    with pytest.warns(DegenerateInferenceWarning) as caught:
+        line = inspect.currentframe().f_lineno + 1
+        res = windowed_flows(panel, 100, 50, pairs=[(1, 0)])
+    assert (caught[0].filename, caught[0].lineno) == (__file__, line)
+    with pytest.warns(DegenerateInferenceWarning):
+        want = sub_panel_flows(panel, 100, 50, [(1, 0)])
+    perfect = 0
+    for got, (expected,) in zip(res.flows[("x2", "x1")], want):
+        if expected.stderr == 0.0:
+            perfect += 1
+            assert got.stderr == 0.0
+            assert got.value == pytest.approx(expected.value, rel=1e-12)
+            assert (got.z_score, got.p_value_asymptotic) == (expected.z_score, expected.p_value_asymptotic)
+        else:
+            assert_flow_parity(got, expected)
+    assert perfect == 5  # the windows that end before sample 301
+
+
+PEAK_STEP_1_BYTES = 8_000_000
+
+
+def test_step_1_memory_stays_bounded():
+    # 1501 windows of 499 one-sample segments: the merge peaked at 2.1 MB in
+    # chunks, and at 78 MB when it gathered every window's segments at once
+    panel = random_panel(make_rng(16), 2, 2000)
+    tracemalloc.start()
+    try:
+        res = windowed_flows(panel, 500, 1, pairs=[(1, 0)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.n_windows == 1501
+    assert peak < PEAK_STEP_1_BYTES
