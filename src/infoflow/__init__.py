@@ -41,9 +41,7 @@ from .estimator import (
     FlowEstimate,
     FlowMatrix,
     SelfInfluenceEstimate,
-    estimate_flow,
     estimate_flow_matrix,
-    estimate_self_influence,
 )
 from .graph import (
     CausalGraph,
@@ -111,9 +109,7 @@ __all__ = [
     "asymptotic_inference",
     "benchmark",
     "build_covariance_set",
-    "estimate_flow",
     "estimate_flow_matrix",
-    "estimate_self_influence",
     "euler_maruyama",
     "export_graph",
     "forward_difference",

@@ -7,6 +7,7 @@ to component i is A[i, j] * S[i, j] / S[i, i] in nats per unit time.
 
 from __future__ import annotations
 
+import json
 import warnings
 from dataclasses import dataclass
 
@@ -14,6 +15,7 @@ import numpy as np
 
 from .errors import (
     ConditioningWarning,
+    DataError,
     DegenerateComponentError,
     InvalidTransformError,
     NonStationaryError,
@@ -169,9 +171,8 @@ def transform_other_components(sys: LinearSDE, i: int, j: int, M: np.ndarray) ->
 
 
 def load_system(source) -> LinearSDE:
-    """Build a LinearSDE from a JSON object/text/file with keys f, A, B."""
-    import json
-
+    """Build a LinearSDE from a JSON object/text/file with keys f, A, B, each
+    a numeric, rectangular array; anything else raises ``ValidationError``."""
     if isinstance(source, dict):
         obj = source
     elif isinstance(source, str) and source.lstrip().startswith("{"):
@@ -180,15 +181,16 @@ def load_system(source) -> LinearSDE:
         try:
             with open(source, "r", encoding="utf-8") as fh:
                 obj = json.load(fh)
-        except OSError as exc:
-            from .errors import DataError
-
+        except (OSError, UnicodeDecodeError) as exc:
             raise DataError(f"cannot read system file: {exc}") from exc
         except json.JSONDecodeError as exc:
-            from .errors import DataError
-
             raise DataError(f"invalid system JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ValidationError(f"system specification must be a JSON object, got {type(obj).__name__}")
     try:
-        return LinearSDE(f=np.array(obj["f"]), A=np.array(obj["A"]), B=np.array(obj["B"]))
+        arrays = {name: np.array(obj[name], dtype=np.float64) for name in ("f", "A", "B")}
     except KeyError as exc:
         raise ValidationError(f"system specification missing field {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"system f, A and B must be numeric, rectangular arrays: {exc}") from None
+    return LinearSDE(**arrays)

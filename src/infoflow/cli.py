@@ -27,7 +27,7 @@ from .errors import (
 )
 from .estimator import estimate_flow_matrix
 from .graph import CORRECTIONS, export_graph, reconstruct_graph
-from .panel import TimeSeriesPanel, ingest_csv, write_csv
+from .panel import TimeSeriesPanel, _require_delimiter, ingest_csv, write_csv
 from .significance import SURROGATE_METHODS
 from .simulate import BENCHMARK_NAMES, DEFAULT_BURN_IN, RNG_ALGORITHM, benchmark, simulate_system
 from .window import windowed_flows
@@ -167,7 +167,7 @@ def _detect_time_column(path, delimiter) -> str | None:
     try:
         with open(path, "r", newline="", encoding="utf-8") as fh:
             first = next(csv.reader(fh, delimiter=delimiter), None)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read input: {exc}") from exc
     if first:
         head = first[0].strip()
@@ -183,6 +183,7 @@ def _require_dt(dt: float | None) -> None:
 
 def _load_panel(args) -> TimeSeriesPanel:
     _require_dt(args.dt)
+    _require_delimiter(args.delimiter)
     has_header = not args.no_header
     time_column = args.time_column
     if time_column is None and has_header and not args.no_time_column:

@@ -14,7 +14,8 @@ A running-window analysis needs the same core for many windows of one
 panel. Every moment the core reads is additive over sample segments, so
 ``window_cores`` takes the moments of [X; dX] once per segment, merges
 them into each window's C and G, and reads every window off at once with
-the same array functions as ``build_covariance_set``, its one-window case.
+the same array functions as ``build_covariance_set``, its one-window case,
+into one ``CovarianceSet`` with a leading axis over the windows.
 """
 
 from __future__ import annotations
@@ -62,9 +63,13 @@ class CovarianceSet:
     ``noise_intensity`` is k*dt times the residual variance, the
     additive-noise magnitude g_ii of the fitted SDE, and entry [i, j] of
     ``flows`` is the flow j -> i, B[j, i] C[i, j] / C[i, i], with the self
-    influence B[i, i] on its diagonal. All seven are None otherwise. The
-    core of one window from ``window_cores`` carries no intercepts, noise
-    intensity or lag-1 autocorrelation: a window reports flows only.
+    influence B[i, i] on its diagonal. All seven are None otherwise.
+
+    A stack of window cores (``window_cores``) lists in ``windows`` the
+    windows whose C passes the rule, and carries C, G, det_corr, B, C^-1,
+    flows and residual variance with one leading entry per listed window;
+    ``panel`` is the whole panel. It has no intercepts, noise intensity or
+    lag-1 autocorrelation: a window reports flows only.
     """
 
     matrix: np.ndarray
@@ -81,10 +86,11 @@ class CovarianceSet:
     lag1_residual_autocorr: np.ndarray | None = None
     noise_intensity: np.ndarray | None = None
     flows: np.ndarray | None = None
+    windows: np.ndarray | None = None
 
     @property
     def d(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
 
 def _window(panel: TimeSeriesPanel, k: int) -> int:
@@ -275,46 +281,12 @@ def _window_moments(Z: np.ndarray, d: int, n_eff: int, step: int, n_windows: int
     return xz, dd
 
 
-@dataclass(frozen=True, eq=False)
-class WindowCores:
-    """The cores of the windows w*step + [0, window_length) of a panel at
-    stride k, read off together. ``windows`` lists the windows w whose C
-    passes the ``NEAR_SINGULAR_RTOL`` rule; every other array has one entry
-    per listed window, in the layout of the ``CovarianceSet`` field of the
-    same name. Like a core, the stack goes to ``asymptotic_inference``
-    whole."""
-
-    near_singular = False  # the stack holds only the windows that pass the rule
-
-    windows: np.ndarray
-    det_corr: np.ndarray
-    matrix: np.ndarray
-    deriv: np.ndarray
-    coefficients: np.ndarray
-    inverse: np.ndarray
-    flows: np.ndarray
-    residual_variance: np.ndarray
-    n_eff: int
-    k: int
-
-    @property
-    def d(self) -> int:
-        return self.matrix.shape[-1]
-
-    def core(self, g: int, window: TimeSeriesPanel) -> CovarianceSet:
-        """Entry g as a ``CovarianceSet`` over its sub-panel ``window``."""
-        return CovarianceSet(
-            matrix=self.matrix[g], deriv=self.deriv[g], det_corr=float(self.det_corr[g]),
-            n_eff=self.n_eff, k=self.k, panel=window, near_singular=False,
-            inverse=self.inverse[g], coefficients=self.coefficients[g],
-            residual_variance=self.residual_variance[g], flows=self.flows[g],
-        )
-
-
 def window_cores(panel: TimeSeriesPanel, k: int, window_length: int, step: int,
-                 n_windows: int) -> WindowCores:
-    """The core of every window w*step + [0, window_length), w < ``n_windows``,
-    from one pass of segment moments (``_window_moments``).
+                 n_windows: int) -> CovarianceSet:
+    """The cores of the windows w*step + [0, window_length), w < ``n_windows``,
+    as one stacked ``CovarianceSet`` over the windows that pass the
+    ``NEAR_SINGULAR_RTOL`` rule, from one pass of segment moments
+    (``_window_moments``).
 
     The flows come from one batched solve over the good windows. Each
     target's residual variance is read off the moments, except where it is
@@ -344,6 +316,6 @@ def window_cores(panel: TimeSeriesPanel, k: int, window_length: int, step: int,
         Zw = Z[:, start:start + n_eff].copy()
         Zw -= Zw.mean(axis=1)[:, None]
         residual_variance[g] = _residuals(Zw, B[g])[1]
-    return WindowCores(windows=windows, det_corr=det_corr[windows], matrix=C, deriv=G, coefficients=B,
-                       inverse=inverse, flows=flows, residual_variance=residual_variance,
-                       n_eff=n_eff, k=int(k))
+    return CovarianceSet(matrix=C, deriv=G, det_corr=det_corr[windows], n_eff=n_eff, k=int(k), panel=panel,
+                         near_singular=False, inverse=inverse, coefficients=B,
+                         residual_variance=residual_variance, flows=flows, windows=windows)

@@ -19,16 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import CovarianceSet, build_covariance_set
-from .errors import InvalidPairError, SingularCovarianceError
+from .covariance import build_covariance_set
+from .errors import SingularCovarianceError
 from .panel import TimeSeriesPanel
 from .significance import (
     SERIAL_CORRELATION_LIMIT,
     _require_method,
     _require_surrogates,
-    _spawn_seeds,
+    _resolve_pairs,
+    _surrogate_p_values,
     asymptotic_inference,
-    surrogate_significance,
 )
 
 
@@ -72,54 +72,6 @@ class SelfInfluenceEstimate:
         return r is not None and abs(r) > SERIAL_CORRELATION_LIMIT
 
 
-def _invertible_covariance(panel, k) -> CovarianceSet:
-    cov = build_covariance_set(panel, k)
-    if cov.near_singular:
-        raise SingularCovarianceError(
-            "covariance matrix is singular or near-singular"
-            f" (correlation det={cov.det_corr:.3e}); refusing to estimate"
-        )
-    return cov
-
-
-def estimate_flow(
-    panel: TimeSeriesPanel,
-    source: int,
-    target: int,
-    k: int = 1,
-) -> FlowEstimate:
-    """Flow rate from series ``source`` into series ``target``.
-
-    Zero sample covariance between the pair forces an exact zero: in the
-    linear setting causation implies correlation.
-    """
-    # range() maps negative indices and raises IndexError out of range
-    source, target = range(panel.d)[source], range(panel.d)[target]
-    if source == target:
-        raise InvalidPairError(
-            "source equals target; use estimate_self_influence for self loops"
-        )
-    cov = _invertible_covariance(panel, k)
-    value = float(cov.flows[target, source])
-    return FlowEstimate(value=value, source=source, target=target, k=int(k), n_eff=cov.n_eff)
-
-
-def estimate_self_influence(
-    panel: TimeSeriesPanel,
-    target: int,
-    k: int = 1,
-) -> SelfInfluenceEstimate:
-    """Self-influence rate of series ``target``: (C^-1 G)[target, target].
-
-    For d = 1 this reduces to dcov/variance, the slope of the derivative on
-    the series itself. Significant values mark self loops in a causal graph.
-    """
-    target = range(panel.d)[target]
-    cov = _invertible_covariance(panel, k)
-    value = float(cov.flows[target, target])
-    return SelfInfluenceEstimate(value=value, target=target, k=int(k), n_eff=cov.n_eff)
-
-
 @dataclass(frozen=True, eq=False)
 class FlowMatrix:
     """All pairwise flows of a panel plus per-target self influences.
@@ -146,15 +98,6 @@ class FlowMatrix:
             yield from (est for est in row if est is not None)
 
 
-def _resolve_pairs(pairs, d: int) -> list[tuple[int, int]]:
-    """(source, target) ``pairs`` with negative indices mapped into range(d)."""
-    # range() maps negative indices and raises IndexError out of range
-    resolved = [(range(d)[j], range(d)[i]) for j, i in pairs]
-    if any(j == i for j, i in resolved):
-        raise InvalidPairError("pairs must have source != target")
-    return resolved
-
-
 def estimate_flow_matrix(
     panel: TimeSeriesPanel,
     k: int = 1,
@@ -170,8 +113,8 @@ def estimate_flow_matrix(
     ``pairs`` lists the (source, target) index pairs to estimate, all
     ordered pairs by default; the flows of the others are None. Asymptotic
     significance is always attached; surrogate p values are added when
-    ``surrogates`` >= 19, pair j -> i drawing from child i * d + j of
-    ``seed`` (an int, None or a SeedSequence). With ``normalize``, a flow
+    ``surrogates`` >= 19, each pair drawing from its own child of ``seed``
+    (an int, None or a SeedSequence; ``significance._surrogate_p_values``). With ``normalize``, a flow
     is divided by |flow| + |self influence| + |noise intensity / (2 C_ii)|
     of its target; a zero normalizer leaves ``normalized`` None. Every
     number is read off the one moment core (``cov.flows`` and
@@ -183,8 +126,18 @@ def estimate_flow_matrix(
     if surrogates:
         _require_surrogates(surrogates)
         _require_method(surrogate_method)
-    cov = _invertible_covariance(panel, k)
-    children = _spawn_seeds(seed, d * d) if surrogates else None
+    cov = build_covariance_set(panel, k)
+    if cov.near_singular:
+        raise SingularCovarianceError(
+            "covariance matrix is singular or near-singular"
+            f" (correlation det={cov.det_corr:.3e}); refusing to estimate"
+        )
+    estimated = [(j, i) for i in range(d) for j in range(d)
+                 if j != i and (wanted is None or (j, i) in wanted)]
+    p_surrogate = None
+    if surrogates:
+        p_surrogate = [_surrogate_p_values(cov, estimated, n_surrogates=surrogates, seed=seed,
+                                           method=surrogate_method)]
     stderr, z, p = asymptotic_inference(cov)
     normalized = None
     if normalize:
@@ -195,13 +148,6 @@ def estimate_flow_matrix(
         normalized = [np.where(nonzero, ratio, None).tolist()]
     k, n_eff = int(k), cov.n_eff
     values, stderr, z, p = (a.tolist() for a in (cov.flows, stderr, z, p))
-    estimated = [(j, i) for i in range(d) for j in range(d)
-                 if j != i and (wanted is None or (j, i) in wanted)]
-    p_surrogate = None
-    if surrogates:
-        p_surrogate = [[surrogate_significance(cov, j, i, n_surrogates=surrogates,
-                                               seed=children[i * d + j], method=surrogate_method)
-                        for j, i in estimated]]
     rows = [[None] * d for _ in range(d)]
     for est in pack_flows(estimated, k, n_eff, [values], [stderr], [z], [p],
                           normalized=normalized, p_surrogate=p_surrogate)[0]:

@@ -112,6 +112,13 @@ def forward_difference(panel: TimeSeriesPanel, j: int, k: int = 1) -> np.ndarray
     return (row[k:] - row[:-k]) / (k * panel.dt)
 
 
+def _require_delimiter(delimiter) -> None:
+    try:
+        csv.reader((), delimiter=delimiter)
+    except TypeError as exc:
+        raise UsageError(f"bad delimiter {delimiter!r}: {exc}") from None
+
+
 def _default_labels(count: int) -> tuple[str, ...]:
     return tuple(f"c{i}" for i in range(count))
 
@@ -138,10 +145,11 @@ def ingest_csv(
         raise UsageError("pass either time_column or dt_override, not both")
     if time_column is not None and not has_header:
         raise UsageError("time_column requires a header row")
+    _require_delimiter(delimiter)
     try:
         with open(path, "r", newline="", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read input: {exc}") from exc
     first_data_line = 2 if has_header else 1
     labels, parsed = _parse_fast(text, delimiter, has_header) or _parse_strict(

@@ -26,7 +26,7 @@ import warnings
 
 import numpy as np
 
-from .covariance import CovarianceSet, WindowCores, _correlation_det, _diagonal, _near_singular
+from .covariance import CovarianceSet, _correlation_det, _diagonal, _near_singular
 from .errors import (
     DegenerateInferenceWarning,
     InsufficientDataError,
@@ -51,10 +51,10 @@ def two_sided_p(z: float) -> float:
     return math.erfc(abs(z) / math.sqrt(2.0))
 
 
-def asymptotic_inference(cov: CovarianceSet | WindowCores) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def asymptotic_inference(cov: CovarianceSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Delta-method standard errors, z scores and two-sided p values of every
     entry of ``cov.flows``, as d x d arrays in its [target, source] layout;
-    for a stack of window cores (``covariance.WindowCores``), as W x d x d
+    for a stack of window cores (``covariance.window_cores``), as W x d x d
     arrays.
 
     stderr[i, j] = |C_ij / C_ii| * sqrt(residual_variance_i * [C^-1]_jj / (n_eff - 1)),
@@ -110,6 +110,15 @@ def _require_method(method: str) -> None:
         raise UsageError(f"unknown surrogate method {method!r}; choose from {SURROGATE_METHODS}")
 
 
+def _resolve_pairs(pairs, d: int) -> list[tuple[int, int]]:
+    """(source, target) ``pairs`` with negative indices mapped into range(d)."""
+    # range() maps negative indices and raises IndexError out of range
+    resolved = [(range(d)[j], range(d)[i]) for j, i in pairs]
+    if any(j == i for j, i in resolved):
+        raise InvalidPairError("source equals target; a flow runs between two distinct series")
+    return resolved
+
+
 def _spawn_seeds(seed, n: int) -> list[np.random.SeedSequence]:
     """The first ``n`` children of ``seed``: an int, None or a SeedSequence.
 
@@ -146,15 +155,15 @@ def surrogate_flow_samples(
 ) -> np.ndarray:
     """Flow re-estimates against ``n_surrogates`` resampled source series.
 
-    Entry m equals ``estimate_flow`` on ``cov``'s panel at its stride with
-    the source replaced by surrogate m, but no panel is copied. A surrogate
-    s changes only the source's row and column of C and the source's entry
-    of the target's derivative cross-moments. What stays fixed is read off
-    the core: the covariance block C_OO of the other series O (the target
-    among them) and their cross-moments dcov_O with dX_target. Per
-    surrogate, one O(n d) product over the centred rows of O and dX_target
-    gives c = cov(X_O, s), g = cov(s, dX_target) and v = var(s), and the
-    Schur complement of C_OO finishes in O(d^2):
+    Entry m equals the flow of the core of ``cov``'s panel at its stride
+    with the source replaced by surrogate m, but no panel is copied. A
+    surrogate s changes only the source's row and column of C and the
+    source's entry of the target's derivative cross-moments. What stays
+    fixed is read off the core: the covariance block C_OO of the other
+    series O (the target among them) and their cross-moments dcov_O with
+    dX_target. Per surrogate, one O(n d) product over the centred rows of O
+    and dX_target gives c = cov(X_O, s), g = cov(s, dX_target) and
+    v = var(s), and the Schur complement of C_OO finishes in O(d^2):
 
         coef = (g - c' C_OO^-1 dcov_O) / (v - c' C_OO^-1 c)
         T    = coef * c_target / C_target,target
@@ -168,10 +177,7 @@ def surrogate_flow_samples(
     does not depend on evaluation order.
     """
     _require_method(method)
-    # range() maps negative indices and raises IndexError out of range
-    source, target = range(cov.d)[source], range(cov.d)[target]
-    if source == target:
-        raise InvalidPairError("source equals target; surrogates test cross-coupling only")
+    [(source, target)] = _resolve_pairs([(source, target)], cov.d)
     panel, n_eff = cov.panel, cov.n_eff
     others = [m for m in range(cov.d) if m != source]
     t = others.index(target)
@@ -226,3 +232,12 @@ def surrogate_significance(
     samples = surrogate_flow_samples(cov, source, target, n_surrogates=n_surrogates, seed=seed, method=method)
     exceed = int(np.sum(np.abs(samples) >= abs(cov.flows[target, source])))
     return (1 + exceed) / (n_surrogates + 1)
+
+
+def _surrogate_p_values(cov: CovarianceSet, pairs, *, n_surrogates: int, seed, method: str) -> list[float]:
+    """``surrogate_significance`` of each resolved (source, target) in
+    ``pairs``; pair j -> i draws from child i * d + j of ``seed``."""
+    d = cov.d
+    children = _spawn_seeds(seed, d * d)
+    return [surrogate_significance(cov, j, i, n_surrogates=n_surrogates, seed=children[i * d + j],
+                                   method=method) for j, i in pairs]

@@ -4,16 +4,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .covariance import window_cores
+from .covariance import build_covariance_set, window_cores
 from .errors import InsufficientDataError, UsageError
-from .estimator import _resolve_pairs, pack_flows
+from .estimator import pack_flows
 from .panel import TimeSeriesPanel
 from .significance import (
     _require_method,
     _require_surrogates,
+    _resolve_pairs,
     _spawn_seeds,
+    _surrogate_p_values,
     asymptotic_inference,
-    surrogate_significance,
 )
 
 
@@ -67,8 +68,10 @@ def windowed_flows(
     the ``estimate_flow_matrix`` of its sub-panel restricted to ``pairs``,
     seeded with child w of ``seed``, up to round-off: every window's core is
     merged from one pass of segment moments and read off with the matrix's
-    own array functions (``covariance.window_cores``). A window with too
-    few samples or a singular covariance gives None for every pair.
+    own array functions (``covariance.window_cores``). A window that draws
+    surrogates draws them on its sub-panel's own core, so its surrogate
+    p values are the matrix's exactly. A window with too few samples or a
+    singular covariance gives None for every pair.
     """
     starts = window_starts(panel.n, window_length, step)
     d = panel.d
@@ -89,16 +92,13 @@ def windowed_flows(
         stderr, z, p = asymptotic_inference(cores)
         windows = cores.windows.tolist()
         p_surrogate = None
-        if surrogates:
-            p_surrogate = []
-            for g, w in enumerate(windows):
-                core = cores.core(g, panel.window(starts[w], window_length))
-                children = _spawn_seeds(seeds[w], d * d)
-                p_surrogate.append([
-                    surrogate_significance(core, j, i, n_surrogates=surrogates,
-                                           seed=children[i * d + j], method=surrogate_method)
-                    for j, i in resolved
-                ])
+        if surrogates:  # on each window's own core, as its sub-panel's matrix draws them
+            p_surrogate = [
+                _surrogate_p_values(build_covariance_set(panel.window(starts[w], window_length), k),
+                                    resolved, n_surrogates=surrogates, seed=seeds[w],
+                                    method=surrogate_method)
+                for w in windows
+            ]
         packed = pack_flows(resolved, int(k), cores.n_eff,
                             *(a.tolist() for a in (cores.flows, stderr, z, p)), p_surrogate=p_surrogate)
         for w, row in zip(windows, packed):

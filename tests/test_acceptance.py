@@ -18,9 +18,7 @@ from infoflow import (
     asymptotic_inference,
     benchmark,
     build_covariance_set,
-    estimate_flow,
     estimate_flow_matrix,
-    estimate_self_influence,
     euler_maruyama,
     reconstruct_graph,
     regime_switch_panel,
@@ -77,8 +75,9 @@ def test_02_convergence_to_analytic_flow():
     fwd, rev = [], []
     for seed in range(20):
         b = benchmark("one_way_2d", None, n=200_000, seed=seed)
-        fwd.append(estimate_flow(b.panel, 1, 0).value)
-        rev.append(abs(estimate_flow(b.panel, 0, 1).value))
+        flows = build_covariance_set(b.panel, 1).flows
+        fwd.append(flows[0, 1])
+        rev.append(abs(flows[1, 0]))
     med_fwd = float(np.median(fwd))
     med_rev = float(np.median(rev))
     elapsed = time.perf_counter() - start
@@ -210,7 +209,7 @@ def test_07_self_influence_on_mean_reverting_process():
     oracle_dev = 0.0
     for seed in range(20):
         panel = euler_maruyama(SimulationSpec(system=ou, n=200_000, dt=0.01, seed=seed))
-        est = estimate_self_influence(panel, 0)
+        est = estimate_flow_matrix(panel).self_influence[0]
         x = panel.values[0][:-1]
         dx = np.diff(panel.values[0]) / panel.dt
         design = np.column_stack([np.ones_like(x), x])

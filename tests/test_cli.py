@@ -559,3 +559,41 @@ def test_readme_entry_points_resolve():
     assert len(names) >= 10
     for name in names:
         assert hasattr(infoflow, name) and name in infoflow.__all__, name
+
+
+@pytest.mark.parametrize("where", ["header", "body"])
+def test_non_utf8_csv_exit_3(capsys, tmp_path, where):
+    path = tmp_path / "latin1.csv"
+    body = b"".join(b"%.17g,%.17g\n" % (x, y) for x, y in make_rng(3).standard_normal((40, 2)))
+    header = b"a,caf\xe9\n" if where == "header" else b"a,b\n"
+    path.write_bytes(header + body + (b"0.5,0.\xe9\n" if where == "body" else b""))
+    code, out, err = run_cli(capsys, "matrix", str(path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("infoflow: data error: cannot read input")
+
+
+@pytest.mark.parametrize("command", ["matrix", "window"])
+@pytest.mark.parametrize("delimiter", [";;", ""])
+def test_delimiter_not_one_character_exit_2(capsys, short_chain_csv, command, delimiter):
+    argv = [command, str(short_chain_csv)] + (["--window", "200"] if command == "window" else [])
+    code, out, err = run_cli(capsys, *argv, "--delimiter", delimiter)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("infoflow: error: bad delimiter")
+
+
+@pytest.mark.parametrize("system", [
+    '{"f": [0], "A": [["x"]], "B": [[1]]}',
+    "[1, 2]",
+    '{"f": [0, 0], "A": [[-1, 0], [0]], "B": [[1, 0], [0, 1]]}',
+])
+def test_simulate_malformed_system_exit_3(capsys, tmp_path, system):
+    path = tmp_path / "s.json"
+    path.write_text(system)
+    code, out, err = run_cli(capsys, "simulate", "--system", str(path), "--n", "100", "--seed", "1",
+                             "-o", str(tmp_path / "o.csv"))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("infoflow: data error:")
+    assert not (tmp_path / "o.csv").exists()

@@ -7,9 +7,7 @@ from infoflow import (
     TimeSeriesPanel,
     benchmark,
     build_covariance_set,
-    estimate_flow,
     estimate_flow_matrix,
-    estimate_self_influence,
     euler_maruyama,
     surrogate_flow_samples,
     surrogate_significance,
@@ -35,21 +33,22 @@ def orthogonal_pair_panel(cycles=25, k=1):
 
 def test_zero_sample_covariance_kills_flow_exactly():
     panel = orthogonal_pair_panel()
-    assert estimate_flow(panel, 0, 1).value == 0.0
-    assert estimate_flow(panel, 1, 0).value == 0.0
+    flows = build_covariance_set(panel, 1).flows
+    assert flows[1, 0] == 0.0
+    assert flows[0, 1] == 0.0
 
 
 def test_source_equals_target_rejected():
     panel = random_panel(make_rng(0), d=2, n=50)
     with pytest.raises(InvalidPairError, match="source equals target"):
-        estimate_flow(panel, 1, 1)
+        estimate_flow_matrix(panel, pairs=[(1, 1)])
 
 
 def test_singular_covariance_refused():
     row = make_rng(1).standard_normal(100)
     panel = TimeSeriesPanel(("a", "b"), np.vstack([row, row]))
     with pytest.raises(SingularCovarianceError):
-        estimate_flow(panel, 0, 1)
+        estimate_flow_matrix(panel, pairs=[(0, 1)])
 
 
 def test_one_way_system_recovers_analytic_flow():
@@ -59,11 +58,12 @@ def test_one_way_system_recovers_analytic_flow():
     fwd, rev = [], []
     for seed in range(5):
         b = benchmark("one_way_2d", None, n=200_000, seed=seed)
-        fwd.append(estimate_flow(b.panel, 1, 0).value)
-        rev.append(estimate_flow(b.panel, 0, 1).value)
+        flows = build_covariance_set(b.panel, 1).flows
+        fwd.append(flows[0, 1])
+        rev.append(flows[1, 0])
     assert np.median(fwd) == pytest.approx(truth, rel=0.15)
     assert np.median(np.abs(rev)) < 0.01
-    assert b.panel.n - 1 == estimate_flow(b.panel, 1, 0).n_eff
+    assert b.panel.n - 1 == estimate_flow_matrix(b.panel, pairs=[(1, 0)]).flows[0][1].n_eff
 
 
 def test_self_influence_equals_regression_slope_for_d1():
@@ -71,7 +71,7 @@ def test_self_influence_equals_regression_slope_for_d1():
     # of the differenced series on the series itself
     sys = LinearSDE(f=[0.0], A=[[-1.0]], B=[[1.0]])
     panel = euler_maruyama(SimulationSpec(system=sys, n=200_000, dt=0.01, seed=3))
-    est = estimate_self_influence(panel, 0)
+    est = estimate_flow_matrix(panel).self_influence[0]
     x = panel.values[0][:-1]
     dx = (panel.values[0][1:] - panel.values[0][:-1]) / panel.dt
     design = np.column_stack([np.ones_like(x), x])
@@ -85,13 +85,13 @@ def test_white_noise_self_influence_is_minus_one():
     # cov(x, x_next - x)/var(x) = -1; pure mean reversion of white noise
     rng = make_rng(4)
     panel = TimeSeriesPanel(("w",), rng.standard_normal((1, 100_000)), dt=1.0)
-    est = estimate_self_influence(panel, 0)
+    est = estimate_flow_matrix(panel).self_influence[0]
     assert est.value == pytest.approx(-1.0, abs=0.02)
 
 
 def test_ramp_target_self_influence_zero():
     panel = TimeSeriesPanel(("r",), (1.0 + 0.5 * np.arange(50))[None, :], dt=0.5)
-    assert estimate_self_influence(panel, 0).value == pytest.approx(0.0, abs=1e-12)
+    assert build_covariance_set(panel, 1).flows[0, 0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_fit_exact_linear_relation():
@@ -131,16 +131,15 @@ def test_cofactor_route_matches_normal_equations():
 def test_negative_indices_map_like_python_sequences():
     b = benchmark("one_way_2d", None, n=5000, seed=0)
     with pytest.raises(InvalidPairError):
-        estimate_flow(b.panel, -1, 1)
-    est = estimate_flow(b.panel, -1, 0)
-    assert est.source == 1 and est.value == estimate_flow(b.panel, 1, 0).value
-    assert estimate_self_influence(b.panel, -2).target == 0
+        estimate_flow_matrix(b.panel, pairs=[(-1, 1)])
+    est = estimate_flow_matrix(b.panel, pairs=[(-1, 0)]).flows[0][1]
+    assert est.source == 1 and est.value == estimate_flow_matrix(b.panel, pairs=[(1, 0)]).flows[0][1].value
+    assert estimate_flow_matrix(b.panel).self_influence[-2].target == 0
     assert estimate_flow_matrix(b.panel, pairs=[(0, -1)]).flows[1][0].target == 1
     for call in (
-        lambda: estimate_flow(b.panel, 2, 0),
-        lambda: estimate_flow(b.panel, 0, -3),
-        lambda: estimate_self_influence(b.panel, 2),
+        lambda: estimate_flow_matrix(b.panel, pairs=[(2, 0)]),
         lambda: estimate_flow_matrix(b.panel, pairs=[(0, -3)]),
+        lambda: estimate_flow_matrix(b.panel).self_influence[2],
     ):
         with pytest.raises(IndexError):
             call()
@@ -164,23 +163,23 @@ def test_scale_equivariance():
     # rescaling source or target leaves the flow unchanged
     rng = make_rng(8)
     panel = random_panel(rng, d=3, n=500)
-    base = estimate_flow(panel, 2, 0).value
+    base = build_covariance_set(panel, 1).flows[0, 2]
     for c in (0.1, -3.0, 40.0):
         scaled_src = with_series(panel, 2, c * panel.values[2])
         scaled_tgt = with_series(panel, 0, c * panel.values[0])
-        assert estimate_flow(scaled_src, 2, 0).value == pytest.approx(base, rel=1e-9)
-        assert estimate_flow(scaled_tgt, 2, 0).value == pytest.approx(base, rel=1e-9)
+        assert build_covariance_set(scaled_src, 1).flows[0, 2] == pytest.approx(base, rel=1e-9)
+        assert build_covariance_set(scaled_tgt, 1).flows[0, 2] == pytest.approx(base, rel=1e-9)
 
 
 def test_shift_invariance():
     rng = make_rng(9)
     panel = random_panel(rng, d=3, n=500)
-    base = estimate_flow(panel, 1, 0).value
-    self_base = estimate_self_influence(panel, 0).value
+    flows = build_covariance_set(panel, 1).flows
+    base, self_base = flows[0, 1], flows[0, 0]
     for j in range(3):
-        shifted = with_series(panel, j, panel.values[j] + 11.0)
-        assert estimate_flow(shifted, 1, 0).value == pytest.approx(base, rel=1e-9)
-        assert estimate_self_influence(shifted, 0).value == pytest.approx(self_base, rel=1e-9)
+        shifted = build_covariance_set(with_series(panel, j, panel.values[j] + 11.0), 1).flows
+        assert shifted[0, 1] == pytest.approx(base, rel=1e-9)
+        assert shifted[0, 0] == pytest.approx(self_base, rel=1e-9)
 
 
 def test_flow_matrix_shape_d2():
@@ -196,13 +195,12 @@ def test_flow_matrix_shape_d2():
 def test_flow_matrix_agrees_with_single_estimates():
     panel = random_panel(make_rng(11), d=3, n=400)
     m = estimate_flow_matrix(panel, k=2)
+    flows = build_covariance_set(panel, 2).flows
     for i in range(3):
         for j in range(3):
             if i != j:
-                single = estimate_flow(panel, j, i, k=2)
-                assert m.flows[i][j].value == pytest.approx(single.value, rel=1e-12)
-        single_self = estimate_self_influence(panel, i, k=2)
-        assert m.self_influence[i].value == pytest.approx(single_self.value, rel=1e-12)
+                assert m.flows[i][j].value == pytest.approx(flows[i, j], rel=1e-12)
+        assert m.self_influence[i].value == pytest.approx(flows[i, i], rel=1e-12)
 
 
 def test_chain_benchmark_only_true_flows_significant():
@@ -293,7 +291,7 @@ def test_constant_target_refused_as_singular():
     row = make_rng(3).standard_normal(200)
     panel = TimeSeriesPanel(("a", "b"), np.vstack([row, np.full(200, 2.5)]))
     with pytest.raises(SingularCovarianceError):
-        estimate_flow(panel, 0, 1)
+        estimate_flow_matrix(panel, pairs=[(0, 1)])
 
 
 def test_same_seed_sequence_twice_gives_same_surrogates():

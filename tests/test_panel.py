@@ -91,6 +91,25 @@ def test_missing_file_is_data_error(tmp_path):
         ingest_csv(tmp_path / "nope.csv")
 
 
+LATIN1_FILES = {"header": b"a,caf\xe9\n1,2\n3,4\n5,6\n", "body": b"a,b\n1,2\n3,4\xe9\n5,6\n"}
+
+
+@pytest.mark.parametrize("where", sorted(LATIN1_FILES))
+def test_non_utf8_file_is_data_error(tmp_path, where):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(LATIN1_FILES[where])
+    with pytest.raises(DataError, match="cannot read input"):
+        ingest_csv(path)
+
+
+@pytest.mark.parametrize("delimiter", [";;", ""])
+def test_delimiter_not_one_character_is_usage_error(tmp_path, delimiter):
+    with pytest.raises(UsageError, match="delimiter"):
+        ingest_csv(write_file(tmp_path, "x;y\n1;2\n3;4\n"), delimiter=delimiter)
+    with pytest.raises(UsageError, match="delimiter"):  # checked before the file is opened
+        ingest_csv(tmp_path / "nope.csv", delimiter=delimiter)
+
+
 def test_time_column_plus_dt_override_rejected(tmp_path):
     path = write_file(tmp_path, "t,x\n0,1\n1,2\n")
     with pytest.raises(UsageError):

@@ -10,7 +10,6 @@ from infoflow import (
     asymptotic_inference,
     benchmark,
     build_covariance_set,
-    estimate_flow,
     estimate_flow_matrix,
     euler_maruyama,
     surrogate_flow_samples,
@@ -165,7 +164,7 @@ def test_surrogate_monotone_in_observed_magnitude():
     samples = np.abs(
         surrogate_flow_samples(build_covariance_set(b.panel, 1), 1, 0, n_surrogates=99, seed=11)
     )
-    observed = abs(estimate_flow(b.panel, 1, 0).value)
+    observed = abs(build_covariance_set(b.panel, 1).flows[0, 1])
     p_at = lambda t: (1 + int(np.sum(samples >= t))) / 100
     assert p_at(observed) <= p_at(observed / 2) <= p_at(observed / 10)
 
@@ -248,7 +247,8 @@ def replaced_source_flows(panel, source, target, k, n_surrogates, seed, method):
         rng = np.random.Generator(np.random.PCG64(child))
         surr = _surrogate_series(panel.values[source], rng, method)
         try:
-            values.append(estimate_flow(with_series(panel, source, surr), source, target, k).value)
+            matrix = estimate_flow_matrix(with_series(panel, source, surr), k, pairs=[(source, target)])
+            values.append(matrix.flows[target][source].value)
         except SingularCovarianceError:
             values.append(np.inf)
     return np.asarray(values)

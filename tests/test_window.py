@@ -7,7 +7,7 @@ import pytest
 from infoflow import (
     TimeSeriesPanel,
     benchmark,
-    estimate_flow,
+    build_covariance_set,
     estimate_flow_matrix,
     regime_switch_panel,
     windowed_flows,
@@ -42,7 +42,7 @@ def test_degenerate_single_window_equals_plain_estimate():
     res = windowed_flows(b.panel, b.panel.n, b.panel.n, pairs=[(1, 0)])
     assert res.n_windows == 1
     est = res.flows[("y", "x")][0]
-    assert est.value == estimate_flow(b.panel, 1, 0).value
+    assert est.value == build_covariance_set(b.panel, 1).flows[0, 1]
 
 
 def test_all_pairs_by_default():
