@@ -171,8 +171,7 @@ def transform_other_components(sys: LinearSDE, i: int, j: int, M: np.ndarray) ->
 
 
 def load_system(source) -> LinearSDE:
-    """Build a LinearSDE from a JSON object/text/file with keys f, A, B, each
-    a numeric, rectangular array; anything else raises ``ValidationError``."""
+    """A LinearSDE from a JSON object/text/file whose f, A, B are numeric, rectangular arrays."""
     if isinstance(source, dict):
         obj = source
     elif isinstance(source, str) and source.lstrip().startswith("{"):

@@ -236,7 +236,8 @@ def surrogate_significance(
 
 def _surrogate_p_values(cov: CovarianceSet, pairs, *, n_surrogates: int, seed, method: str) -> list[float]:
     """``surrogate_significance`` of each resolved (source, target) in
-    ``pairs``; pair j -> i draws from child i * d + j of ``seed``."""
+    ``pairs``; pair j -> i draws the child of ``seed`` at the flat index of
+    its [target, source] entry."""
     d = cov.d
     children = _spawn_seeds(seed, d * d)
     return [surrogate_significance(cov, j, i, n_surrogates=n_surrogates, seed=children[i * d + j],
