@@ -40,7 +40,6 @@ from .errors import (
 from .estimator import (
     FlowEstimate,
     FlowMatrix,
-    SelfInfluenceEstimate,
     estimate_flow_matrix,
 )
 from .graph import (
@@ -96,7 +95,6 @@ __all__ = [
     "NonStationaryError",
     "NumericalError",
     "ResolutionError",
-    "SelfInfluenceEstimate",
     "SelfLoop",
     "SimulationSpec",
     "SingularCovarianceError",

@@ -174,12 +174,13 @@ def load_system(source) -> LinearSDE:
     """A LinearSDE from a JSON object/text/file whose f, A, B are numeric, rectangular arrays."""
     if isinstance(source, dict):
         obj = source
-    elif isinstance(source, str) and source.lstrip().startswith("{"):
-        obj = json.loads(source)
     else:
         try:
-            with open(source, "r", encoding="utf-8") as fh:
-                obj = json.load(fh)
+            if isinstance(source, str) and source.lstrip().startswith("{"):
+                obj = json.loads(source)
+            else:
+                with open(source, "r", encoding="utf-8") as fh:
+                    obj = json.load(fh)
         except (OSError, UnicodeDecodeError) as exc:
             raise DataError(f"cannot read system file: {exc}") from exc
         except json.JSONDecodeError as exc:

@@ -16,6 +16,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
 from .analytic import load_system, stationary_covariance
 from .errors import (
@@ -28,7 +30,7 @@ from .errors import (
 from .estimator import estimate_flow_matrix
 from .graph import CORRECTIONS, export_graph, reconstruct_graph
 from .panel import TimeSeriesPanel, _require_delimiter, ingest_csv, write_csv
-from .significance import SURROGATE_METHODS
+from .significance import SERIAL_CORRELATION_LIMIT, SURROGATE_METHODS
 from .simulate import BENCHMARK_NAMES, DEFAULT_BURN_IN, RNG_ALGORITHM, benchmark, simulate_system
 from .window import windowed_flows
 
@@ -252,19 +254,21 @@ def _json_float(x):
     return x if math.isfinite(x) else None
 
 
-def _flow_fields(est, scale: float, z: bool = False) -> dict:
-    """The JSON fields of one flow shared by the estimate, matrix and window reports."""
-    fields = {"flow": _json_float(est.value * scale), "stderr": _json_float(est.stderr * scale)}
-    if z:
-        fields["z"] = _json_float(est.z_score)
-    fields["p_asymptotic"] = _json_float(est.p_value_asymptotic)
-    fields["p_surrogate"] = _json_float(est.p_value_surrogate)
-    return fields
+def _flow_fields(report, at, scale: float, z: bool = False) -> list[dict]:
+    """The JSON fields shared by the estimate, matrix and window reports, of
+    each flow that the index ``at`` selects from the arrays of a
+    ``FlowMatrix`` or a ``WindowedFlowSeries``."""
+    p_surrogate = np.full(report.value.shape, np.nan) if report.p_surrogate is None else report.p_surrogate
+    columns = {"flow": report.value[at] * scale, "stderr": report.stderr[at] * scale, "z": report.z[at],
+               "p_asymptotic": report.p_asymptotic[at], "p_surrogate": p_surrogate[at]}
+    if not z:
+        del columns["z"]
+    rows = zip(*([_json_float(x) for x in a.tolist()] for a in columns.values()))
+    return [dict(zip(columns, row)) for row in rows]
 
 
-def _fmt(x, width: int = 0) -> str:
-    s = "." if x is None else f"{x:.4g}"
-    return s.rjust(width) if width else s
+def _fmt(x, width: int) -> str:
+    return ("." if x is None else f"{x:.4g}").rjust(width)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -288,50 +292,51 @@ def cmd_estimate(args) -> int:
     j, i = _pair(args, panel)
     plan = _surrogate_plan(args)
     matrix = estimate_flow_matrix(panel, args.k, pairs=[(j, i)], normalize=args.normalize, **plan)
-    est = matrix.flows[i][j]
-    own = matrix.self_influence[i]  # the target's fit, hence its residual autocorrelation
-    if args.normalize and est.normalized is None:
+    if args.normalize and math.isnan(matrix.normalized[i, j]):
         raise DegenerateNormalizerError(
             f"cannot normalize {panel.labels[j]} -> {panel.labels[i]}:"
             " flow, self influence and noise contributions are all zero"
         )
     n_surr = plan["surrogates"]
     scale, units = _per_step(args, panel.dt)
+    own = matrix.value[i, i] * scale
+    lag1 = matrix.lag1_residual_autocorr[i].item()  # the target's fit, shared by every flow into it
+    serial_correlation = abs(lag1) > SERIAL_CORRELATION_LIMIT
 
     if args.json:
         payload = {
             "schema": ESTIMATE_SCHEMA,
             "source": panel.labels[j],
             "target": panel.labels[i],
-            **_flow_fields(est, scale, z=True),
+            **_flow_fields(matrix, ([i], [j]), scale, z=True)[0],
             "n_surrogates": n_surr,
-            "normalized": _json_float(est.normalized),
-            "self_influence": _json_float(own.value * scale if args.normalize else None),
+            "normalized": _json_float(matrix.normalized[i, j] if args.normalize else None),
+            "self_influence": _json_float(own if args.normalize else None),
             "units": units,
             "k": args.k,
             "dt": panel.dt,
-            "n_eff": est.n_eff,
-            "serial_correlation_flag": own.serial_correlation_flag,
+            "n_eff": matrix.n_eff,
+            "serial_correlation_flag": serial_correlation,
         }
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
         return 0
 
     lines = [
-        f"flow {panel.labels[j]} -> {panel.labels[i]}: {est.value * scale:.6g} {units}",
-        f"  stderr (asymptotic): {est.stderr * scale:.6g}",
-        f"  z: {est.z_score:.6g}",
-        f"  p (asymptotic): {est.p_value_asymptotic:.4g}",
+        f"flow {panel.labels[j]} -> {panel.labels[i]}: {matrix.value[i, j] * scale:.6g} {units}",
+        f"  stderr (asymptotic): {matrix.stderr[i, j] * scale:.6g}",
+        f"  z: {matrix.z[i, j]:.6g}",
+        f"  p (asymptotic): {matrix.p_asymptotic[i, j]:.4g}",
     ]
     if n_surr:
-        lines.append(f"  p (surrogate, {n_surr}): {est.p_value_surrogate:.4g}")
+        lines.append(f"  p (surrogate, {n_surr}): {matrix.p_surrogate[i, j]:.4g}")
     if args.normalize:
-        lines.append(f"  normalized: {est.normalized:.6g}")
-        lines.append(f"  self influence of {panel.labels[i]}: {own.value * scale:.6g} {units}")
-    lines.append(f"  k: {args.k}  dt: {panel.dt:g}  n_eff: {est.n_eff}")
-    if own.serial_correlation_flag:
+        lines.append(f"  normalized: {matrix.normalized[i, j]:.6g}")
+        lines.append(f"  self influence of {panel.labels[i]}: {own:.6g} {units}")
+    lines.append(f"  k: {args.k}  dt: {panel.dt:g}  n_eff: {matrix.n_eff}")
+    if serial_correlation:
         lines.append(
-            f"  note: lag-1 residual autocorrelation {own.lag1_residual_autocorr:.3g}"
-            " exceeds 0.2; asymptotic errors may be optimistic"
+            f"  note: lag-1 residual autocorrelation {lag1:.3g}"
+            f" exceeds {SERIAL_CORRELATION_LIMIT:g}; asymptotic errors may be optimistic"
         )
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
@@ -341,25 +346,20 @@ def cmd_matrix(args) -> int:
     panel = _load_panel(args)
     matrix = estimate_flow_matrix(panel, args.k, normalize=args.normalize, **_surrogate_plan(args))
     scale, units = _per_step(args, panel.dt)
+    labels, estimated = matrix.labels, matrix.estimated
 
     if args.json:
+        targets, sources = (a.tolist() for a in np.nonzero(estimated))
+        normalized = [None] * len(targets) if matrix.normalized is None else matrix.normalized[estimated].tolist()
         flows = [
-            {
-                "source": matrix.labels[est.source],
-                "target": matrix.labels[est.target],
-                **_flow_fields(est, scale),
-                "normalized": _json_float(est.normalized),
-            }
-            for est in matrix.iter_flows()
+            {"source": labels[j], "target": labels[i], **fields, "normalized": _json_float(norm)}
+            for j, i, fields, norm in zip(sources, targets, _flow_fields(matrix, estimated, scale), normalized)
         ]
+        diagonals = (np.diag(a).tolist() for a in (matrix.value * scale, matrix.stderr * scale, matrix.p_asymptotic))
         selfs = [
-            {
-                "target": matrix.labels[s.target],
-                "value": _json_float(s.value * scale),
-                "stderr": _json_float(s.stderr * scale),
-                "p_asymptotic": _json_float(s.p_value_asymptotic),
-            }
-            for s in matrix.self_influence
+            {"target": label, "value": _json_float(value), "stderr": _json_float(stderr),
+             "p_asymptotic": _json_float(p)}
+            for label, value, stderr, p in zip(labels, *diagonals)
         ]
         payload = {
             "schema": MATRIX_SCHEMA,
@@ -380,13 +380,10 @@ def cmd_matrix(args) -> int:
         f"# flows source -> target in {units}; rows are targets; k={matrix.k} dt={matrix.dt:g} n_eff={matrix.n_eff}",
         head + "self".rjust(width),
     ]
-    for i, label in enumerate(matrix.labels):
-        cells = []
-        for jj in range(matrix.d):
-            est = matrix.flows[i][jj]
-            cells.append(_fmt(est.value * scale if est else None, width))
-        cells.append(_fmt(matrix.self_influence[i].value * scale, width))
-        lines.append(label.ljust(width) + "".join(cells))
+    values = (matrix.value * scale).tolist()
+    for i, (label, row, wanted) in enumerate(zip(labels, values, estimated.tolist())):
+        cells = [_fmt(value if ok else None, width) for value, ok in zip(row, wanted)]
+        lines.append(label.ljust(width) + "".join(cells) + _fmt(row[i], width))
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
@@ -411,10 +408,13 @@ def cmd_window(args) -> int:
     n_surr = plan["surrogates"]
     scale, units = _per_step(args, panel.dt)
 
+    valid = result.valid.tolist()
+
     if args.json:
         series = {
-            f"{s}->{t}": [None if est is None else _flow_fields(est, scale) for est in result.flows[(s, t)]]
-            for s, t in result.pairs
+            f"{s}->{t}": [fields if ok else None
+                          for fields, ok in zip(_flow_fields(result, (slice(None), c), scale), valid)]
+            for c, (s, t) in enumerate(result.pairs)
         }
         payload = {
             "schema": WINDOW_SCHEMA,
@@ -436,19 +436,15 @@ def cmd_window(args) -> int:
         header.extend([f"flow[{tag}]", f"stderr[{tag}]", f"p[{tag}]"])
         if n_surr:
             header.append(f"p_surr[{tag}]")
+    columns = [(result.value * scale, ".10g"), (result.stderr * scale, ".10g"), (result.p_asymptotic, ".6g")]
+    if n_surr:
+        columns.append((result.p_surrogate, ".6g"))
+    columns = [(a.tolist(), spec) for a, spec in columns]
     rows = [",".join(header)]
     for w, center in enumerate(result.centers):
         row = [f"{center:.10g}"]
-        for pair in result.pairs:
-            est = result.flows[pair][w]
-            if est is None:
-                row.extend([""] * (4 if n_surr else 3))
-                continue
-            row.append(f"{est.value * scale:.10g}")
-            row.append(f"{est.stderr * scale:.10g}")
-            row.append(f"{est.p_value_asymptotic:.6g}")
-            if n_surr:
-                row.append(f"{est.p_value_surrogate:.6g}")
+        for c in range(len(result.pairs)):
+            row.extend(format(a[w][c], spec) if valid[w] else "" for a, spec in columns)
         rows.append(",".join(row))
     _emit("\n".join(rows) + "\n", args.output)
     return 0

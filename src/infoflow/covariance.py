@@ -5,8 +5,8 @@ For a panel X and stride k the core holds C, the sample covariance of the
 series, and G, their cross-covariances with the forward-differenced series
 (column i for target i). The flow formula in ``estimator`` is written in
 the cofactors of C; its cofactor sum is (C^-1 G)[j, i], so the core solves
-for B = C^-1 G once for all targets, together with each target's intercept
-and residual statistics. Everything is taken over one shared window, the
+for B = C^-1 G once for all targets, together with each target's residual
+statistics. Everything is taken over one shared window, the
 first n_eff = n - k samples of every series, so C and G line up
 sample-for-sample.
 
@@ -56,20 +56,20 @@ class CovarianceSet:
     margin the ``NEAR_SINGULAR_RTOL`` rule tests. ``n_eff`` is the shared
     window length n - k; ``k`` and ``panel`` are the stride and the panel
     the moments were taken from. When C is not near-singular,
-    ``inverse`` is C^-1, column i of ``coefficients`` (B = C^-1 G) and entry
-    i of ``intercepts`` are the least-squares fit of dX_i on intercept plus
-    all series, and ``residual_variance`` (mean squared residual) and
+    ``inverse`` is C^-1, column i of ``coefficients`` (B = C^-1 G) holds the
+    slopes of the least-squares fit of dX_i on intercept plus all series,
+    and ``residual_variance`` (mean squared residual) and
     ``lag1_residual_autocorr`` describe that fit's residuals.
     ``noise_intensity`` is k*dt times the residual variance, the
     additive-noise magnitude g_ii of the fitted SDE, and entry [i, j] of
     ``flows`` is the flow j -> i, B[j, i] C[i, j] / C[i, i], with the self
-    influence B[i, i] on its diagonal. All seven are None otherwise.
+    influence B[i, i] on its diagonal. All six are None otherwise.
 
     A stack of window cores (``window_cores``) lists in ``windows`` the
     windows whose C passes the rule, and carries C, G, det_corr, B, C^-1,
     flows and residual variance with one leading entry per listed window;
-    ``panel`` is the whole panel. It has no intercepts, noise intensity or
-    lag-1 autocorrelation: a window reports flows only.
+    ``panel`` is the whole panel. It has no noise intensity or lag-1
+    autocorrelation: a window reports flows only.
     """
 
     matrix: np.ndarray
@@ -81,7 +81,6 @@ class CovarianceSet:
     near_singular: bool
     inverse: np.ndarray | None = None
     coefficients: np.ndarray | None = None
-    intercepts: np.ndarray | None = None
     residual_variance: np.ndarray | None = None
     lag1_residual_autocorr: np.ndarray | None = None
     noise_intensity: np.ndarray | None = None
@@ -179,8 +178,7 @@ def build_covariance_set(panel: TimeSeriesPanel, k: int = 1) -> CovarianceSet:
     n_eff = _window(panel, k)
     d = panel.d
     Z = _stack(panel, k, n_eff)
-    means = Z.mean(axis=1)
-    Z -= means[:, None]
+    Z -= Z.mean(axis=1)[:, None]
 
     moments = (Z[:d] @ Z.T) / (n_eff - 1)
     C = 0.5 * (moments[:, :d] + moments[:, :d].T)
@@ -206,7 +204,6 @@ def build_covariance_set(panel: TimeSeriesPanel, k: int = 1) -> CovarianceSet:
         near_singular=False,
         inverse=inverse,
         coefficients=B,
-        intercepts=means[d:] - B.T @ means[:d],
         residual_variance=residual_variance,
         lag1_residual_autocorr=lag1,
         noise_intensity=k * panel.dt * residual_variance,

@@ -19,11 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import build_covariance_set
+from .covariance import CovarianceSet, build_covariance_set
 from .errors import SingularCovarianceError
 from .panel import TimeSeriesPanel
 from .significance import (
-    SERIAL_CORRELATION_LIMIT,
     _require_method,
     _require_surrogates,
     _resolve_pairs,
@@ -34,7 +33,8 @@ from .significance import (
 
 @dataclass(frozen=True)
 class FlowEstimate:
-    """One directed flow rate with whatever uncertainty has been attached."""
+    """One directed flow rate with its inference: the element type of the
+    read-only ``FlowMatrix.flows`` and ``WindowedFlowSeries.flows`` views."""
 
     value: float
     source: int
@@ -48,54 +48,75 @@ class FlowEstimate:
     z_score: float | None = None
 
 
-@dataclass(frozen=True)
-class SelfInfluenceEstimate:
-    """Rate at which a component's own dynamics move its marginal entropy,
-    with whatever uncertainty has been attached.
+def _nan_to_none(values: list) -> list:
+    return [None if x != x else x for x in values]
 
-    ``lag1_residual_autocorr`` describes the residuals of the target's fit,
-    which every flow into the target shares.
-    """
 
-    value: float
-    target: int
-    k: int
-    n_eff: int
-    stderr: float | None = None
-    p_value_asymptotic: float | None = None
-    z_score: float | None = None
-    lag1_residual_autocorr: float | None = None
-
-    @property
-    def serial_correlation_flag(self) -> bool:
-        r = self.lag1_residual_autocorr
-        return r is not None and abs(r) > SERIAL_CORRELATION_LIMIT
+def _estimates(pairs, k: int, n_eff: int, value, stderr, z, p, p_surrogate, normalized) -> list[FlowEstimate]:
+    """The ``FlowEstimate`` of each (source, target) of ``pairs`` from 1-D
+    arrays aligned with it; a NaN entry, or an array that is None, gives None."""
+    fields = [[None] * len(value) if a is None else _nan_to_none(a.tolist())
+              for a in (value, stderr, z, p, p_surrogate, normalized)]
+    return [FlowEstimate(value=v, source=j, target=i, k=k, n_eff=n_eff, stderr=se, p_value_asymptotic=pv,
+                         p_value_surrogate=ps, normalized=nz, z_score=zs)
+            for (j, i), v, se, zs, pv, ps, nz in zip(pairs, *fields)]
 
 
 @dataclass(frozen=True, eq=False)
 class FlowMatrix:
-    """All pairwise flows of a panel plus per-target self influences.
+    """All pairwise flows of a panel, with each self influence on the diagonal.
 
-    ``flows[i][j]`` is the estimate for j -> i (None on the diagonal and
-    for pairs not estimated); ``self_influence[i]`` is target i's self
-    influence with its inference and the residual autocorrelation of its fit.
+    ``value``, ``stderr``, ``z`` and ``p_asymptotic`` are d x d arrays in the
+    [target, source] layout of ``CovarianceSet.flows``: entry [i, j] is the
+    flow j -> i and [i, i] the self influence of target i. ``estimated``
+    marks the off-diagonal pairs asked for. ``p_surrogate`` is NaN outside
+    ``estimated``, and None when no surrogates were drawn; ``normalized`` is
+    NaN where the normalizer is 0, and None unless asked for.
+    ``lag1_residual_autocorr[i]`` describes the residuals of target i's fit,
+    which every flow into i shares.
     """
 
     labels: tuple[str, ...]
-    flows: tuple
-    self_influence: tuple
+    value: np.ndarray
+    stderr: np.ndarray
+    z: np.ndarray
+    p_asymptotic: np.ndarray
+    estimated: np.ndarray
+    lag1_residual_autocorr: np.ndarray
     k: int
     dt: float
     n_eff: int
+    p_surrogate: np.ndarray | None = None
+    normalized: np.ndarray | None = None
 
     @property
     def d(self) -> int:
         return len(self.labels)
 
+    @property
+    def flows(self) -> tuple:
+        """Read-only view kept only for ``bench/``: ``flows[i][j]`` is the
+        ``FlowEstimate`` of j -> i, None on the diagonal and for pairs not
+        estimated. Built from the arrays on every access."""
+        estimates = self.iter_flows()  # in the row-major order of ``estimated``
+        return tuple(tuple(next(estimates) if wanted else None for wanted in row) for row in self.estimated.tolist())
+
     def iter_flows(self):
-        """The estimated flows, target by target."""
-        for row in self.flows:
-            yield from (est for est in row if est is not None)
+        """The estimated flows of the ``flows`` view, target by target; kept
+        only for ``bench/``."""
+        targets, sources = np.nonzero(self.estimated)
+        arrays = (self.value, self.stderr, self.z, self.p_asymptotic, self.p_surrogate, self.normalized)
+        return iter(_estimates(zip(sources.tolist(), targets.tolist()), self.k, self.n_eff,
+                               *(None if a is None else a[self.estimated] for a in arrays)))
+
+
+def read_off(cov: CovarianceSet, at=()) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``cov.flows`` and the stderr, z and p of ``asymptotic_inference(cov)``,
+    each indexed by ``at``: the d x d arrays of one core by default, or any
+    selection of a stack of window cores. Every report reads its flows and
+    their inference through here."""
+    stderr, z, p = asymptotic_inference(cov)
+    return tuple(a[at] for a in (cov.flows, stderr, z, p))
 
 
 def estimate_flow_matrix(
@@ -110,19 +131,20 @@ def estimate_flow_matrix(
 ) -> FlowMatrix:
     """Estimate ordered pairs plus all self influences in one pass.
 
-    ``pairs`` lists the (source, target) index pairs to estimate, all
-    ordered pairs by default; the flows of the others are None. Asymptotic
-    significance is always attached; surrogate p values are added when
+    ``pairs`` lists the (source, target) index pairs to mark ``estimated``,
+    all ordered pairs by default. Asymptotic inference covers every entry;
+    surrogate p values are added for the estimated pairs when
     ``surrogates`` >= 19, each pair drawing from its own child of ``seed``
-    (an int, None or a SeedSequence; ``significance._surrogate_p_values``). With ``normalize``, a flow
-    is divided by |flow| + |self influence| + |noise intensity / (2 C_ii)|
-    of its target; a zero normalizer leaves ``normalized`` None. Every
-    number is read off the one moment core (``cov.flows`` and
-    ``asymptotic_inference``) and only packed here. This is the one place
-    that attaches inference to a flow.
+    (an int, None or a SeedSequence; ``significance._surrogate_p_values``).
+    With ``normalize``, a flow is divided by |flow| + |self influence| +
+    |noise intensity / (2 C_ii)| of its target. Every number is read off the
+    one moment core (``read_off``); this is the one place that attaches
+    inference to a flow.
     """
     d = panel.d
-    wanted = None if pairs is None else set(_resolve_pairs(pairs, d))  # None: every ordered pair
+    estimated = np.zeros((d, d), dtype=bool)
+    for j, i in _resolve_pairs(pairs, d):
+        estimated[i, j] = True
     if surrogates:
         _require_surrogates(surrogates)
         _require_method(surrogate_method)
@@ -132,55 +154,19 @@ def estimate_flow_matrix(
             "covariance matrix is singular or near-singular"
             f" (correlation det={cov.det_corr:.3e}); refusing to estimate"
         )
-    estimated = [(j, i) for i in range(d) for j in range(d)
-                 if j != i and (wanted is None or (j, i) in wanted)]
     p_surrogate = None
     if surrogates:
-        p_surrogate = [_surrogate_p_values(cov, estimated, n_surrogates=surrogates, seed=seed,
-                                           method=surrogate_method)]
-    stderr, z, p = asymptotic_inference(cov)
+        targets, sources = np.nonzero(estimated)
+        p_surrogate = np.full((d, d), np.nan)
+        p_surrogate[estimated] = _surrogate_p_values(cov, list(zip(sources.tolist(), targets.tolist())),
+                                                     n_surrogates=surrogates, seed=seed, method=surrogate_method)
     normalized = None
     if normalize:
         noise = np.abs(cov.noise_intensity / (2.0 * np.diag(cov.matrix)))
         total = np.abs(cov.flows) + np.abs(np.diag(cov.flows))[:, None] + noise[:, None]
-        nonzero = total != 0.0
-        ratio = np.divide(cov.flows, total, out=np.zeros((d, d)), where=nonzero)
-        normalized = [np.where(nonzero, ratio, None).tolist()]
-    k, n_eff = int(k), cov.n_eff
-    values, stderr, z, p = (a.tolist() for a in (cov.flows, stderr, z, p))
-    rows = [[None] * d for _ in range(d)]
-    for est in pack_flows(estimated, k, n_eff, [values], [stderr], [z], [p],
-                          normalized=normalized, p_surrogate=p_surrogate)[0]:
-        rows[est.target][est.source] = est
-    selfs = tuple([
-        SelfInfluenceEstimate(value=values[i][i], target=i, k=k, n_eff=n_eff, stderr=stderr[i][i],
-                              p_value_asymptotic=p[i][i], z_score=z[i][i], lag1_residual_autocorr=lag1)
-        for i, lag1 in enumerate(cov.lag1_residual_autocorr.tolist())
-    ])
-    return FlowMatrix(
-        labels=panel.labels,
-        flows=tuple(map(tuple, rows)),
-        self_influence=selfs,
-        k=k,
-        dt=panel.dt,
-        n_eff=n_eff,
-    )
-
-
-def pack_flows(pairs, k: int, n_eff: int, values, stderr, z, p, *, normalized=None,
-               p_surrogate=None) -> list[list[FlowEstimate]]:
-    """The ``FlowEstimate`` of each (source, target) in ``pairs``, for each
-    core of a stack: ``values``, ``stderr``, ``z``, ``p`` and the optional
-    ``normalized`` are W x d x d nested lists (``ndarray.tolist``) in the
-    [target, source] layout of ``CovarianceSet.flows``, and ``p_surrogate``
-    is W lists aligned with ``pairs``. Returns W lists aligned with
-    ``pairs``."""
-    return [
-        [FlowEstimate(value=value[i][j], source=j, target=i, k=k, n_eff=n_eff, stderr=se[i][j],
-                      p_value_asymptotic=pv[i][j],
-                      p_value_surrogate=None if p_surrogate is None else p_surrogate[w][c],
-                      normalized=None if normalized is None else normalized[w][i][j],
-                      z_score=zs[i][j])
-         for c, (j, i) in enumerate(pairs)]
-        for w, (value, se, zs, pv) in enumerate(zip(values, stderr, z, p))
-    ]
+        normalized = np.divide(cov.flows, total, out=np.full((d, d), np.nan), where=total != 0.0)
+    value, stderr, z, p = read_off(cov)
+    return FlowMatrix(labels=panel.labels, value=value, stderr=stderr, z=z, p_asymptotic=p,
+                      estimated=estimated, lag1_residual_autocorr=cov.lag1_residual_autocorr,
+                      k=int(k), dt=panel.dt, n_eff=cov.n_eff, p_surrogate=p_surrogate,
+                      normalized=normalized)

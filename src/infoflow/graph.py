@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .estimator import FlowMatrix
+from .estimator import FlowMatrix, _nan_to_none
 
 GRAPH_SCHEMA = "infoflow-graph/1"
 
@@ -52,15 +52,13 @@ class CausalGraph:
 
 
 def _bh_adjust(ps: np.ndarray) -> np.ndarray:
-    """Benjamini-Hochberg step-up adjusted p values."""
+    """Benjamini-Hochberg step-up adjusted p values: the smallest p * m / rank
+    over each p's own rank and every rank above it, capped at 1."""
     m = len(ps)
     order = np.argsort(ps, kind="stable")
     adjusted = np.empty(m)
-    running = 1.0
-    for rank in range(m, 0, -1):
-        idx = order[rank - 1]
-        running = min(running, ps[idx] * m / rank)
-        adjusted[idx] = running
+    scaled = ps[order] * m / np.arange(1, m + 1)
+    adjusted[order] = np.minimum(np.minimum.accumulate(scaled[::-1])[::-1], 1.0)
     return adjusted
 
 
@@ -81,61 +79,52 @@ def reconstruct_graph(
 ) -> CausalGraph:
     """Keep the edges whose corrected p value is at most alpha.
 
-    The edge p value is the surrogate one when present, the asymptotic one
-    otherwise; the correction spans the d(d-1) directed-pair family. Self
-    loops are gated by their own (uncorrected) asymptotic p value.
+    The edge p value is the surrogate one where present, the asymptotic one
+    otherwise; the correction spans the d(d-1) directed-pair family, the
+    off-diagonal entries of the matrix. Self loops are gated by their own
+    (uncorrected) asymptotic p value.
     """
     if not 0.0 <= alpha <= 1.0:
         raise UsageError(f"alpha must lie in [0, 1], got {alpha}")
     if correction not in CORRECTIONS:
         raise UsageError(f"unknown correction {correction!r}; choose from {CORRECTIONS}")
-    d = matrix.d
-    if len(matrix.flows) != d or any(len(row) != d for row in matrix.flows):
+    d, labels = matrix.d, matrix.labels
+    arrays = (matrix.value, matrix.p_asymptotic, matrix.estimated, matrix.p_surrogate, matrix.normalized)
+    if any(a is not None and np.shape(a) != (d, d) for a in arrays):
         raise UsageError("flow matrix shape does not match its labels")
-    if len(matrix.self_influence) != d:
-        raise UsageError("self-influence entries do not cover every node")
 
-    flows = list(matrix.iter_flows())
-    if len(flows) != d * (d - 1):
+    off = ~np.eye(d, dtype=bool)
+    estimated = matrix.estimated[off]
+    if not estimated.all():
         raise UsageError(
-            f"flow matrix must cover all {d * (d - 1)} ordered pairs, not {len(flows)};"
+            f"flow matrix must cover all {d * (d - 1)} ordered pairs, not {estimated.sum()};"
             " the correction spans that family"
         )
-    ps = []
-    for est in flows:
-        p = est.p_value_surrogate if est.p_value_surrogate is not None else est.p_value_asymptotic
-        if p is None:
-            raise UsageError(
-                f"flow {est.source}->{est.target} carries no p value; attach significance first"
-            )
-        ps.append(p)
-    corrected = _corrected(np.asarray(ps), correction)
+    ps = matrix.p_asymptotic[off]
+    if matrix.p_surrogate is not None:
+        ps = np.where(np.isnan(matrix.p_surrogate[off]), ps, matrix.p_surrogate[off])
+    targets, sources = (a.tolist() for a in np.nonzero(off))
+    if np.isnan(ps).any():
+        c = np.isnan(ps).argmax()  # the first flow without one
+        raise UsageError(f"flow {sources[c]}->{targets[c]} carries no p value; attach significance first")
+    corrected = _corrected(ps, correction).tolist()
+    normalized = [None] * len(ps) if matrix.normalized is None else _nan_to_none(matrix.normalized[off].tolist())
 
-    edges = []
-    for est, p in zip(flows, corrected):
-        if p <= alpha:
-            edges.append(
-                GraphEdge(
-                    source=matrix.labels[est.source],
-                    target=matrix.labels[est.target],
-                    flow=est.value,
-                    normalized=est.normalized,
-                    p=float(p),
-                )
-            )
+    edges = [
+        GraphEdge(source=labels[j], target=labels[i], flow=flow, normalized=norm, p=p)
+        for j, i, flow, norm, p in zip(sources, targets, matrix.value[off].tolist(), normalized, corrected)
+        if p <= alpha
+    ]
     edges.sort(key=lambda e: (e.source, e.target))
-
-    self_loops = []
-    for est in matrix.self_influence:
-        p = est.p_value_asymptotic
-        included = est.value != 0.0 and p is not None and p <= alpha
-        self_loops.append(
-            SelfLoop(node=matrix.labels[est.target], value=est.value, p=p, included=included)
-        )
+    self_loops = [
+        SelfLoop(node=node, value=value, p=p, included=value != 0.0 and p is not None and p <= alpha)
+        for node, value, p in zip(labels, np.diag(matrix.value).tolist(),
+                                  _nan_to_none(np.diag(matrix.p_asymptotic).tolist()))
+    ]
     self_loops.sort(key=lambda s: s.node)
 
     return CausalGraph(
-        nodes=matrix.labels,
+        nodes=labels,
         edges=tuple(edges),
         self_loops=tuple(self_loops),
         alpha=float(alpha),

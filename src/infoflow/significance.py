@@ -111,7 +111,10 @@ def _require_method(method: str) -> None:
 
 
 def _resolve_pairs(pairs, d: int) -> list[tuple[int, int]]:
-    """(source, target) ``pairs`` with negative indices mapped into range(d)."""
+    """(source, target) ``pairs`` with negative indices mapped into range(d);
+    every ordered pair when ``pairs`` is None."""
+    if pairs is None:
+        return [(j, i) for i in range(d) for j in range(d) if i != j]
     # range() maps negative indices and raises IndexError out of range
     resolved = [(range(d)[j], range(d)[i]) for j, i in pairs]
     if any(j == i for j, i in resolved):

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .covariance import build_covariance_set, window_cores
 from .errors import InsufficientDataError, UsageError
-from .estimator import pack_flows
+from .estimator import _estimates, read_off
 from .panel import TimeSeriesPanel
 from .significance import (
     _require_method,
@@ -14,30 +16,50 @@ from .significance import (
     _resolve_pairs,
     _spawn_seeds,
     _surrogate_p_values,
-    asymptotic_inference,
 )
 
 
 @dataclass(frozen=True, eq=False)
 class WindowedFlowSeries:
-    """Per-window flow estimates for selected ordered pairs.
+    """Per-window flow estimates for selected ordered pairs of ``labels``.
 
-    ``flows[(source_label, target_label)]`` is a tuple aligned with
-    ``centers``; entries are None where a window failed the sample-count
-    precondition or had singular covariance (absent, not an error).
+    ``value``, ``stderr``, ``z``, ``p_asymptotic`` and ``p_surrogate`` (None
+    when no surrogates were drawn) are W x P arrays: row w is the window
+    centred at ``centers[w]`` and column c is ``pairs[c]``, a (source label,
+    target label) pair. ``valid`` marks the windows that were estimated; a
+    window that failed the sample-count precondition or had singular
+    covariance is NaN in every array (absent, not an error).
     """
 
     window_length: int
     step: int
     centers: tuple[float, ...]
+    labels: tuple[str, ...]
     pairs: tuple[tuple[str, str], ...]
-    flows: dict
+    value: np.ndarray
+    stderr: np.ndarray
+    z: np.ndarray
+    p_asymptotic: np.ndarray
+    valid: np.ndarray
     k: int
     dt: float
+    p_surrogate: np.ndarray | None = None
 
     @property
     def n_windows(self) -> int:
         return len(self.centers)
+
+    @property
+    def flows(self) -> dict:
+        """Read-only view kept only for ``bench/``: ``flows[pair]`` is a tuple
+        aligned with ``centers`` of the pair's ``FlowEstimate``, None where a
+        window is missing. Built from the arrays on every access."""
+        pairs = [(self.labels.index(s), self.labels.index(t)) for s, t in self.pairs]
+        arrays = (self.value, self.stderr, self.z, self.p_asymptotic, self.p_surrogate)
+        rows = [_estimates(pairs, self.k, self.window_length - self.k,
+                           *(None if a is None else a[w] for a in arrays), None)
+                if valid else [None] * len(pairs) for w, valid in enumerate(self.valid.tolist())]
+        return {pair: tuple(row[c] for row in rows) for c, pair in enumerate(self.pairs)}
 
 
 def window_starts(n: int, window_length: int, step: int) -> list[int]:
@@ -68,53 +90,47 @@ def windowed_flows(
     the ``estimate_flow_matrix`` of its sub-panel restricted to ``pairs``,
     seeded with child w of ``seed``, up to round-off: every window's core is
     merged from one pass of segment moments and read off with the matrix's
-    own array functions (``covariance.window_cores``). A window that draws
+    own ``read_off`` (``covariance.window_cores``). A window that draws
     surrogates draws them on its sub-panel's own core, so its surrogate
     p values are the matrix's exactly. A window with too few samples or a
-    singular covariance gives None for every pair.
+    singular covariance is missing from ``valid`` and NaN for every pair.
     """
     starts = window_starts(panel.n, window_length, step)
-    d = panel.d
-    if pairs is None:
-        pairs = [(j, i) for i in range(d) for j in range(d) if i != j]
     seeds = _spawn_seeds(seed, len(starts)) if surrogates else None
-    resolved = _resolve_pairs(pairs, d)
+    resolved = _resolve_pairs(pairs, panel.d)
     if surrogates:
         _require_surrogates(surrogates)
         _require_method(surrogate_method)
 
-    window_rows = [[None] * len(pairs)] * len(starts)
+    # value, stderr, z, p_asymptotic and, with surrogates, p_surrogate
+    arrays = np.full((5 if surrogates else 4, len(starts), len(resolved)), np.nan)
+    valid = np.zeros(len(starts), dtype=bool)
     try:
         cores = window_cores(panel, k, window_length, step, len(starts))
     except InsufficientDataError:  # every window is equally short
         cores = None
     if cores is not None:
-        stderr, z, p = asymptotic_inference(cores)
-        windows = cores.windows.tolist()
-        p_surrogate = None
+        valid[cores.windows] = True
+        arrays[:4, cores.windows] = read_off(cores, (slice(None), [i for _, i in resolved],
+                                                     [j for j, _ in resolved]))
         if surrogates:  # on each window's own core, as its sub-panel's matrix draws them
-            p_surrogate = [
-                _surrogate_p_values(build_covariance_set(panel.window(starts[w], window_length), k),
-                                    resolved, n_surrogates=surrogates, seed=seeds[w],
-                                    method=surrogate_method)
-                for w in windows
-            ]
-        packed = pack_flows(resolved, int(k), cores.n_eff,
-                            *(a.tolist() for a in (cores.flows, stderr, z, p)), p_surrogate=p_surrogate)
-        for w, row in zip(windows, packed):
-            window_rows[w] = row
+            for w in cores.windows.tolist():
+                arrays[4, w] = _surrogate_p_values(
+                    build_covariance_set(panel.window(starts[w], window_length), k), resolved,
+                    n_surrogates=surrogates, seed=seeds[w], method=surrogate_method)
 
-    label_pairs = tuple((panel.labels[j], panel.labels[i]) for j, i in resolved)
-    flows = {
-        pair: tuple(row[p] for row in window_rows) for p, pair in enumerate(label_pairs)
-    }
-    centers = tuple((start + (window_length - 1) / 2.0) * panel.dt for start in starts)
     return WindowedFlowSeries(
         window_length=int(window_length),
         step=int(step),
-        centers=centers,
-        pairs=label_pairs,
-        flows=flows,
+        centers=tuple((start + (window_length - 1) / 2.0) * panel.dt for start in starts),
+        labels=panel.labels,
+        pairs=tuple((panel.labels[j], panel.labels[i]) for j, i in resolved),
+        value=arrays[0],
+        stderr=arrays[1],
+        z=arrays[2],
+        p_asymptotic=arrays[3],
+        valid=valid,
         k=int(k),
         dt=panel.dt,
+        p_surrogate=arrays[4] if surrogates else None,
     )

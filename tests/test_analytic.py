@@ -10,6 +10,7 @@ from infoflow import (
 )
 from infoflow.errors import (
     ConditioningWarning,
+    DataError,
     DegenerateComponentError,
     InvalidTransformError,
     NonStationaryError,
@@ -185,6 +186,17 @@ def test_load_system_from_json_text_and_file(tmp_path):
     path.write_text(text)
     sys2 = load_system(path)
     assert np.array_equal(sys2.B, np.eye(2))
+
+
+def test_load_system_malformed_text_and_file_raise_the_same_error(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text("{bad")
+    messages = []
+    for source in ("{bad", path):
+        with pytest.raises(DataError, match="^invalid system JSON: ") as caught:
+            load_system(source)
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
 
 
 def test_load_system_missing_field(tmp_path):

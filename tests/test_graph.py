@@ -1,12 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from infoflow import (
-    FlowEstimate,
     FlowMatrix,
-    SelfInfluenceEstimate,
     benchmark,
     estimate_flow_matrix,
     export_graph,
@@ -18,40 +17,29 @@ from infoflow.graph import _bh_adjust
 
 
 def toy_matrix(p_values, labels=("a", "b"), self_p=(1.0, 1.0), normalized=None):
-    """Hand-built 2-node flow matrix; p_values keyed by (source, target)."""
+    """Hand-built flow matrix; p_values keyed by (source, target), None for
+    a missing p value. Only the self influences carry a stderr and z."""
     d = len(labels)
-    flows = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            if i == j:
-                row.append(None)
-                continue
-            norm = None if normalized is None else normalized[(j, i)]
-            row.append(
-                FlowEstimate(
-                    value=0.1 * (j + 1) + 0.01 * i,
-                    source=j,
-                    target=i,
-                    k=1,
-                    n_eff=500,
-                    p_value_asymptotic=p_values[(j, i)],
-                    normalized=norm,
-                )
-            )
-        flows.append(tuple(row))
-    selfs = tuple(
-        SelfInfluenceEstimate(value=-1.0 - i, target=i, k=1, n_eff=500,
-                              stderr=0.1, z_score=-5.0, p_value_asymptotic=self_p[i])
-        for i in range(d)
-    )
+    off = ~np.eye(d, dtype=bool)
+    value = np.array([[-1.0 - i if i == j else 0.1 * (j + 1) + 0.01 * i for j in range(d)] for i in range(d)])
+    p = np.diag(np.asarray(self_p, dtype=float))
+    norm = None if normalized is None else np.full((d, d), np.nan)
+    for (j, i), pv in p_values.items():
+        p[i, j] = np.nan if pv is None else pv
+        if normalized is not None:
+            norm[i, j] = normalized[(j, i)]
     return FlowMatrix(
         labels=tuple(labels),
-        flows=tuple(flows),
-        self_influence=selfs,
+        value=value,
+        stderr=np.where(off, np.nan, 0.1),
+        z=np.where(off, np.nan, -5.0),
+        p_asymptotic=p,
+        estimated=off,
+        lag1_residual_autocorr=np.full(d, np.nan),
         k=1,
         dt=0.5,
         n_eff=500,
+        normalized=norm,
     )
 
 
@@ -139,6 +127,29 @@ def test_benjamini_hochberg_hand_example():
     assert adjusted == pytest.approx([0.04, 0.04, 0.04 * 4 / 3, 0.5])
 
 
+def bh_step_up_loop(ps):
+    """Benjamini-Hochberg by the explicit step-up loop: the oracle of the
+    vectorised ``_bh_adjust``."""
+    m = len(ps)
+    order = np.argsort(ps, kind="stable")
+    adjusted = np.empty(m)
+    running = 1.0
+    for rank in range(m, 0, -1):
+        idx = order[rank - 1]
+        running = min(running, ps[idx] * m / rank)
+        adjusted[idx] = running
+    return adjusted
+
+
+def test_bh_adjust_matches_step_up_loop():
+    rng = np.random.default_rng(12)
+    for m in range(1, 51):
+        # draws from a pool of about m/2 values, so most families hold ties
+        pool = np.concatenate([rng.uniform(0.0, 1.0, max(1, m // 2)), [0.0, 1.0]])
+        ps = rng.choice(pool, m)
+        assert np.array_equal(_bh_adjust(ps), bh_step_up_loop(ps)), m
+
+
 def test_bh_correction_in_graph():
     ps = {(0, 1): 0.01, (1, 0): 0.04, (0, 2): 0.02, (2, 0): 0.5, (1, 2): 0.9, (2, 1): 0.7}
     m = toy_matrix(ps, labels=("a", "b", "c"), self_p=(1.0, 1.0, 1.0))
@@ -177,14 +188,7 @@ def test_missing_p_values_rejected():
 
 def test_mismatched_dimensions_rejected():
     m = toy_matrix({(0, 1): 0.5, (1, 0): 0.5})
-    bad = FlowMatrix(
-        labels=("a", "b", "c"),
-        flows=m.flows,
-        self_influence=m.self_influence,
-        k=1,
-        dt=0.5,
-        n_eff=500,
-    )
+    bad = dataclasses.replace(m, labels=("a", "b", "c"))
     with pytest.raises(UsageError):
         reconstruct_graph(bad)
 
@@ -199,25 +203,10 @@ def test_invalid_alpha_and_correction_rejected():
 
 def test_surrogate_p_preferred_when_present():
     m = toy_matrix({(0, 1): 1.0, (1, 0): 1.0})
-    flows = list(list(row) for row in m.flows)
+    value, p, p_surrogate = m.value.copy(), m.p_asymptotic.copy(), np.full((2, 2), np.nan)
     # asymptotic insignificant but surrogate significant: edge appears
-    flows[0][1] = FlowEstimate(
-        value=0.2,
-        source=1,
-        target=0,
-        k=1,
-        n_eff=500,
-        p_value_asymptotic=0.9,
-        p_value_surrogate=0.005,
-    )
-    m2 = FlowMatrix(
-        labels=m.labels,
-        flows=tuple(tuple(r) for r in flows),
-        self_influence=m.self_influence,
-        k=1,
-        dt=0.5,
-        n_eff=500,
-    )
+    value[0, 1], p[0, 1], p_surrogate[0, 1] = 0.2, 0.9, 0.005
+    m2 = dataclasses.replace(m, value=value, p_asymptotic=p, p_surrogate=p_surrogate)
     g = reconstruct_graph(m2, alpha=0.05)
     assert [(e.source, e.target) for e in g.edges] == [("b", "a")]
     assert g.edges[0].p == 0.005

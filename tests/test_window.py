@@ -26,7 +26,7 @@ def test_window_count_arithmetic():
     panel = TimeSeriesPanel(("a", "b"), make_rng(0).standard_normal((2, 1000)))
     res = windowed_flows(panel, 200, 100, pairs=[(0, 1)])
     assert res.n_windows == 9  # floor((1000-200)/100) + 1
-    assert len(res.flows[("a", "b")]) == 9
+    assert res.value.shape == (9, 1)
 
 
 def test_centers_strictly_increasing_and_scaled_by_dt():
@@ -41,8 +41,7 @@ def test_degenerate_single_window_equals_plain_estimate():
     b = benchmark("one_way_2d", None, n=2000, seed=3)
     res = windowed_flows(b.panel, b.panel.n, b.panel.n, pairs=[(1, 0)])
     assert res.n_windows == 1
-    est = res.flows[("y", "x")][0]
-    assert est.value == build_covariance_set(b.panel, 1).flows[0, 1]
+    assert res.value[0, 0] == build_covariance_set(b.panel, 1).flows[0, 1]
 
 
 def test_all_pairs_by_default():
@@ -68,33 +67,29 @@ def test_singular_window_reported_absent_not_error():
     b = np.concatenate([np.zeros(200), rng.standard_normal(200)])
     panel = TimeSeriesPanel(("a", "b"), np.vstack([a, b]))
     res = windowed_flows(panel, 100, 100, pairs=[(1, 0)])
-    series = res.flows[("b", "a")]
-    assert series[0] is None and series[1] is None
-    assert series[2] is not None and series[3] is not None
+    assert res.valid.tolist() == [False, False, True, True]
 
 
 def test_windows_with_surrogates_are_seeded():
     b = benchmark("one_way_2d", None, n=3000, seed=5)
     r1 = windowed_flows(b.panel, 1000, 1000, pairs=[(1, 0)], surrogates=19, seed=7)
     r2 = windowed_flows(b.panel, 1000, 1000, pairs=[(1, 0)], surrogates=19, seed=7)
-    p1 = [e.p_value_surrogate for e in r1.flows[("y", "x")]]
-    p2 = [e.p_value_surrogate for e in r2.flows[("y", "x")]]
-    assert p1 == p2
-    assert all(p is not None for p in p1)
+    assert r1.p_surrogate.tolist() == r2.p_surrogate.tolist()
+    assert not np.isnan(r1.p_surrogate).any()
 
 
 def test_same_seed_repeats_overlapping_windows():
     b = benchmark("one_way_2d", None, n=4000, seed=6)
     first = windowed_flows(b.panel, 1000, 500, pairs=[(1, 0)], surrogates=19, seed=1)
     again = windowed_flows(b.panel, 1000, 500, pairs=[(1, 0)], surrogates=19, seed=1)
-    for a, b_ in zip(first.flows[("y", "x")], again.flows[("y", "x")]):
-        assert a.value == b_.value and a.p_value_surrogate == b_.p_value_surrogate
+    assert first.value.tolist() == again.value.tolist()
+    assert first.p_surrogate.tolist() == again.p_surrogate.tolist()
 
 
 def test_regime_switch_from_insignificant_to_significant():
     panel, switch = regime_switch_panel(20_000, 10_000, coupling=2.0, dt=0.01, seed=1)
     res = windowed_flows(panel, 4000, 2000, pairs=[(1, 0)])
-    ps = [e.p_value_asymptotic for e in res.flows[("y", "x")]]
+    ps = res.p_asymptotic[:, 0].tolist()
     starts = range(0, 20_000 - 4000 + 1, 2000)
     pre = [p for s, p in zip(starts, ps) if s + 4000 <= switch]
     post = [p for s, p in zip(starts, ps) if s >= switch]
@@ -102,19 +97,26 @@ def test_regime_switch_from_insignificant_to_significant():
     assert max(post) < 1e-6
 
 
-def assert_flow_parity(got, want):
-    """A window's flow against its sub-panel matrix's: value and stderr within
-    1e-12 stderr, z and p within 1e-12, every other field exactly equal."""
-    assert (got is None) == (want is None)
-    if got is None:
+def assert_flow_parity(res, w, c, sub, j, i):
+    """Entry [w, c] of a window series against the flow j -> i of window w's
+    sub-panel matrix ``sub`` (None where it has none, and then NaN in every
+    array): value and stderr within 1e-12 stderr, z and p within 1e-12,
+    pair, k, n_eff and surrogate p exactly equal."""
+    got = [a[w, c] for a in (res.value, res.stderr, res.z, res.p_asymptotic)]
+    assert res.valid[w] == (sub is not None)
+    if sub is None:
+        assert np.isnan(got).all()
         return
-    for field in ("source", "target", "k", "n_eff", "p_value_surrogate", "normalized"):
-        assert getattr(got, field) == getattr(want, field), field
-    scale = 1e-12 * want.stderr
-    assert abs(got.value - want.value) <= scale
-    assert abs(got.stderr - want.stderr) <= scale
-    for field in ("z_score", "p_value_asymptotic"):
-        a, b = getattr(got, field), getattr(want, field)
+    assert res.pairs[c] == (sub.labels[j], sub.labels[i])
+    assert (res.k, res.window_length - res.k) == (sub.k, sub.n_eff)
+    assert (res.p_surrogate is None) == (sub.p_surrogate is None)
+    if sub.p_surrogate is not None:
+        assert res.p_surrogate[w, c] == sub.p_surrogate[i, j]
+    value, stderr, z, p = got
+    scale = 1e-12 * sub.stderr[i, j]
+    assert abs(value - sub.value[i, j]) <= scale
+    assert abs(stderr - sub.stderr[i, j]) <= scale
+    for field, a, b in (("z", z, sub.z[i, j]), ("p", p, sub.p_asymptotic[i, j])):
         assert a == b or abs(a - b) <= 1e-12, field
 
 
@@ -126,8 +128,8 @@ def test_window_entries_equal_seeded_matrix_of_sub_panel():
     for w, start in enumerate(range(0, 4000 - 1500 + 1, 1000)):
         sub = estimate_flow_matrix(b.panel.window(start, 1500), pairs=pairs, surrogates=19,
                                    seed=children[w])
-        for (j, i), key in zip(pairs, res.pairs):
-            assert_flow_parity(res.flows[key][w], sub.flows[i][j])
+        for c, (j, i) in enumerate(pairs):
+            assert_flow_parity(res, w, c, sub, j, i)
 
 
 def test_surrogate_count_checked_when_every_window_is_short():
@@ -136,26 +138,24 @@ def test_surrogate_count_checked_when_every_window_is_short():
         windowed_flows(panel, 4, 100, surrogates=5, seed=1)
 
 
-def sub_panel_flows(panel, window_length, step, pairs, k=1):
-    """Per window, the flows of ``pairs`` of its sub-panel's matrix, or None."""
+def sub_panel_matrices(panel, window_length, step, pairs, k=1):
+    """Per window, its sub-panel's matrix restricted to ``pairs``, or None."""
     out = []
     for start in range(0, panel.n - window_length + 1, step):
         try:
-            sub = estimate_flow_matrix(panel.window(start, window_length), k, pairs=pairs)
+            out.append(estimate_flow_matrix(panel.window(start, window_length), k, pairs=pairs))
         except (InsufficientDataError, SingularCovarianceError):
-            out.append([None] * len(pairs))
-            continue
-        out.append([sub.flows[i][j] for j, i in pairs])
+            out.append(None)
     return out
 
 
 def assert_windows_match_sub_panels(panel, window_length, step, pairs, k=1):
     res = windowed_flows(panel, window_length, step, pairs=pairs, k=k)
-    want = sub_panel_flows(panel, window_length, step, pairs, k)
+    want = sub_panel_matrices(panel, window_length, step, pairs, k)
     assert res.n_windows == len(want)
-    for w, row in enumerate(want):
-        for key, expected in zip(res.pairs, row):
-            assert_flow_parity(res.flows[key][w], expected)
+    for w, sub in enumerate(want):
+        for c, (j, i) in enumerate(pairs):
+            assert_flow_parity(res, w, c, sub, j, i)
     return res
 
 
@@ -191,7 +191,7 @@ def test_singular_windows_are_none_among_good_ones():
     b = np.concatenate([np.zeros(250), rng.standard_normal(350)])
     panel = TimeSeriesPanel(("a", "b"), np.vstack([a, b]))
     res = assert_windows_match_sub_panels(panel, 100, 30, [(1, 0), (0, 1)])
-    missing = [est is None for est in res.flows[("b", "a")]]
+    missing = (~res.valid).tolist()
     assert missing == [start + 100 <= 251 for start in range(0, 501, 30)]
 
 
@@ -210,16 +210,16 @@ def test_perfect_fit_window_warns_and_matches_its_sub_panel():
         res = windowed_flows(panel, 100, 50, pairs=[(1, 0)])
     assert (caught[0].filename, caught[0].lineno) == (__file__, line)
     with pytest.warns(DegenerateInferenceWarning):
-        want = sub_panel_flows(panel, 100, 50, [(1, 0)])
+        want = sub_panel_matrices(panel, 100, 50, [(1, 0)])
     perfect = 0
-    for got, (expected,) in zip(res.flows[("x2", "x1")], want):
-        if expected.stderr == 0.0:
+    for w, sub in enumerate(want):
+        if sub.stderr[0, 1] == 0.0:
             perfect += 1
-            assert got.stderr == 0.0
-            assert got.value == pytest.approx(expected.value, rel=1e-12)
-            assert (got.z_score, got.p_value_asymptotic) == (expected.z_score, expected.p_value_asymptotic)
+            assert res.stderr[w, 0] == 0.0
+            assert res.value[w, 0] == pytest.approx(sub.value[0, 1], rel=1e-12)
+            assert (res.z[w, 0], res.p_asymptotic[w, 0]) == (sub.z[0, 1], sub.p_asymptotic[0, 1])
         else:
-            assert_flow_parity(got, expected)
+            assert_flow_parity(res, w, 0, sub, 1, 0)
     assert perfect == 5  # the windows that end before sample 301
 
 
