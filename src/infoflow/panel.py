@@ -284,4 +284,9 @@ def write_csv(
     body = panel.values.T
     if time_label:
         body = np.column_stack([np.arange(panel.n) * panel.dt, body])
-    np.savetxt(fh, body, fmt=f"%.{CSV_FLOAT_DIGITS}g", delimiter=delimiter)
+    row_fmt = delimiter.join([f"%.{CSV_FLOAT_DIGITS}g"] * body.shape[1]) + "\n"
+    # one % expression per 2048 rows: as fast as one for the whole body, at
+    # a fraction of its peak memory
+    for start in range(0, len(body), 2048):
+        block = body[start : start + 2048]
+        fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))

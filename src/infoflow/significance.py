@@ -16,6 +16,9 @@ unconditional independence of source and target, not of the conditional
 null a_ij = 0. Where the source is correlated with the target through
 other paths it over-rejects true nulls: at alpha = 0.05 null pairs were
 rejected at 0.146 on chain_3 (n = 1e4) and 0.485 on confounder_3 (n = 1e5).
+
+One seeded draw per pair gives all its shifts, and one FFT cross-correlation
+per pair gives the moments at every shift: O(n log n) per pair in all.
 """
 
 from __future__ import annotations
@@ -122,29 +125,17 @@ def _resolve_pairs(pairs, d: int) -> list[tuple[int, int]]:
     return resolved
 
 
-def _spawn_seeds(seed, n: int) -> list[np.random.SeedSequence]:
-    """The first ``n`` children of ``seed``: an int, None or a SeedSequence.
+def _seed_sequence(seed) -> np.random.SeedSequence:
+    """``seed`` (an int, None or a SeedSequence) as a SeedSequence.
 
     ``spawn`` advances the sequence it is called on, so a SeedSequence is
-    rebuilt first: the same object passed twice gives the same children.
+    rebuilt: the same object passed twice gives the same children.
     """
     if isinstance(seed, np.random.SeedSequence):
-        root = np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size)
-    elif isinstance(seed, (int, np.integer)) and seed < 0:
+        return np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size)
+    if isinstance(seed, (int, np.integer)) and seed < 0:
         raise UsageError(f"seed must be non-negative, got {seed}")
-    else:
-        root = np.random.SeedSequence(seed)
-    return root.spawn(n)
-
-
-def _surrogate_series(row: np.ndarray, rng: np.random.Generator, method: str) -> np.ndarray:
-    n = len(row)
-    if method == "circular_shift":
-        # Rotation at least n/10 positions away from either identity.
-        lo = max(1, math.ceil(n / 10))
-        shift = int(rng.integers(lo, n - lo, endpoint=True))
-        return np.roll(row, shift)
-    return rng.permutation(row)
+    return np.random.SeedSequence(seed)
 
 
 def surrogate_flow_samples(
@@ -164,20 +155,26 @@ def surrogate_flow_samples(
     source's entry of the target's derivative cross-moments. What stays
     fixed is read off the core: the covariance block C_OO of the other
     series O (the target among them) and their cross-moments dcov_O with
-    dX_target. Per surrogate, one O(n d) product over the centred rows of O
-    and dX_target gives c = cov(X_O, s), g = cov(s, dX_target) and
-    v = var(s), and the Schur complement of C_OO finishes in O(d^2):
+    dX_target. From c = cov(X_O, s), g = cov(s, dX_target) and v = var(s)
+    the Schur complement of C_OO finishes in O(d^2):
 
         coef = (g - c' C_OO^-1 dcov_O) / (v - c' C_OO^-1 c)
         T    = coef * c_target / C_target,target
         det  = det C_OO * (v - c' C_OO^-1 c)
 
+    c and g at every circular shift are one circular cross-correlation of
+    the source with the centred rows of O and dX_target: d + 1 forward and
+    d inverse FFTs, O(n log n) per pair. A permutation costs one O(n d)
+    product. v comes from the k samples a surrogate's window leaves out.
+
     A surrogate whose covariance fails the ``NEAR_SINGULAR_RTOL`` test
     contributes +inf (counts as extreme, which can only make the p value
     more conservative); if C_OO fails it, every surrogate does.
 
-    Each surrogate draws from its own seed-derived substream, so the result
-    does not depend on evaluation order.
+    One ``Generator(PCG64(seed))`` draws the shifts in one call,
+    ``integers(lo, n - lo, size=n_surrogates, endpoint=True)`` with
+    lo = max(1, ceil(n / 10)) (at least n/10 from either identity), or the
+    permutations in ``n_surrogates`` successive ``permutation`` calls.
     """
     _require_method(method)
     [(source, target)] = _resolve_pairs([(source, target)], cov.d)
@@ -191,20 +188,33 @@ def surrogate_flow_samples(
         return np.full(n_surrogates, math.inf)
     C_oo_inv = np.linalg.inv(C_oo)
 
-    # centred rows of the other series, then of dX_target
+    # centred rows of the other series, then of dX_target; the source is
+    # centred by its global mean, which keeps the digits of v and the FFT
     Z = np.vstack([panel.values[others, :n_eff], forward_difference(panel, target, cov.k)])
     Z -= Z.mean(axis=1, keepdims=True)
-    row = panel.values[source]
-    # per surrogate: [c (d - 1 entries), g, v], unnormalized
-    sums = np.empty((n_surrogates, cov.d + 1))
-    for m, child in enumerate(_spawn_seeds(seed, n_surrogates)):
-        rng = np.random.Generator(np.random.PCG64(child))
-        s = _surrogate_series(row, rng, method)[:n_eff]
-        s = s - s.mean()
-        sums[m, :-1] = Z @ s
-        sums[m, -1] = s @ s
-    sums /= n_eff - 1
-    c, g, v = sums[:, :-2], sums[:, -2], sums[:, -1]
+    row = panel.values[source] - panel.values[source].mean()
+    n = len(row)
+    rng = np.random.Generator(np.random.PCG64(_seed_sequence(seed)))
+    if method == "circular_shift":
+        lo = max(1, math.ceil(n / 10))
+        shifts = rng.integers(lo, n - lo, size=n_surrogates, endpoint=True)
+        # roll(row, s)[m] = row[m - s], so column s of the cross-correlation
+        # is Z @ roll(row, s)[:n_eff]
+        cross = np.fft.irfft(np.fft.rfft(Z, n) * np.fft.rfft(row).conj(), n)[:, shifts].T
+        omitted = row[(np.arange(n_eff, n) - shifts[:, None]) % n]
+    else:
+        cross = np.empty((n_surrogates, len(Z)))
+        omitted = np.empty((n_surrogates, n - n_eff))
+        for m in range(n_surrogates):
+            s = rng.permutation(row)
+            cross[m], omitted[m] = Z @ s[:n_eff], s[n_eff:]
+    # the window's sums are the row's sums less the omitted samples'
+    window_sum = row.sum() - omitted.sum(axis=1)
+    v = row @ row - np.einsum("mi,mi->m", omitted, omitted) - window_sum**2 / n_eff
+    # centre each surrogate by its window mean too: the centred rows of an
+    # offset series do not sum to exactly 0
+    cross -= np.outer(window_sum / n_eff, Z.sum(axis=1))
+    c, g, v = cross[:, :-1] / (n_eff - 1), cross[:, -1] / (n_eff - 1), v / (n_eff - 1)
     schur = v - np.einsum("mi,mi->m", c @ C_oo_inv, c)
     with np.errstate(divide="ignore", invalid="ignore"):
         flows = (g - c @ (C_oo_inv @ dcov_o)) / schur * c[:, t] / C_oo[t, t]
@@ -242,6 +252,6 @@ def _surrogate_p_values(cov: CovarianceSet, pairs, *, n_surrogates: int, seed, m
     ``pairs``; pair j -> i draws the child of ``seed`` at the flat index of
     its [target, source] entry."""
     d = cov.d
-    children = _spawn_seeds(seed, d * d)
+    children = _seed_sequence(seed).spawn(d * d)
     return [surrogate_significance(cov, j, i, n_surrogates=n_surrogates, seed=children[i * d + j],
                                    method=method) for j, i in pairs]

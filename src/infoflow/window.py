@@ -14,7 +14,7 @@ from .significance import (
     _require_method,
     _require_surrogates,
     _resolve_pairs,
-    _spawn_seeds,
+    _seed_sequence,
     _surrogate_p_values,
 )
 
@@ -96,7 +96,7 @@ def windowed_flows(
     singular covariance is missing from ``valid`` and NaN for every pair.
     """
     starts = window_starts(panel.n, window_length, step)
-    seeds = _spawn_seeds(seed, len(starts)) if surrogates else None
+    seeds = _seed_sequence(seed).spawn(len(starts)) if surrogates else None
     resolved = _resolve_pairs(pairs, panel.d)
     if surrogates:
         _require_surrogates(surrogates)

@@ -186,17 +186,19 @@ def test_linear_ramp_differences_to_slope_exactly():
 
 
 def test_csv_round_trip_is_bit_exact(tmp_path):
+    # 4099 rows span three of the blocks write_csv formats at a time
     rng = make_rng(11)
-    panel = TimeSeriesPanel(
-        ("x", "y", "z"), rng.standard_normal((3, 17)) * 1e3, dt=0.125
-    )
-    buf = io.StringIO()
-    write_csv(panel, buf)
-    path = write_file(tmp_path, buf.getvalue(), "rt.csv")
-    back = ingest_csv(path, time_column="t")
-    assert back.labels == panel.labels
-    assert np.array_equal(back.values, panel.values)
-    assert back.dt == pytest.approx(panel.dt, rel=1e-12)
+    for n in (17, 4099):
+        panel = TimeSeriesPanel(
+            ("x", "y", "z"), rng.standard_normal((3, n)) * 1e3, dt=0.125
+        )
+        buf = io.StringIO()
+        write_csv(panel, buf)
+        path = write_file(tmp_path, buf.getvalue(), "rt.csv")
+        back = ingest_csv(path, time_column="t")
+        assert back.labels == panel.labels
+        assert np.array_equal(back.values, panel.values)
+        assert back.dt == pytest.approx(panel.dt, rel=1e-12)
 
 
 def test_csv_round_trip_without_time_column(tmp_path):

@@ -239,15 +239,22 @@ def test_matrix_surrogate_p_is_surrogate_significance_of_its_child_seed():
         assert matrix.p_surrogate[i, j] == surrogate_significance(cov, j, i, n_surrogates=19, seed=children[i * 3 + j])
 
 
+def surrogate_rows(row, n_surrogates, seed, method):
+    """The documented draw: one generator on ``seed`` per pair, all shifts in
+    one ``integers`` call, or ``n_surrogates`` successive permutations."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    if method == "circular_shift":
+        n = len(row)
+        lo = max(1, int(np.ceil(n / 10)))
+        return [np.roll(row, s) for s in rng.integers(lo, n - lo, size=n_surrogates, endpoint=True)]
+    return [rng.permutation(row) for _ in range(n_surrogates)]
+
+
 def replaced_source_flows(panel, source, target, k, n_surrogates, seed, method):
     """Surrogate flows the direct way: copy the panel with the source
-    replaced by surrogate m (same seeded substreams) and re-estimate."""
-    from infoflow.significance import _surrogate_series
-
+    replaced by surrogate m (same seeded draws) and re-estimate."""
     values = []
-    for child in np.random.SeedSequence(seed).spawn(n_surrogates):
-        rng = np.random.Generator(np.random.PCG64(child))
-        surr = _surrogate_series(panel.values[source], rng, method)
+    for surr in surrogate_rows(panel.values[source], n_surrogates, seed, method):
         try:
             matrix = estimate_flow_matrix(with_series(panel, source, surr), k, pairs=[(source, target)])
             values.append(matrix.value[target, source])
@@ -265,29 +272,30 @@ def correlated_panel(d, n, seed):
 
 
 @pytest.mark.parametrize("method", ["circular_shift", "permutation"])
-@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("d", [2, 3, 5, 8])
 def test_surrogate_samples_match_replaced_source_estimates(d, k, method):
-    panel = correlated_panel(d, 1500, seed=40 + d)
-    for source, target in ((0, d - 1), (d - 1, 0), (-1, 0)):
-        got = surrogate_flow_samples(
-            build_covariance_set(panel, k), source, target, n_surrogates=25, seed=13, method=method
-        )
-        want = replaced_source_flows(panel, source, target, k, 25, 13, method)
-        assert got.shape == want.shape == (25,)
-        assert np.isfinite(want).all()
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    # n = 7919 is prime, so every FFT of that length takes pocketfft's
+    # Bluestein path; the ramp puts the source far from its mean at both ends
+    base = correlated_panel(d, 1500, seed=40 + d)
+    ramp = with_series(base, 0, 1e6 + 0.01 * np.arange(base.n) + base.values[0])
+    for panel in (base, correlated_panel(d, 7919, seed=40 + d), ramp):
+        for source, target in ((0, d - 1), (d - 1, 0), (-1, 0)):
+            got = surrogate_flow_samples(
+                build_covariance_set(panel, k), source, target, n_surrogates=25, seed=13, method=method
+            )
+            want = replaced_source_flows(panel, source, target, k, 25, 13, method)
+            assert got.shape == want.shape == (25,)
+            assert np.isfinite(want).all()
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_surrogate_that_duplicates_another_series_is_inf():
     # series c is the source rotated by exactly the shift that surrogate 3
     # draws, so that surrogate makes the covariance singular
-    from infoflow.significance import _surrogate_series
-
     rng = make_rng(21)
     a, b = rng.standard_normal((2, 800))
-    child = np.random.SeedSequence(17).spawn(30)[3]
-    c = _surrogate_series(a, np.random.Generator(np.random.PCG64(child)), "circular_shift")
+    c = surrogate_rows(a, 30, 17, "circular_shift")[3]
     panel = TimeSeriesPanel(("a", "b", "c"), np.vstack([a, b, c]))
     got = surrogate_flow_samples(build_covariance_set(panel, 1), 0, 1, n_surrogates=30, seed=17)
     want = replaced_source_flows(panel, 0, 1, 1, 30, 17, "circular_shift")
