@@ -11,10 +11,11 @@ first n_eff = n - k samples of every series, so C and G line up
 sample-for-sample.
 
 A running-window analysis needs the same core for many windows of one
-panel. Every moment the core reads is additive over sample segments, so
-``window_cores`` takes the moments of [X; dX] once per segment, merges
-them into each window's C and G, and reads every window off at once with
-the same array functions as ``build_covariance_set``, its one-window case,
+panel. Every moment the core reads is additive over sample segments, and a
+window is whole steps plus the head of one more, so ``window_cores`` takes
+the moments of [X; dX] once per step and once per head, pools each
+window's into its C and G, and reads every window off at once with the
+same array functions as ``build_covariance_set``, its one-window case,
 into one ``CovarianceSet`` with a leading axis over the windows.
 """
 
@@ -119,12 +120,15 @@ def _diagonal(A: np.ndarray) -> np.ndarray:
     return A.diagonal(0, -2, -1)
 
 
-def _correlation_det(C: np.ndarray):
+def _correlation_det(C: np.ndarray, floor=0.0):
     """det C over the product of the variances, of C or of each in a stack,
     taken on the correlation matrix so that it does not underflow for tiny
-    series; 0 when a variance is 0."""
+    series; 0 when a standard deviation is at or below eps ``floor`` (per
+    series, or per window and series). A mean of n samples of magnitude m is
+    off by at most n eps m, all that centring by it leaves of a constant, so
+    a series' floor is n m."""
     s = np.sqrt(_diagonal(C))
-    s[s == 0.0] = np.inf  # zeroes that variance's row and column, so the determinant
+    s[s <= np.finfo(float).eps * floor] = np.inf  # zeroes that row and column, so the determinant
     return np.linalg.det(C / s[..., None, :] / s[..., :, None]) + 0.0  # never -0.0
 
 
@@ -170,20 +174,19 @@ def build_covariance_set(panel: TimeSeriesPanel, k: int = 1) -> CovarianceSet:
 
     Centres the stack [X; dX] (2d x n_eff, dX the ``forward_difference`` of
     every series) in place and takes [C | G] from one product. The residuals
-    of all targets, E = dX - B' X on the centred rows, come from one more
-    product over the same stack: a residual variance below 1e-24 var(dX_i)
-    is snapped to an exact zero, so that a perfect fit is detected reliably
-    downstream.
+    of all targets (``_residuals``) come from one more product over the same
+    stack.
     """
     n_eff = _window(panel, k)
     d = panel.d
     Z = _stack(panel, k, n_eff)
-    Z -= Z.mean(axis=1)[:, None]
+    mean = Z.mean(axis=1)
+    Z -= mean[:, None]
 
     moments = (Z[:d] @ Z.T) / (n_eff - 1)
     C = 0.5 * (moments[:, :d] + moments[:, :d].T)
     G = moments[:, d:]
-    det_corr = float(_correlation_det(C))
+    det_corr = float(_correlation_det(C, n_eff * np.abs(mean[:d])))
     if _near_singular(det_corr):
         return CovarianceSet(matrix=C, deriv=G, det_corr=det_corr, n_eff=n_eff, k=int(k),
                              panel=panel, near_singular=True)
@@ -211,71 +214,63 @@ def build_covariance_set(panel: TimeSeriesPanel, k: int = 1) -> CovarianceSet:
     )
 
 
-def _segment_moments(Z: np.ndarray, d: int, offset: int, length: int, step: int, count: int,
-                     scatter: bool):
-    """Means (count x 2d) of the segments Z[:, offset + m*step :][:, :length],
-    m < count, and with ``scatter`` their centred scatter of the X rows
-    against all rows (count x d x 2d) and of each dX row with itself
-    (count x d)."""
+def _segment_moments(Z: np.ndarray, d: int, offset: int, length: int, step: int, count: int):
+    """The centred scatter of the X rows against all rows (count x d x 2d)
+    and of each dX row with itself (count x d) of the segments
+    Z[:, offset + m*step :][:, :length], m < count (None when ``length`` is
+    1: one sample has no scatter), and their means (count x 2d)."""
     V = sliding_window_view(Z, length, axis=1)[:, offset::step][:, :count]
     means = V.mean(axis=2)
-    if not scatter:
-        return means.T, None, None
+    if length == 1:
+        return None, None, means.T
     Vc = (V - means[..., None]).transpose(1, 0, 2)
-    return (means.T, np.matmul(Vc[:, :d], Vc.transpose(0, 2, 1)),
-            np.einsum("mit,mit->mi", Vc[:, d:], Vc[:, d:]))
+    return (np.matmul(Vc[:, :d], Vc.transpose(0, 2, 1)),
+            np.einsum("mit,mit->mi", Vc[:, d:], Vc[:, d:]), means.T)
 
 
 def _window_moments(Z: np.ndarray, d: int, n_eff: int, step: int, n_windows: int):
     """Centred scatter sums, X rows against all rows (W x d x 2d) and each
-    dX row with itself (W x d), of the windows Z[:, w*step : w*step + n_eff],
-    w < W = ``n_windows``.
+    dX row with itself (W x d), and the means (W x 2d) of the windows
+    Z[:, w*step : w*step + n_eff], w < W = ``n_windows``.
 
-    With n_eff = q*step + r, the window boundaries cut Z at every multiple
-    of ``step`` and r past it, so each window is 2q + 1 consecutive
-    segments (q of length ``step`` when r = 0; one when q = 0). Each
-    segment's moments are taken once, and a window pools its segments
-    b by the Chan-Golub-LeVeque update, M2 = sum M2_b + sum n_b (m_b - m)
-    (m_b - m)', which does not cancel as raw sums do. The pooling gathers
-    at most ``_GATHER_BUDGET`` elements at a time. Length-1 segments (step
-    1) have no scatter of their own.
+    With n_eff = q*step + r, window w is the q whole steps w, ..., w + q - 1
+    of ``step`` samples and the head, the first r samples, of step w + q.
+    The moments of every whole step and of every head are taken once, and a
+    window pools its q + 1 segments b by the Chan-Golub-LeVeque update,
+    M2 = sum M2_b + sum n_b (m_b - m)(m_b - m)', which does not cancel as
+    raw sums do. The pooling gathers at most ``_GATHER_BUDGET`` elements at
+    a time.
     """
     q, r = divmod(n_eff, step)
-    kinds = ([(0, r, n_windows + q)] if r else []) + ([(r, step - r, n_windows + q - 1)] if q else [])
-    scatter = step > 1
-    parts = [_segment_moments(Z, d, offset, length, step, count, scatter)
-             for offset, length, count in kinds]
-    per_step = len(kinds)  # segments per step; window w starts at segment per_step * w
-    span = per_step * q + (1 if r else 0)  # segments per window
-    weights = np.resize([float(length) for _, length, _ in kinds], span)
-
-    def in_sample_order(field):
-        arrays = [part[field] for part in parts]
-        out = np.empty((sum(map(len, arrays)),) + arrays[0].shape[1:])
-        for kind, array in enumerate(arrays):
-            out[kind::per_step] = array
-        return out
-
-    seg_means = in_sample_order(0)
-    seg_xz, seg_dd = (in_sample_order(1), in_sample_order(2)) if scatter else (None, None)
+    # per kind of segment: its moments (``_segment_moments``), its length and
+    # how many of them a window pools
+    parts = []
+    if q:
+        parts.append((_segment_moments(Z, d, 0, step, step, n_windows + q - 1), step, q))
+    if r:
+        parts.append((_segment_moments(Z, d, q * step, r, step, n_windows), r, 1))
+    if q + (r > 0) == 1:  # the window is its segment; pooling would move the mean by an ulp
+        return parts[0][0]
 
     xz = np.zeros((n_windows, d, 2 * d))
     dd = np.zeros((n_windows, d))
-    chunk = max(1, _GATHER_BUDGET // (span * (2 * d * (d + 3) + d)))
+    means = np.empty((n_windows, 2 * d))
+    chunk = max(1, _GATHER_BUDGET // ((q + 1) * (2 * d * (d + 3) + d)))
     for lo in range(0, n_windows, chunk):
         hi = min(n_windows, lo + chunk)
-        idx = per_step * np.arange(lo, hi)[:, None] + np.arange(span)
-        if scatter:
-            xz[lo:hi] = seg_xz[idx].sum(axis=1)
-            dd[lo:hi] = seg_dd[idx].sum(axis=1)
-        if span == 1:  # the window is its segment; pooling would move the mean by an ulp
-            continue
-        M = seg_means[idx]
-        D = M - (weights @ M / n_eff)[:, None]
-        Dw = D * weights[:, None]
-        xz[lo:hi] += Dw[..., :d].swapaxes(1, 2) @ D
-        dd[lo:hi] += np.einsum("wbi,wbi->wi", Dw[..., d:], D[..., d:])
-    return xz, dd
+        gathered = []  # (segment length, the windows' segment means) per kind
+        for (seg_xz, seg_dd, seg_means), length, span in parts:
+            idx = np.arange(lo, hi)[:, None] + np.arange(span)
+            if seg_xz is not None:
+                xz[lo:hi] += seg_xz[idx].sum(axis=1)
+                dd[lo:hi] += seg_dd[idx].sum(axis=1)
+            gathered.append((length, seg_means[idx]))
+        means[lo:hi] = sum(length * M.sum(axis=1) for length, M in gathered) / n_eff
+        for length, M in gathered:
+            D = M - means[lo:hi, None]
+            xz[lo:hi] += length * (D[..., :d].swapaxes(1, 2) @ D)
+            dd[lo:hi] += length * np.einsum("wbi,wbi->wi", D[..., d:], D[..., d:])
+    return xz, dd, means
 
 
 def window_cores(panel: TimeSeriesPanel, k: int, window_length: int, step: int,
@@ -283,7 +278,9 @@ def window_cores(panel: TimeSeriesPanel, k: int, window_length: int, step: int,
     """The cores of the windows w*step + [0, window_length), w < ``n_windows``,
     as one stacked ``CovarianceSet`` over the windows that pass the
     ``NEAR_SINGULAR_RTOL`` rule, from one pass of segment moments
-    (``_window_moments``).
+    (``_window_moments``) over the stack centred by its own mean, so that
+    segment means carry no series' offset. That centres a window twice, so
+    its constant-series floor adds the magnitudes of both means.
 
     The flows come from one batched solve over the good windows. Each
     target's residual variance is read off the moments, except where it is
@@ -299,10 +296,12 @@ def window_cores(panel: TimeSeriesPanel, k: int, window_length: int, step: int,
             f"need window length - k > d + 2 samples: window={window_length}, k={k}, d={d}"
         )
     Z = _stack(panel, k, (n_windows - 1) * step + n_eff)
-    xz, dd = _window_moments(Z, d, n_eff, step, n_windows)
+    offset = Z.mean(axis=1)
+    Z -= offset[:, None]
+    xz, dd, means = _window_moments(Z, d, n_eff, step, n_windows)
     moments = xz / (n_eff - 1)
     C = 0.5 * (moments[..., :d] + moments[..., :d].swapaxes(1, 2))
-    det_corr = _correlation_det(C)
+    det_corr = _correlation_det(C, n_eff * (np.abs(offset[:d]) + np.abs(means[:, :d])))
     windows = np.flatnonzero(~_near_singular(det_corr))
     C, G, dd = C[windows], moments[windows, :, d:], dd[windows]
     B, inverse, flows = _fit(C, G)

@@ -89,11 +89,12 @@ def windowed_flows(
     Window centers are reported in time units. Window w gives the flows of
     the ``estimate_flow_matrix`` of its sub-panel restricted to ``pairs``,
     seeded with child w of ``seed``, up to round-off: every window's core is
-    merged from one pass of segment moments and read off with the matrix's
-    own ``read_off`` (``covariance.window_cores``). A window that draws
-    surrogates draws them on its sub-panel's own core, so its surrogate
-    p values are the matrix's exactly. A window with too few samples or a
-    singular covariance is missing from ``valid`` and NaN for every pair.
+    pooled from the moments of its whole steps and its head, each taken once
+    (``covariance.window_cores``), and read off with the matrix's own
+    ``read_off``. A window that draws surrogates draws them on its
+    sub-panel's own core, so its surrogate p values are the matrix's
+    exactly. A window with too few samples or a singular covariance is
+    missing from ``valid`` and NaN for every pair.
     """
     starts = window_starts(panel.n, window_length, step)
     seeds = _seed_sequence(seed).spawn(len(starts)) if surrogates else None

@@ -108,6 +108,18 @@ def test_estimate_singular_data_exit_4(capsys, tmp_path):
     assert "singular" in err.lower()
 
 
+def test_matrix_constant_series_exit_4(capsys, tmp_path):
+    # the mean of 101 samples of 0.1 is inexact, so the centred constant is
+    # rounding noise, not an exact zero
+    path = tmp_path / "constant.csv"
+    noise = make_rng(2).standard_normal(101)
+    path.write_text("a,b\n" + "".join(f"{v:.17g},0.1\n" for v in noise))
+    code, out, err = run_cli(capsys, "matrix", str(path))
+    assert code == 4
+    assert out == ""
+    assert "singular" in err.lower()
+
+
 def test_estimate_dt_flag_conflicts_with_time_column(capsys, one_way_csv):
     code, _, err = run_cli(
         capsys, "estimate", str(one_way_csv), "--source", "y", "--target", "x", "--dt", "0.5"

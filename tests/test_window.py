@@ -64,10 +64,14 @@ def test_singular_window_reported_absent_not_error():
     # first half of series b is constant: those windows cannot be estimated
     rng = make_rng(4)
     a = rng.standard_normal(400)
-    b = np.concatenate([np.zeros(200), rng.standard_normal(200)])
-    panel = TimeSeriesPanel(("a", "b"), np.vstack([a, b]))
-    res = windowed_flows(panel, 100, 100, pairs=[(1, 0)])
-    assert res.valid.tolist() == [False, False, True, True]
+    noise = rng.standard_normal(200)
+    for c in (0.0, 0.1, 1 / 3, -7.3, 1e6 + 0.1):
+        panel = TimeSeriesPanel(("a", "b"), np.vstack([a, np.concatenate([np.full(200, c), noise])]))
+        res = windowed_flows(panel, 100, 100, pairs=[(1, 0)])
+        assert res.valid.tolist() == [False, False, True, True], c
+        # 101 samples, 100 of them in C: each window is exactly one step
+        res = windowed_flows(panel, 101, 100, pairs=[(1, 0)])
+        assert res.valid.tolist() == [False, False, True], c
 
 
 def test_windows_with_surrogates_are_seeded():
@@ -168,9 +172,19 @@ def test_windows_match_sub_panels_over_k_and_d(k, d):
     assert_windows_match_sub_panels(panel, 401, 37, pairs, k)
 
 
-@pytest.mark.parametrize("window_length, step", [(60, 1), (150, 400), (150, 150)])
-def test_windows_match_sub_panels_at_step_1_and_step_beyond_window(window_length, step):
+@pytest.mark.parametrize("window_length, step, offset", [
+    pytest.param(60, 1, False, id="60-1"),
+    pytest.param(150, 400, False, id="150-400"),
+    pytest.param(150, 150, False, id="150-150"),
+    pytest.param(300, 10, True, id="offset-300-10"),
+    pytest.param(60, 1, True, id="offset-60-1"),
+])
+def test_windows_match_sub_panels_at_step_1_and_step_beyond_window(window_length, step, offset):
     panel = benchmark("chain_3", None, n=900, seed=4).panel
+    if offset:  # x1 raised by 1e6 plus a ramp of 0.01 per sample
+        values = panel.values.copy()
+        values[0] += 1e6 + 0.01 * np.arange(panel.n)
+        panel = TimeSeriesPanel(panel.labels, values, panel.dt)
     assert_windows_match_sub_panels(panel, window_length, step, [(0, 1), (1, 2), (2, 0)])
 
 
@@ -228,13 +242,15 @@ PEAK_STEP_1_BYTES = 8_000_000
 
 def test_step_1_memory_stays_bounded():
     # 1501 windows of 499 one-sample segments: the merge peaked at 2.1 MB in
-    # chunks, and at 78 MB when it gathered every window's segments at once
+    # chunks, and at 78 MB when it gathered every window's segments at once.
+    # At step 7 each window is 71 steps and a head of two samples.
     panel = random_panel(make_rng(16), 2, 2000)
-    tracemalloc.start()
-    try:
-        res = windowed_flows(panel, 500, 1, pairs=[(1, 0)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert res.n_windows == 1501
-    assert peak < PEAK_STEP_1_BYTES
+    for step, n_windows in ((1, 1501), (7, 215)):
+        tracemalloc.start()
+        try:
+            res = windowed_flows(panel, 500, step, pairs=[(1, 0)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.n_windows == n_windows
+        assert peak < PEAK_STEP_1_BYTES, step
