@@ -30,7 +30,7 @@ from .errors import (
 from .estimator import estimate_flow_matrix
 from .graph import CORRECTIONS, export_graph, reconstruct_graph
 from .panel import TimeSeriesPanel, _require_delimiter, ingest_csv, write_csv
-from .significance import SERIAL_CORRELATION_LIMIT, SURROGATE_METHODS
+from .significance import SERIAL_CORRELATION_LIMIT
 from .simulate import BENCHMARK_NAMES, DEFAULT_BURN_IN, RNG_ALGORITHM, benchmark, simulate_system
 from .window import windowed_flows
 
@@ -49,17 +49,12 @@ FLAGS = {
     "--json": dict(action="store_true", help="emit a JSON report instead of text"),
     "--seed": dict(type=int, default=None, help="seed for randomized operations"),
     "--surrogates": dict(type=int, default=0, help="surrogate count for nonparametric p values (>= 19)"),
-    "--surrogate-method": dict(
-        choices=SURROGATE_METHODS,
-        default="circular_shift",
-        help="surrogate construction (default circular_shift)",
-    ),
     "--normalize": dict(action="store_true", help="also report relative-importance normalization"),
     "--per-step": dict(action="store_true", help="report flows per sample step instead of per unit time"),
     "--strict-repro": dict(action="store_true", help="refuse randomized runs without an explicit --seed"),
 }
 
-ESTIMATION_FLAGS = ("--k", "--dt", "--seed", "--surrogates", "--surrogate-method", "--strict-repro")
+ESTIMATION_FLAGS = ("--k", "--dt", "--seed", "--surrogates", "--strict-repro")
 
 
 def _flags(parser: argparse.ArgumentParser, *names: str) -> None:
@@ -238,7 +233,6 @@ def _surrogate_plan(args) -> dict:
     return {
         "surrogates": args.surrogates,
         "seed": _effective_seed(args) if args.surrogates else None,
-        "surrogate_method": args.surrogate_method,
     }
 
 

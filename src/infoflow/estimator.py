@@ -23,7 +23,6 @@ from .covariance import CovarianceSet, build_covariance_set
 from .errors import SingularCovarianceError
 from .panel import TimeSeriesPanel
 from .significance import (
-    _require_method,
     _require_surrogates,
     _resolve_pairs,
     _surrogate_p_values,
@@ -127,7 +126,6 @@ def estimate_flow_matrix(
     normalize: bool = False,
     surrogates: int = 0,
     seed=None,
-    surrogate_method: str = "circular_shift",
 ) -> FlowMatrix:
     """Estimate ordered pairs plus all self influences in one pass.
 
@@ -147,7 +145,6 @@ def estimate_flow_matrix(
         estimated[i, j] = True
     if surrogates:
         _require_surrogates(surrogates)
-        _require_method(surrogate_method)
     cov = build_covariance_set(panel, k)
     if cov.near_singular:
         raise SingularCovarianceError(
@@ -159,7 +156,7 @@ def estimate_flow_matrix(
         targets, sources = np.nonzero(estimated)
         p_surrogate = np.full((d, d), np.nan)
         p_surrogate[estimated] = _surrogate_p_values(cov, list(zip(sources.tolist(), targets.tolist())),
-                                                     n_surrogates=surrogates, seed=seed, method=surrogate_method)
+                                                     n_surrogates=surrogates, seed=seed)
     normalized = None
     if normalize:
         noise = np.abs(cov.noise_intensity / (2.0 * np.diag(cov.matrix)))

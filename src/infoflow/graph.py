@@ -67,9 +67,7 @@ def _corrected(ps: np.ndarray, correction: str) -> np.ndarray:
         return ps
     if correction == "bonferroni":
         return np.minimum(ps * len(ps), 1.0)
-    if correction == "benjamini_hochberg":
-        return _bh_adjust(ps)
-    raise UsageError(f"unknown correction {correction!r}; choose from {CORRECTIONS}")
+    return _bh_adjust(ps)
 
 
 def reconstruct_graph(
@@ -174,60 +172,29 @@ def export_graph(graph: CausalGraph, format: str = "dot") -> str:
         payload = {
             "schema": GRAPH_SCHEMA,
             "nodes": list(graph.nodes),
-            "edges": [
-                {
-                    "source": e.source,
-                    "target": e.target,
-                    "flow": e.flow,
-                    "normalized": e.normalized,
-                    "p": e.p,
-                }
-                for e in graph.edges
-            ],
-            "self_loops": [
-                {"node": s.node, "value": s.value, "p": s.p, "included": s.included}
-                for s in graph.self_loops
-            ],
-            "meta": {
-                "alpha": graph.alpha,
-                "correction": graph.correction,
-                "k": graph.k,
-                "dt": graph.dt,
-                "n_eff": graph.n_eff,
-            },
+            "edges": [vars(e) for e in graph.edges],
+            "self_loops": [vars(s) for s in graph.self_loops],
+            "meta": {name: getattr(graph, name) for name in ("alpha", "correction", "k", "dt", "n_eff")},
         }
         return json.dumps(payload, indent=2) + "\n"
     raise UsageError(f"unknown graph format {format!r}; choose dot or json")
 
 
 def import_graph(text: str) -> CausalGraph:
-    """Rebuild a CausalGraph from its JSON export."""
+    """Rebuild a CausalGraph from its JSON export. Text that does not parse,
+    or parses to anything but the export's fields, is a UsageError."""
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"invalid graph JSON: {exc}") from exc
-    if payload.get("schema") != GRAPH_SCHEMA:
-        raise UsageError(f"unsupported graph schema {payload.get('schema')!r}")
-    meta = payload["meta"]
-    return CausalGraph(
-        nodes=tuple(payload["nodes"]),
-        edges=tuple(
-            GraphEdge(
-                source=e["source"],
-                target=e["target"],
-                flow=e["flow"],
-                normalized=e["normalized"],
-                p=e["p"],
+        schema = payload.get("schema")
+        if schema == GRAPH_SCHEMA:
+            return CausalGraph(
+                nodes=tuple(payload["nodes"]),
+                edges=tuple(GraphEdge(**e) for e in payload["edges"]),
+                self_loops=tuple(SelfLoop(**s) for s in payload["self_loops"]),
+                **payload["meta"],
             )
-            for e in payload["edges"]
-        ),
-        self_loops=tuple(
-            SelfLoop(node=s["node"], value=s["value"], p=s["p"], included=s["included"])
-            for s in payload["self_loops"]
-        ),
-        alpha=meta["alpha"],
-        correction=meta["correction"],
-        k=meta["k"],
-        dt=meta["dt"],
-        n_eff=meta["n_eff"],
-    )
+    except KeyError as exc:
+        raise UsageError(f"invalid graph JSON: missing {exc}") from exc
+    except (json.JSONDecodeError, AttributeError, TypeError) as exc:
+        raise UsageError(f"invalid graph JSON: {exc}") from exc
+    raise UsageError(f"unsupported graph schema {schema!r}")

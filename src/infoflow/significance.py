@@ -9,13 +9,19 @@ variability is exact only at T = 0. Under a planted flow it is not second
 order: 95% intervals covered planted flows about 0.63 of the time at
 n = 1e4 (one_way_2d and chain_3, k = 1).
 
-The surrogate route re-estimates the flow against resampled source series;
-circular shifts keep the source's autocorrelation. Resampling the source
-breaks its dependence on every other series, so the test is one of
-unconditional independence of source and target, not of the conditional
-null a_ij = 0. Where the source is correlated with the target through
-other paths it over-rejects true nulls: at alpha = 0.05 null pairs were
-rejected at 0.146 on chain_3 (n = 1e4) and 0.485 on confounder_3 (n = 1e5).
+The surrogate route re-estimates the flow against circularly shifted
+source series. Shifting the source breaks its dependence on every other
+series, so the test is one of unconditional independence of source and
+target, not of the conditional null a_ij = 0. Where the source is
+correlated with the target through other paths it over-rejects true
+nulls: at alpha = 0.05 it rejected 0.088 of the 160 null pairs of chain_3
+and 0.144 of those of confounder_3 (n = 1e4, k = 1, 99 surrogates,
+simulation and surrogate seeds 1-40).
+
+Circular shifts are the only surrogates because a shift keeps the
+source's autocorrelation. Shuffling the source destroys it too, so it tests
+whether the series are i.i.d. (Schreiber & Schmitz 2000), which no SDE
+panel is: on the same pairs shuffled sources rejected 0.78 and 0.83.
 
 One seeded draw per pair gives all its shifts, and one FFT cross-correlation
 per pair gives the moments at every shift: O(n log n) per pair in all.
@@ -45,8 +51,6 @@ from .panel import forward_difference
 SERIAL_CORRELATION_LIMIT = 0.2
 
 MIN_SURROGATES = 19
-
-SURROGATE_METHODS = ("circular_shift", "permutation")
 
 
 def two_sided_p(z: float) -> float:
@@ -108,11 +112,6 @@ def _require_surrogates(n_surrogates: int) -> None:
         )
 
 
-def _require_method(method: str) -> None:
-    if method not in SURROGATE_METHODS:
-        raise UsageError(f"unknown surrogate method {method!r}; choose from {SURROGATE_METHODS}")
-
-
 def _resolve_pairs(pairs, d: int) -> list[tuple[int, int]]:
     """(source, target) ``pairs`` with negative indices mapped into range(d);
     every ordered pair when ``pairs`` is None."""
@@ -145,9 +144,8 @@ def surrogate_flow_samples(
     *,
     n_surrogates: int,
     seed=None,
-    method: str = "circular_shift",
 ) -> np.ndarray:
-    """Flow re-estimates against ``n_surrogates`` resampled source series.
+    """Flow re-estimates against ``n_surrogates`` circular shifts of the source.
 
     Entry m equals the flow of the core of ``cov``'s panel at its stride
     with the source replaced by surrogate m, but no panel is copied. A
@@ -164,8 +162,8 @@ def surrogate_flow_samples(
 
     c and g at every circular shift are one circular cross-correlation of
     the source with the centred rows of O and dX_target: d + 1 forward and
-    d inverse FFTs, O(n log n) per pair. A permutation costs one O(n d)
-    product. v comes from the k samples a surrogate's window leaves out.
+    d inverse FFTs, O(n log n) per pair. v comes from the k samples a
+    surrogate's window leaves out.
 
     A surrogate whose covariance fails the ``NEAR_SINGULAR_RTOL`` test
     contributes +inf (counts as extreme, which can only make the p value
@@ -173,10 +171,10 @@ def surrogate_flow_samples(
 
     One ``Generator(PCG64(seed))`` draws the shifts in one call,
     ``integers(lo, n - lo, size=n_surrogates, endpoint=True)`` with
-    lo = max(1, ceil(n / 10)) (at least n/10 from either identity), or the
-    permutations in ``n_surrogates`` successive ``permutation`` calls.
+    lo = max(1, ceil(n / 10)) (at least n/10 from either identity). There
+    is no other surrogate: shuffled sources keep no autocorrelation and
+    rejected 0.78-0.83 of true null pairs at alpha = 0.05 (module docstring).
     """
-    _require_method(method)
     [(source, target)] = _resolve_pairs([(source, target)], cov.d)
     panel, n_eff = cov.panel, cov.n_eff
     others = [m for m in range(cov.d) if m != source]
@@ -195,19 +193,12 @@ def surrogate_flow_samples(
     row = panel.values[source] - panel.values[source].mean()
     n = len(row)
     rng = np.random.Generator(np.random.PCG64(_seed_sequence(seed)))
-    if method == "circular_shift":
-        lo = max(1, math.ceil(n / 10))
-        shifts = rng.integers(lo, n - lo, size=n_surrogates, endpoint=True)
-        # roll(row, s)[m] = row[m - s], so column s of the cross-correlation
-        # is Z @ roll(row, s)[:n_eff]
-        cross = np.fft.irfft(np.fft.rfft(Z, n) * np.fft.rfft(row).conj(), n)[:, shifts].T
-        omitted = row[(np.arange(n_eff, n) - shifts[:, None]) % n]
-    else:
-        cross = np.empty((n_surrogates, len(Z)))
-        omitted = np.empty((n_surrogates, n - n_eff))
-        for m in range(n_surrogates):
-            s = rng.permutation(row)
-            cross[m], omitted[m] = Z @ s[:n_eff], s[n_eff:]
+    lo = max(1, math.ceil(n / 10))
+    shifts = rng.integers(lo, n - lo, size=n_surrogates, endpoint=True)
+    # roll(row, s)[m] = row[m - s], so column s of the cross-correlation
+    # is Z @ roll(row, s)[:n_eff]
+    cross = np.fft.irfft(np.fft.rfft(Z, n) * np.fft.rfft(row).conj(), n)[:, shifts].T
+    omitted = row[(np.arange(n_eff, n) - shifts[:, None]) % n]
     # the window's sums are the row's sums less the omitted samples'
     window_sum = row.sum() - omitted.sum(axis=1)
     v = row @ row - np.einsum("mi,mi->m", omitted, omitted) - window_sum**2 / n_eff
@@ -230,10 +221,9 @@ def surrogate_significance(
     *,
     n_surrogates: int = 199,
     seed=None,
-    method: str = "circular_shift",
 ) -> float:
     """Nonparametric p value of the flow source -> target of ``cov`` from
-    source-resampling surrogates.
+    circular-shift surrogates.
 
     p = (1 + #{|T_surr| >= |T|}) / (n_surrogates + 1), so the attainable
     resolution is exactly 1/(n_surrogates + 1). The observed flow T is
@@ -242,16 +232,16 @@ def surrogate_significance(
     _require_surrogates(n_surrogates)
     if cov.near_singular:
         raise SingularCovarianceError("cannot test the flow of a singular fit")
-    samples = surrogate_flow_samples(cov, source, target, n_surrogates=n_surrogates, seed=seed, method=method)
+    samples = surrogate_flow_samples(cov, source, target, n_surrogates=n_surrogates, seed=seed)
     exceed = int(np.sum(np.abs(samples) >= abs(cov.flows[target, source])))
     return (1 + exceed) / (n_surrogates + 1)
 
 
-def _surrogate_p_values(cov: CovarianceSet, pairs, *, n_surrogates: int, seed, method: str) -> list[float]:
+def _surrogate_p_values(cov: CovarianceSet, pairs, *, n_surrogates: int, seed) -> list[float]:
     """``surrogate_significance`` of each resolved (source, target) in
     ``pairs``; pair j -> i draws the child of ``seed`` at the flat index of
     its [target, source] entry."""
     d = cov.d
     children = _seed_sequence(seed).spawn(d * d)
-    return [surrogate_significance(cov, j, i, n_surrogates=n_surrogates, seed=children[i * d + j],
-                                   method=method) for j, i in pairs]
+    return [surrogate_significance(cov, j, i, n_surrogates=n_surrogates, seed=children[i * d + j])
+            for j, i in pairs]

@@ -11,7 +11,6 @@ from .errors import InsufficientDataError, UsageError
 from .estimator import _estimates, read_off
 from .panel import TimeSeriesPanel
 from .significance import (
-    _require_method,
     _require_surrogates,
     _resolve_pairs,
     _seed_sequence,
@@ -81,7 +80,6 @@ def windowed_flows(
     *,
     surrogates: int = 0,
     seed=None,
-    surrogate_method: str = "circular_shift",
 ) -> WindowedFlowSeries:
     """Slide a window of ``window_length`` samples by ``step`` and estimate flows.
 
@@ -101,7 +99,6 @@ def windowed_flows(
     resolved = _resolve_pairs(pairs, panel.d)
     if surrogates:
         _require_surrogates(surrogates)
-        _require_method(surrogate_method)
 
     # value, stderr, z, p_asymptotic and, with surrogates, p_surrogate
     arrays = np.full((5 if surrogates else 4, len(starts), len(resolved)), np.nan)
@@ -118,7 +115,7 @@ def windowed_flows(
             for w in cores.windows.tolist():
                 arrays[4, w] = _surrogate_p_values(
                     build_covariance_set(panel.window(starts[w], window_length), k), resolved,
-                    n_surrogates=surrogates, seed=seeds[w], method=surrogate_method)
+                    n_surrogates=surrogates, seed=seeds[w])
 
     return WindowedFlowSeries(
         window_length=int(window_length),

@@ -410,7 +410,8 @@ def test_estimate_degenerate_normalizer_exit_4(capsys, tmp_path, json_flag):
     + [("simulate", f) for f in (["--k", "2"], ["--json"], ["--alpha", "0.1"], ["--correction", "bonferroni"],
                                  ["--surrogates", "19"], ["--surrogate-method", "permutation"],
                                  ["--normalize"], ["--per-step"])]
-    + [("graph", ["--json"])],
+    + [("graph", ["--json"])]
+    + [(c, ["--surrogate-method", "circular_shift"]) for c in ("estimate", "matrix", "graph", "window")],
 )
 def test_flags_a_subcommand_does_not_read_exit_2(capsys, tmp_path, command, flag):
     data = tmp_path / "d.csv"

@@ -73,6 +73,17 @@ def test_json_round_trip_identity():
     assert back == g
 
 
+@pytest.mark.parametrize("mangle", [
+    lambda payload: [],
+    lambda payload: {key: value for key, value in payload.items() if key != "meta"},
+    lambda payload: {**payload, "edges": [{}]},
+], ids=["list", "no-meta", "empty-edge"])
+def test_import_refuses_json_that_is_not_a_graph(mangle):
+    payload = json.loads(export_graph(reconstruct_graph(toy_matrix({(0, 1): 0.01, (1, 0): 0.2})), "json"))
+    with pytest.raises(UsageError, match="invalid graph JSON"):
+        import_graph(json.dumps(mangle(payload)))
+
+
 def test_export_determinism():
     m = toy_matrix({(0, 1): 0.01, (1, 0): 0.2})
     g1 = reconstruct_graph(m, alpha=0.05)

@@ -14,14 +14,12 @@ from infoflow import (
     euler_maruyama,
     surrogate_flow_samples,
     surrogate_significance,
-    windowed_flows,
 )
 from infoflow.errors import (
     DegenerateInferenceWarning,
     InvalidPairError,
     ResolutionError,
     SingularCovarianceError,
-    UsageError,
 )
 from infoflow.significance import SERIAL_CORRELATION_LIMIT
 from conftest import make_rng, with_series
@@ -194,26 +192,9 @@ def test_surrogate_power_on_driven_direction():
     assert floor_hits >= 9
 
 
-def test_permutation_method_available():
-    b = benchmark("one_way_2d", None, n=2000, seed=5)
-    cov = build_covariance_set(b.panel, 1)
-    p = surrogate_significance(cov, 1, 0, n_surrogates=19, seed=0, method="permutation")
-    assert 0.0 < p <= 1.0
-    with pytest.raises(UsageError):
-        surrogate_significance(cov, 1, 0, n_surrogates=19, seed=0, method="mirror")
-
-
-def test_unknown_method_refused_when_every_window_is_short():
-    panel = benchmark("chain_3", None, n=400, seed=1).panel
-    with pytest.raises(UsageError, match="mirror"):
-        windowed_flows(panel, 4, 100, surrogates=19, seed=1, surrogate_method="mirror")
-
-
-def test_unknown_method_refused_before_the_singular_core():
+def test_surrogate_significance_refuses_a_singular_core():
     a, b = make_rng(23).standard_normal((2, 300))
     panel = TimeSeriesPanel(("a", "b", "a2"), np.vstack([a, b, a]))
-    with pytest.raises(UsageError, match="mirror"):
-        estimate_flow_matrix(panel, surrogates=19, seed=0, surrogate_method="mirror")
     with pytest.raises(SingularCovarianceError):
         surrogate_significance(build_covariance_set(panel, 1), 0, 1, n_surrogates=19, seed=0)
 
@@ -239,22 +220,20 @@ def test_matrix_surrogate_p_is_surrogate_significance_of_its_child_seed():
         assert matrix.p_surrogate[i, j] == surrogate_significance(cov, j, i, n_surrogates=19, seed=children[i * 3 + j])
 
 
-def surrogate_rows(row, n_surrogates, seed, method):
+def surrogate_rows(row, n_surrogates, seed):
     """The documented draw: one generator on ``seed`` per pair, all shifts in
-    one ``integers`` call, or ``n_surrogates`` successive permutations."""
+    one ``integers`` call."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    if method == "circular_shift":
-        n = len(row)
-        lo = max(1, int(np.ceil(n / 10)))
-        return [np.roll(row, s) for s in rng.integers(lo, n - lo, size=n_surrogates, endpoint=True)]
-    return [rng.permutation(row) for _ in range(n_surrogates)]
+    n = len(row)
+    lo = max(1, int(np.ceil(n / 10)))
+    return [np.roll(row, s) for s in rng.integers(lo, n - lo, size=n_surrogates, endpoint=True)]
 
 
-def replaced_source_flows(panel, source, target, k, n_surrogates, seed, method):
+def replaced_source_flows(panel, source, target, k, n_surrogates, seed):
     """Surrogate flows the direct way: copy the panel with the source
     replaced by surrogate m (same seeded draws) and re-estimate."""
     values = []
-    for surr in surrogate_rows(panel.values[source], n_surrogates, seed, method):
+    for surr in surrogate_rows(panel.values[source], n_surrogates, seed):
         try:
             matrix = estimate_flow_matrix(with_series(panel, source, surr), k, pairs=[(source, target)])
             values.append(matrix.value[target, source])
@@ -271,7 +250,7 @@ def correlated_panel(d, n, seed):
     return TimeSeriesPanel(tuple(f"x{m}" for m in range(d)), values, dt=0.1)
 
 
-@pytest.mark.parametrize("method", ["circular_shift", "permutation"])
+@pytest.mark.parametrize("method", ["circular_shift"])  # names the draw in the test id
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("d", [2, 3, 5, 8])
 def test_surrogate_samples_match_replaced_source_estimates(d, k, method):
@@ -282,9 +261,9 @@ def test_surrogate_samples_match_replaced_source_estimates(d, k, method):
     for panel in (base, correlated_panel(d, 7919, seed=40 + d), ramp):
         for source, target in ((0, d - 1), (d - 1, 0), (-1, 0)):
             got = surrogate_flow_samples(
-                build_covariance_set(panel, k), source, target, n_surrogates=25, seed=13, method=method
+                build_covariance_set(panel, k), source, target, n_surrogates=25, seed=13
             )
-            want = replaced_source_flows(panel, source, target, k, 25, 13, method)
+            want = replaced_source_flows(panel, source, target, k, 25, 13)
             assert got.shape == want.shape == (25,)
             assert np.isfinite(want).all()
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -295,10 +274,10 @@ def test_surrogate_that_duplicates_another_series_is_inf():
     # draws, so that surrogate makes the covariance singular
     rng = make_rng(21)
     a, b = rng.standard_normal((2, 800))
-    c = surrogate_rows(a, 30, 17, "circular_shift")[3]
+    c = surrogate_rows(a, 30, 17)[3]
     panel = TimeSeriesPanel(("a", "b", "c"), np.vstack([a, b, c]))
     got = surrogate_flow_samples(build_covariance_set(panel, 1), 0, 1, n_surrogates=30, seed=17)
-    want = replaced_source_flows(panel, 0, 1, 1, 30, 17, "circular_shift")
+    want = replaced_source_flows(panel, 0, 1, 1, 30, 17)
     assert got[3] == np.inf and want[3] == np.inf
     finite = np.isfinite(want)
     assert finite.sum() == 29
