@@ -120,7 +120,7 @@ def _diagonal(A: np.ndarray) -> np.ndarray:
     return A.diagonal(0, -2, -1)
 
 
-def _correlation_det(C: np.ndarray, floor=0.0):
+def _correlation_det(C: np.ndarray, floor):
     """det C over the product of the variances, of C or of each in a stack,
     taken on the correlation matrix so that it does not underflow for tiny
     series; 0 when a standard deviation is at or below eps ``floor`` (per

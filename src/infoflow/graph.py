@@ -180,19 +180,53 @@ def export_graph(graph: CausalGraph, format: str = "dot") -> str:
     raise UsageError(f"unknown graph format {format!r}; choose dot or json")
 
 
+def _real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _probability(x) -> bool:
+    return _real(x) and 0.0 <= x <= 1.0
+
+
+def _count(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 1
+
+
+def _check_values(graph: CausalGraph) -> CausalGraph:
+    """``graph`` if every value obeys the rules of schemas/graph.schema.json;
+    a UsageError naming the first that does not otherwise."""
+    rules = [("nodes", graph.nodes and all(isinstance(node, str) for node in graph.nodes))]
+    rules += [(f"edge {e}", isinstance(e.source, str) and isinstance(e.target, str) and _real(e.flow)
+               and (e.normalized is None or _real(e.normalized) and -1.0 <= e.normalized <= 1.0)
+               and _probability(e.p)) for e in graph.edges]
+    rules += [(f"self loop {s}", isinstance(s.node, str) and _real(s.value)
+               and (s.p is None or _probability(s.p)) and isinstance(s.included, bool))
+              for s in graph.self_loops]
+    rules += [(f"alpha {graph.alpha!r}", _probability(graph.alpha)),
+              (f"correction {graph.correction!r}", graph.correction in CORRECTIONS),
+              (f"k {graph.k!r}", _count(graph.k)),
+              (f"dt {graph.dt!r}", _real(graph.dt) and graph.dt > 0.0),
+              (f"n_eff {graph.n_eff!r}", _count(graph.n_eff))]
+    for what, ok in rules:
+        if not ok:
+            raise UsageError(f"invalid graph JSON: {what} breaks {GRAPH_SCHEMA}")
+    return graph
+
+
 def import_graph(text: str) -> CausalGraph:
     """Rebuild a CausalGraph from its JSON export. Text that does not parse,
-    or parses to anything but the export's fields, is a UsageError."""
+    or parses to anything but the export's fields and values, is a
+    UsageError."""
     try:
         payload = json.loads(text)
         schema = payload.get("schema")
         if schema == GRAPH_SCHEMA:
-            return CausalGraph(
+            return _check_values(CausalGraph(
                 nodes=tuple(payload["nodes"]),
                 edges=tuple(GraphEdge(**e) for e in payload["edges"]),
                 self_loops=tuple(SelfLoop(**s) for s in payload["self_loops"]),
                 **payload["meta"],
-            )
+            ))
     except KeyError as exc:
         raise UsageError(f"invalid graph JSON: missing {exc}") from exc
     except (json.JSONDecodeError, AttributeError, TypeError) as exc:

@@ -9,22 +9,18 @@ variability is exact only at T = 0. Under a planted flow it is not second
 order: 95% intervals covered planted flows about 0.63 of the time at
 n = 1e4 (one_way_2d and chain_3, k = 1).
 
-The surrogate route re-estimates the flow against circularly shifted
-source series. Shifting the source breaks its dependence on every other
-series, so the test is one of unconditional independence of source and
-target, not of the conditional null a_ij = 0. Where the source is
-correlated with the target through other paths it over-rejects true
-nulls: at alpha = 0.05 it rejected 0.088 of the 160 null pairs of chain_3
-and 0.144 of those of confounder_3 (n = 1e4, k = 1, 99 surrogates,
-simulation and surrogate seeds 1-40).
-
-Circular shifts are the only surrogates because a shift keeps the
-source's autocorrelation. Shuffling the source destroys it too, so it tests
-whether the series are i.i.d. (Schreiber & Schmitz 2000), which no SDE
-panel is: on the same pairs shuffled sources rejected 0.78 and 0.83.
-
-One seeded draw per pair gives all its shifts, and one FFT cross-correlation
-per pair gives the moments at every shift: O(n log n) per pair in all.
+The surrogate route shifts the target's residual on every series but the
+source circularly and adds it back to that fit (Freedman & Lane 1983;
+Winkler et al. 2014). That keeps the residual's autocorrelation and every
+path through the other series, so it tests the conditional null a_ij = 0:
+at alpha = 0.05 it rejected 0.065-0.0725 of chain_3's true null pairs and
+0.08-0.085 of confounder_3's (400 per panel and k; n = 1e4, k = 1, 2, 4,
+199 surrogates, seeds 1-100). Shifting the source instead, as earlier
+builds did, tests unconditional independence of source and target and
+rejected 0.110-0.115 and 0.145-0.155. A shuffled source keeps no
+autocorrelation, so it tests whether the series are i.i.d. (Schreiber &
+Schmitz 2000), which no SDE panel is: it rejected 0.78 and 0.83 of 160
+such pairs each (k = 1, 99 surrogates, seeds 1-40).
 """
 
 from __future__ import annotations
@@ -35,7 +31,7 @@ import warnings
 
 import numpy as np
 
-from .covariance import CovarianceSet, _correlation_det, _diagonal, _near_singular
+from .covariance import CovarianceSet, _diagonal
 from .errors import (
     DegenerateInferenceWarning,
     InsufficientDataError,
@@ -137,6 +133,20 @@ def _seed_sequence(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
+def _fft_length(m: int) -> int:
+    """The smallest 2^a 3^b 5^c >= m: a length pocketfft transforms fast."""
+    best = 1 << (m - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # p35 times the smallest power of two that brings it to m
+            best = min(best, p35 << (-(-m // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def surrogate_flow_samples(
     cov: CovarianceSet,
     source: int,
@@ -145,73 +155,51 @@ def surrogate_flow_samples(
     n_surrogates: int,
     seed=None,
 ) -> np.ndarray:
-    """Flow re-estimates against ``n_surrogates`` circular shifts of the source.
+    """Flow re-estimates under the null a_ij = 0 from ``n_surrogates``
+    Freedman-Lane residual shifts.
 
-    Entry m equals the flow of the core of ``cov``'s panel at its stride
-    with the source replaced by surrogate m, but no panel is copied. A
-    surrogate s changes only the source's row and column of C and the
-    source's entry of the target's derivative cross-moments. What stays
-    fixed is read off the core: the covariance block C_OO of the other
-    series O (the target among them) and their cross-moments dcov_O with
-    dX_target. From c = cov(X_O, s), g = cov(s, dX_target) and v = var(s)
-    the Schur complement of C_OO finishes in O(d^2):
+    Surrogate s fits dX_i on every series but the source j, adds that fit's
+    residual r shifted circularly by s back to the fit, and re-estimates the
+    flow on all series. The shift keeps r's autocorrelation (the MA(k - 1)
+    of a stride-k difference among it) and the fit keeps every path through
+    the other series, so this tests the conditional null a_ij = 0; its size
+    at alpha = 0.05 is in the module docstring (0.065-0.085).
 
-        coef = (g - c' C_OO^-1 dcov_O) / (v - c' C_OO^-1 c)
-        T    = coef * c_target / C_target,target
-        det  = det C_OO * (v - c' C_OO^-1 c)
+    Everything is read off the core. With Xc the centred first n = n_eff
+    samples of every series, coefficient j of a fit on all series is w . y
+    for w = [C^-1]_j Xc / (n - 1), which is orthogonal to the other series:
 
-    c and g at every circular shift are one circular cross-correlation of
-    the source with the centred rows of O and dX_target: d + 1 forward and
-    d inverse FFTs, O(n log n) per pair. v comes from the k samples a
-    surrogate's window leaves out.
+        r    = dXc_i - B_i' Xc + B_ji (n - 1) / [C^-1]_jj w
+        T    = (w . roll(r, s)) C_ij / C_ii,
 
-    A surrogate whose covariance fails the ``NEAR_SINGULAR_RTOL`` test
-    contributes +inf (counts as extreme, which can only make the p value
-    more conservative); if C_OO fails it, every surrogate does.
+    B_ji at shift 0. All shifts come from one zero-padded linear correlation
+    of w with r, two forward and one inverse real FFT of the smallest
+    5-smooth length >= 2n - 1. No surrogate refits a covariance, so none
+    can be singular; a near-singular core is refused.
 
     One ``Generator(PCG64(seed))`` draws the shifts in one call,
     ``integers(lo, n - lo, size=n_surrogates, endpoint=True)`` with
-    lo = max(1, ceil(n / 10)) (at least n/10 from either identity). There
-    is no other surrogate: shuffled sources keep no autocorrelation and
-    rejected 0.78-0.83 of true null pairs at alpha = 0.05 (module docstring).
+    lo = max(1, ceil(n / 10)) (at least n/10 from either identity).
     """
-    [(source, target)] = _resolve_pairs([(source, target)], cov.d)
-    panel, n_eff = cov.panel, cov.n_eff
-    others = [m for m in range(cov.d) if m != source]
-    t = others.index(target)
-    C_oo = cov.matrix[np.ix_(others, others)]
-    dcov_o = cov.deriv[others, target]
-    det_oo = _correlation_det(C_oo)
-    if _near_singular(det_oo):
-        return np.full(n_surrogates, math.inf)
-    C_oo_inv = np.linalg.inv(C_oo)
-
-    # centred rows of the other series, then of dX_target; the source is
-    # centred by its global mean, which keeps the digits of v and the FFT
-    Z = np.vstack([panel.values[others, :n_eff], forward_difference(panel, target, cov.k)])
-    Z -= Z.mean(axis=1, keepdims=True)
-    row = panel.values[source] - panel.values[source].mean()
-    n = len(row)
+    if cov.near_singular:
+        raise SingularCovarianceError("cannot test the flow of a singular fit")
+    [(j, i)] = _resolve_pairs([(source, target)], cov.d)
+    n = cov.n_eff
+    Xc = cov.panel.values[:, :n]
+    Xc = Xc - Xc.mean(axis=1, keepdims=True)
+    dx = forward_difference(cov.panel, i, cov.k)
+    w = cov.inverse[j] @ Xc / (n - 1)
+    r = dx - dx.mean() - cov.coefficients[:, i] @ Xc
+    r += cov.coefficients[j, i] * (n - 1) / cov.inverse[j, j] * w
     rng = np.random.Generator(np.random.PCG64(_seed_sequence(seed)))
     lo = max(1, math.ceil(n / 10))
     shifts = rng.integers(lo, n - lo, size=n_surrogates, endpoint=True)
-    # roll(row, s)[m] = row[m - s], so column s of the cross-correlation
-    # is Z @ roll(row, s)[:n_eff]
-    cross = np.fft.irfft(np.fft.rfft(Z, n) * np.fft.rfft(row).conj(), n)[:, shifts].T
-    omitted = row[(np.arange(n_eff, n) - shifts[:, None]) % n]
-    # the window's sums are the row's sums less the omitted samples'
-    window_sum = row.sum() - omitted.sum(axis=1)
-    v = row @ row - np.einsum("mi,mi->m", omitted, omitted) - window_sum**2 / n_eff
-    # centre each surrogate by its window mean too: the centred rows of an
-    # offset series do not sum to exactly 0
-    cross -= np.outer(window_sum / n_eff, Z.sum(axis=1))
-    c, g, v = cross[:, :-1] / (n_eff - 1), cross[:, -1] / (n_eff - 1), v / (n_eff - 1)
-    schur = v - np.einsum("mi,mi->m", c @ C_oo_inv, c)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        flows = (g - c @ (C_oo_inv @ dcov_o)) / schur * c[:, t] / C_oo[t, t]
-        # det C / (product of variances) = det_corr(C_OO) * schur / v
-        flows[_near_singular(det_oo * schur / v)] = math.inf
-    return flows
+    # lags[t] = sum_u w[u + t] r[u] for |t| < n (t < 0 from the end);
+    # roll(r, s) pairs w[u + s] with r[u] at lag s and, past the wrap, at s - n
+    length = _fft_length(2 * n - 1)
+    lags = np.fft.irfft(np.fft.rfft(w, length) * np.fft.rfft(r, length).conj(), length)
+    coef = lags[shifts] + lags[shifts - n]
+    return coef * cov.matrix[i, j] / cov.matrix[i, i]
 
 
 def surrogate_significance(
@@ -223,15 +211,13 @@ def surrogate_significance(
     seed=None,
 ) -> float:
     """Nonparametric p value of the flow source -> target of ``cov`` from
-    circular-shift surrogates.
+    residual-shift surrogates (``surrogate_flow_samples``).
 
     p = (1 + #{|T_surr| >= |T|}) / (n_surrogates + 1), so the attainable
     resolution is exactly 1/(n_surrogates + 1). The observed flow T is
-    ``cov.flows[target, source]``, so a near-singular core is refused.
+    ``cov.flows[target, source]``; a near-singular core is refused.
     """
     _require_surrogates(n_surrogates)
-    if cov.near_singular:
-        raise SingularCovarianceError("cannot test the flow of a singular fit")
     samples = surrogate_flow_samples(cov, source, target, n_surrogates=n_surrogates, seed=seed)
     exceed = int(np.sum(np.abs(samples) >= abs(cov.flows[target, source])))
     return (1 + exceed) / (n_surrogates + 1)

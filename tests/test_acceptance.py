@@ -92,9 +92,10 @@ def test_02_convergence_to_analytic_flow():
 def _null_pair_p_values(trial_seed: int, with_surrogates: bool):
     """One independent_d trial and one one_way_2d null-direction trial.
 
-    n is kept moderate: shifting only the source tests for cross-dependence
-    of any direction, so on the coupled pair its power against the (real)
-    reverse coupling grows with the effective sample count.
+    n is kept moderate: earlier surrogates shifted only the source, which
+    tests for cross-dependence of any direction, so on the coupled pair
+    their power against the (real) reverse coupling grew with the
+    effective sample count.
     """
     out = []
     b1 = benchmark("independent_d", None, n=6000, seed=trial_seed)

@@ -77,7 +77,15 @@ def test_json_round_trip_identity():
     lambda payload: [],
     lambda payload: {key: value for key, value in payload.items() if key != "meta"},
     lambda payload: {**payload, "edges": [{}]},
-], ids=["list", "no-meta", "empty-edge"])
+    lambda payload: {**payload, "edges": [{**payload["edges"][0], "source": 0}]},
+    lambda payload: {**payload, "edges": [{**payload["edges"][0], "flow": "0.1"}]},
+    lambda payload: {**payload, "edges": [{**payload["edges"][0], "p": 7}]},
+    lambda payload: {**payload, "meta": {**payload["meta"], "alpha": 2}},
+    lambda payload: {**payload, "meta": {**payload["meta"], "correction": "holm"}},
+    lambda payload: {**payload, "meta": {**payload["meta"], "k": -1}},
+    lambda payload: {**payload, "meta": {**payload["meta"], "dt": 0}},
+], ids=["list", "no-meta", "empty-edge", "int-source", "string-flow", "p-7", "alpha-2",
+        "unknown-correction", "negative-k", "zero-dt"])
 def test_import_refuses_json_that_is_not_a_graph(mangle):
     payload = json.loads(export_graph(reconstruct_graph(toy_matrix({(0, 1): 0.01, (1, 0): 0.2})), "json"))
     with pytest.raises(UsageError, match="invalid graph JSON"):
