@@ -59,7 +59,6 @@ from .panel import (
 from .significance import (
     asymptotic_inference,
     surrogate_flow_samples,
-    surrogate_significance,
 )
 from .simulate import (
     BenchmarkResult,
@@ -119,7 +118,6 @@ __all__ = [
     "simulate_system",
     "stationary_covariance",
     "surrogate_flow_samples",
-    "surrogate_significance",
     "transform_other_components",
     "windowed_flows",
     "write_csv",

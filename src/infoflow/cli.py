@@ -162,7 +162,7 @@ def main(argv=None) -> int:
 
 def _detect_time_column(path, delimiter) -> str | None:
     try:
-        with open(path, "r", newline="", encoding="utf-8") as fh:
+        with open(path, "r", newline="", encoding="utf-8-sig") as fh:
             first = next(csv.reader(fh, delimiter=delimiter), None)
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read input: {exc}") from exc

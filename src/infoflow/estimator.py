@@ -151,6 +151,7 @@ def estimate_flow_matrix(
             "covariance matrix is singular or near-singular"
             f" (correlation det={cov.det_corr:.3e}); refusing to estimate"
         )
+    value, stderr, z, p = read_off(cov)  # refuses a panel too short for inference before any surrogate
     p_surrogate = None
     if surrogates:
         targets, sources = np.nonzero(estimated)
@@ -162,7 +163,6 @@ def estimate_flow_matrix(
         noise = np.abs(cov.noise_intensity / (2.0 * np.diag(cov.matrix)))
         total = np.abs(cov.flows) + np.abs(np.diag(cov.flows))[:, None] + noise[:, None]
         normalized = np.divide(cov.flows, total, out=np.full((d, d), np.nan), where=total != 0.0)
-    value, stderr, z, p = read_off(cov)
     return FlowMatrix(labels=panel.labels, value=value, stderr=stderr, z=z, p_asymptotic=p,
                       estimated=estimated, lag1_residual_autocorr=cov.lag1_residual_autocorr,
                       k=int(k), dt=panel.dt, n_eff=cov.n_eff, p_surrogate=p_surrogate,

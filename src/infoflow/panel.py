@@ -139,7 +139,7 @@ def ingest_csv(
     t[0] + m*(t[1] - t[0]), as ``write_csv`` writes it, gives that step
     bit for bit. Without a time column dt is ``dt_override`` or 1.0. Missing
     values are rejected, never imputed; so are Python-only literals such as
-    ``1_000``.
+    ``1_000``. A leading UTF-8 byte-order mark is skipped.
     """
     if time_column is not None and dt_override is not None:
         raise UsageError("pass either time_column or dt_override, not both")
@@ -147,7 +147,7 @@ def ingest_csv(
         raise UsageError("time_column requires a header row")
     _require_delimiter(delimiter)
     try:
-        with open(path, "r", newline="", encoding="utf-8") as fh:
+        with open(path, "r", newline="", encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read input: {exc}") from exc

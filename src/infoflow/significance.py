@@ -21,6 +21,9 @@ rejected 0.110-0.115 and 0.145-0.155. A shuffled source keeps no
 autocorrelation, so it tests whether the series are i.i.d. (Schreiber &
 Schmitz 2000), which no SDE panel is: it rejected 0.78 and 0.83 of 160
 such pairs each (k = 1, 99 surrogates, seeds 1-40).
+
+All surrogates of a core come from one pass over its stack and residuals:
+2d forward FFTs, then one inverse FFT per pair (``_surrogate_flows``).
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import warnings
 
 import numpy as np
 
-from .covariance import CovarianceSet, _diagonal
+from .covariance import CovarianceSet, _diagonal, _residuals, _stack
 from .errors import (
     DegenerateInferenceWarning,
     InsufficientDataError,
@@ -40,7 +43,6 @@ from .errors import (
     SingularCovarianceError,
     UsageError,
 )
-from .panel import forward_difference
 
 # Lag-1 residual autocorrelation above this is flagged in reports: the
 # plain delta-method errors assume serially uncorrelated residuals.
@@ -147,6 +149,50 @@ def _fft_length(m: int) -> int:
     return best
 
 
+def _surrogate_flows(cov: CovarianceSet, pairs, n_surrogates: int, seeds) -> np.ndarray:
+    """The surrogate flows (``surrogate_flow_samples``) of each resolved
+    (source, target) of ``pairs``, one row per pair, row p drawn on ``seeds[p]``.
+
+    With Xc the centred first n = n_eff samples of every series and E every
+    target's residuals (``covariance._residuals``), coefficient j of a fit on
+    all series is w_j . y for w = C^-1 Xc / (n - 1), and
+
+        r_ij = E_i + B_ji (n - 1) / [C^-1]_jj w_j
+        T    = (w_j . roll(r_ij, s)) C_ij / C_ii,
+
+    B_ji at shift 0. All shifts of a pair come from one zero-padded linear
+    correlation of w_j with r_ij at the smallest 5-smooth length >= 2n - 1.
+    r_ij is linear in E_i and w_j, so a core takes 2d forward real FFTs and a
+    pair one inverse. No surrogate refits a covariance, so none can be
+    singular; a near-singular core is refused.
+    """
+    if cov.near_singular:
+        raise SingularCovarianceError("cannot test the flow of a singular fit")
+    n, C, B, inverse = cov.n_eff, cov.matrix, cov.coefficients, cov.inverse
+    length = _fft_length(2 * n - 1)
+    Z = _stack(cov.panel, cov.k, n)
+    Z -= Z.mean(axis=1, keepdims=True)
+    E = _residuals(Z, B)[0]
+    W = inverse @ Z[:cov.d]
+    W /= n - 1
+    del Z  # each array goes as soon as its spectrum is taken
+    FE = np.fft.rfft(E, length)
+    del E
+    FW = np.fft.rfft(W, length)
+    del W
+    lo = max(1, math.ceil(n / 10))
+    samples = np.empty((len(pairs), n_surrogates))
+    for row, ((j, i), seed) in enumerate(zip(pairs, seeds)):
+        rng = np.random.Generator(np.random.PCG64(_seed_sequence(seed)))
+        shifts = rng.integers(lo, n - lo, size=n_surrogates, endpoint=True)
+        # lags[t] = sum_u w_j[u + t] r_ij[u] for |t| < n (t < 0 from the end);
+        # roll(r, s) pairs w[u + s] with r[u] at lag s and, past the wrap, at s - n
+        spectrum = FW[j] * (FE[i] + B[j, i] * (n - 1) / inverse[j, j] * FW[j]).conj()
+        lags = np.fft.irfft(spectrum, length)
+        samples[row] = (lags[shifts] + lags[shifts - n]) * C[i, j] / C[i, i]
+    return samples
+
+
 def surrogate_flow_samples(
     cov: CovarianceSet,
     source: int,
@@ -156,78 +202,30 @@ def surrogate_flow_samples(
     seed=None,
 ) -> np.ndarray:
     """Flow re-estimates under the null a_ij = 0 from ``n_surrogates``
-    Freedman-Lane residual shifts.
+    Freedman-Lane residual shifts, as a 1-D array: one pair's row of the
+    per-core pass (``_surrogate_flows``) that every surrogate p value reads.
 
     Surrogate s fits dX_i on every series but the source j, adds that fit's
     residual r shifted circularly by s back to the fit, and re-estimates the
     flow on all series. The shift keeps r's autocorrelation (the MA(k - 1)
     of a stride-k difference among it) and the fit keeps every path through
     the other series, so this tests the conditional null a_ij = 0; its size
-    at alpha = 0.05 is in the module docstring (0.065-0.085).
-
-    Everything is read off the core. With Xc the centred first n = n_eff
-    samples of every series, coefficient j of a fit on all series is w . y
-    for w = [C^-1]_j Xc / (n - 1), which is orthogonal to the other series:
-
-        r    = dXc_i - B_i' Xc + B_ji (n - 1) / [C^-1]_jj w
-        T    = (w . roll(r, s)) C_ij / C_ii,
-
-    B_ji at shift 0. All shifts come from one zero-padded linear correlation
-    of w with r, two forward and one inverse real FFT of the smallest
-    5-smooth length >= 2n - 1. No surrogate refits a covariance, so none
-    can be singular; a near-singular core is refused.
-
-    One ``Generator(PCG64(seed))`` draws the shifts in one call,
-    ``integers(lo, n - lo, size=n_surrogates, endpoint=True)`` with
-    lo = max(1, ceil(n / 10)) (at least n/10 from either identity).
+    is in the module docstring. One ``Generator(PCG64(seed))`` draws the
+    shifts in one call, ``integers(lo, n - lo, size=n_surrogates,
+    endpoint=True)`` with n = n_eff and lo = max(1, ceil(n / 10)).
     """
-    if cov.near_singular:
-        raise SingularCovarianceError("cannot test the flow of a singular fit")
-    [(j, i)] = _resolve_pairs([(source, target)], cov.d)
-    n = cov.n_eff
-    Xc = cov.panel.values[:, :n]
-    Xc = Xc - Xc.mean(axis=1, keepdims=True)
-    dx = forward_difference(cov.panel, i, cov.k)
-    w = cov.inverse[j] @ Xc / (n - 1)
-    r = dx - dx.mean() - cov.coefficients[:, i] @ Xc
-    r += cov.coefficients[j, i] * (n - 1) / cov.inverse[j, j] * w
-    rng = np.random.Generator(np.random.PCG64(_seed_sequence(seed)))
-    lo = max(1, math.ceil(n / 10))
-    shifts = rng.integers(lo, n - lo, size=n_surrogates, endpoint=True)
-    # lags[t] = sum_u w[u + t] r[u] for |t| < n (t < 0 from the end);
-    # roll(r, s) pairs w[u + s] with r[u] at lag s and, past the wrap, at s - n
-    length = _fft_length(2 * n - 1)
-    lags = np.fft.irfft(np.fft.rfft(w, length) * np.fft.rfft(r, length).conj(), length)
-    coef = lags[shifts] + lags[shifts - n]
-    return coef * cov.matrix[i, j] / cov.matrix[i, i]
+    return _surrogate_flows(cov, _resolve_pairs([(source, target)], cov.d), n_surrogates, [seed])[0]
 
 
-def surrogate_significance(
-    cov: CovarianceSet,
-    source: int,
-    target: int,
-    *,
-    n_surrogates: int = 199,
-    seed=None,
-) -> float:
-    """Nonparametric p value of the flow source -> target of ``cov`` from
-    residual-shift surrogates (``surrogate_flow_samples``).
-
-    p = (1 + #{|T_surr| >= |T|}) / (n_surrogates + 1), so the attainable
-    resolution is exactly 1/(n_surrogates + 1). The observed flow T is
-    ``cov.flows[target, source]``; a near-singular core is refused.
-    """
-    _require_surrogates(n_surrogates)
-    samples = surrogate_flow_samples(cov, source, target, n_surrogates=n_surrogates, seed=seed)
-    exceed = int(np.sum(np.abs(samples) >= abs(cov.flows[target, source])))
-    return (1 + exceed) / (n_surrogates + 1)
-
-
-def _surrogate_p_values(cov: CovarianceSet, pairs, *, n_surrogates: int, seed) -> list[float]:
-    """``surrogate_significance`` of each resolved (source, target) in
-    ``pairs``; pair j -> i draws the child of ``seed`` at the flat index of
-    its [target, source] entry."""
+def _surrogate_p_values(cov: CovarianceSet, pairs, *, n_surrogates: int, seed) -> np.ndarray:
+    """Surrogate p values of each resolved (source, target) in ``pairs``,
+    p = (1 + #{|T_surr| >= |T|}) / (n_surrogates + 1) against the observed
+    flow T of ``cov.flows``, so the attainable resolution is exactly
+    1/(n_surrogates + 1). Pair j -> i draws the child of ``seed`` at the
+    flat index of its [target, source] entry."""
     d = cov.d
     children = _seed_sequence(seed).spawn(d * d)
-    return [surrogate_significance(cov, j, i, n_surrogates=n_surrogates, seed=children[i * d + j])
-            for j, i in pairs]
+    samples = _surrogate_flows(cov, pairs, n_surrogates, [children[i * d + j] for j, i in pairs])
+    observed = np.abs(cov.flows[[i for _, i in pairs], [j for j, _ in pairs]])
+    exceed = np.sum(np.abs(samples) >= observed[:, None], axis=1)
+    return (1 + exceed) / (n_surrogates + 1)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from infoflow import LinearSDE, TimeSeriesPanel
+from infoflow import LinearSDE, TimeSeriesPanel, surrogate_flow_samples
 
 
 def make_rng(seed):
@@ -63,6 +63,16 @@ def lstsq_fit(panel, target, k):
     resid = dx - design @ beta
     e = resid - resid.mean()
     return beta[0], beta[1:], float(resid @ resid / n_eff), float(e[:-1] @ e[1:] / (e @ e))
+
+
+def surrogate_p(cov, source, target, n_surrogates, seed):
+    """Reference surrogate p value of the flow source -> target of ``cov``:
+    (1 + #{|T_surr| >= |T|}) / (n_surrogates + 1) over
+    ``surrogate_flow_samples``, T the observed ``cov.flows[target, source]``.
+    """
+    samples = surrogate_flow_samples(cov, source, target, n_surrogates=n_surrogates, seed=seed)
+    exceed = int(np.sum(np.abs(samples) >= abs(cov.flows[target, source])))
+    return (1 + exceed) / (n_surrogates + 1)
 
 
 def cofactor_matrix(C):

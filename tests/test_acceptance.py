@@ -23,12 +23,11 @@ from infoflow import (
     reconstruct_graph,
     regime_switch_panel,
     stationary_covariance,
-    surrogate_significance,
     transform_other_components,
     write_csv,
 )
 from infoflow.cli import main
-from conftest import lstsq_fit, make_rng, random_panel, random_stable_system
+from conftest import lstsq_fit, make_rng, random_panel, random_stable_system, surrogate_p
 
 
 def criterion(name: str, ok: bool, detail: str) -> None:
@@ -105,7 +104,7 @@ def _null_pair_p_values(trial_seed: int, with_surrogates: bool):
         p_asym = asymptotic_inference(cov)[2][i, j]
         p_surr = None
         if with_surrogates:
-            p_surr = surrogate_significance(cov, j, i, n_surrogates=199, seed=trial_seed)
+            p_surr = surrogate_p(cov, j, i, 199, trial_seed)
         out.append((p_asym, p_surr))
     return out
 

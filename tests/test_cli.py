@@ -180,6 +180,17 @@ def test_matrix_table_layout(capsys, one_way_csv):
     assert float(x_row[2]) == pytest.approx(1 / 9, rel=0.15)
 
 
+def test_matrix_on_a_byte_order_marked_file_prints_the_plain_bytes(capsys, tmp_path):
+    plain = tmp_path / "plain.csv"
+    assert main(["simulate", "--benchmark", "one_way_2d", "--n", "5000", "--seed", "3", "-o", str(plain)]) == 0
+    marked = tmp_path / "bom.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    capsys.readouterr()
+    want = run_cli(capsys, "matrix", str(plain))
+    assert want[0] == 0
+    assert run_cli(capsys, "matrix", str(marked)) == want
+
+
 def test_matrix_json_validates(capsys, one_way_csv):
     code, out, _ = run_cli(capsys, "matrix", str(one_way_csv), "--json", "--normalize")
     assert code == 0

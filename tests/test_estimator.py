@@ -13,10 +13,15 @@ from infoflow import (
     estimate_flow_matrix,
     euler_maruyama,
     surrogate_flow_samples,
-    surrogate_significance,
     windowed_flows,
 )
-from infoflow.errors import DegenerateInferenceWarning, InvalidPairError, SingularCovarianceError, UsageError
+from infoflow.errors import (
+    DegenerateInferenceWarning,
+    InsufficientDataError,
+    InvalidPairError,
+    SingularCovarianceError,
+    UsageError,
+)
 from conftest import lstsq_fit, make_rng, random_panel, with_series
 
 
@@ -318,12 +323,22 @@ def test_same_seed_sequence_twice_gives_same_surrogates():
     assert np.array_equal(samples[0], samples[1]) and np.array_equal(samples[0], samples[2])
 
 
+def test_too_short_panel_refused_before_any_surrogate(monkeypatch):
+    # n - k = d + 2 passes the core but not inference: no surrogate is drawn
+    def drawn(*args, **kwargs):
+        pytest.fail("surrogates drawn for a panel that inference refuses")
+
+    monkeypatch.setattr("infoflow.estimator._surrogate_p_values", drawn)
+    panel = TimeSeriesPanel(("a", "b"), make_rng(8).standard_normal((2, 5)))
+    with pytest.raises(InsufficientDataError):
+        estimate_flow_matrix(panel, surrogates=19, seed=0)
+
+
 def test_negative_seed_refused_by_every_surrogate_route():
     panel = benchmark("chain_3", None, n=400, seed=1).panel
     cov = build_covariance_set(panel, 1)
     calls = (
         lambda s: estimate_flow_matrix(panel, surrogates=19, seed=s),
-        lambda s: surrogate_significance(cov, 0, 1, n_surrogates=19, seed=s),
         lambda s: surrogate_flow_samples(cov, 0, 1, n_surrogates=19, seed=s),
         lambda s: windowed_flows(panel, 200, 100, surrogates=19, seed=s),
     )

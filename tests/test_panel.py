@@ -201,6 +201,19 @@ def test_csv_round_trip_is_bit_exact(tmp_path):
         assert back.dt == pytest.approx(panel.dt, rel=1e-12)
 
 
+def test_byte_order_mark_ingests_as_the_plain_file(tmp_path):
+    # spreadsheet "CSV UTF-8" exports lead with a BOM; it must not rename the
+    # time column and so hide it
+    panel = TimeSeriesPanel(("x", "y"), make_rng(13).standard_normal((2, 50)), dt=0.25)
+    buf = io.StringIO()
+    write_csv(panel, buf)
+    plain = ingest_csv(write_file(tmp_path, buf.getvalue(), "plain.csv"), time_column="t")
+    marked = ingest_csv(write_file(tmp_path, "\ufeff" + buf.getvalue(), "bom.csv"), time_column="t")
+    assert marked.labels == plain.labels == ("x", "y")
+    assert marked.dt == plain.dt == 0.25
+    assert np.array_equal(marked.values, plain.values)
+
+
 def test_csv_round_trip_without_time_column(tmp_path):
     rng = make_rng(12)
     panel = TimeSeriesPanel(("x",), rng.standard_normal((1, 9)), dt=1.0)

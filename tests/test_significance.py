@@ -13,7 +13,6 @@ from infoflow import (
     estimate_flow_matrix,
     euler_maruyama,
     surrogate_flow_samples,
-    surrogate_significance,
 )
 from infoflow.errors import (
     DegenerateInferenceWarning,
@@ -22,7 +21,7 @@ from infoflow.errors import (
     SingularCovarianceError,
 )
 from infoflow.significance import SERIAL_CORRELATION_LIMIT, _fft_length
-from conftest import make_rng, with_series
+from conftest import make_rng, surrogate_p, with_series
 from test_estimator import orthogonal_pair_panel
 
 
@@ -134,15 +133,15 @@ def test_serial_correlation_flag_on_coarse_stride():
 def test_surrogate_needs_19():
     b = benchmark("one_way_2d", None, n=2000, seed=0)
     with pytest.raises(ResolutionError):
-        surrogate_significance(build_covariance_set(b.panel, 1), 1, 0, n_surrogates=18, seed=0)
+        estimate_flow_matrix(b.panel, surrogates=18, seed=0)
 
 
 def test_surrogate_p_resolution_and_reproducibility():
     rng = make_rng(6)
     panel = TimeSeriesPanel(("a", "b"), rng.standard_normal((2, 500)))
     cov = build_covariance_set(panel, 1)
-    p1 = surrogate_significance(cov, 0, 1, n_surrogates=19, seed=42)
-    p2 = surrogate_significance(cov, 0, 1, n_surrogates=19, seed=42)
+    p1 = surrogate_p(cov, 0, 1, 19, 42)
+    p2 = surrogate_p(cov, 0, 1, 19, 42)
     assert p1 == p2
     # p is an integer multiple of 1/(n_surrogates + 1), at least the minimum
     steps = p1 * 20
@@ -177,7 +176,7 @@ def test_surrogate_calibration_under_the_null():
     for seed in range(trials):
         rng = make_rng(80_000 + seed)
         panel = TimeSeriesPanel(("a", "b"), rng.standard_normal((2, 400)))
-        p = surrogate_significance(build_covariance_set(panel, 1), 0, 1, n_surrogates=199, seed=seed)
+        p = surrogate_p(build_covariance_set(panel, 1), 0, 1, 199, seed)
         hits += p < 0.05
     assert 0.01 <= hits / trials <= 0.10
 
@@ -202,16 +201,9 @@ def test_surrogate_power_on_driven_direction():
     floor_hits = 0
     for seed in range(10):
         b = benchmark("one_way_2d", None, n=20_000, seed=900 + seed)
-        p = surrogate_significance(build_covariance_set(b.panel, 1), 1, 0, n_surrogates=199, seed=seed)
+        p = surrogate_p(build_covariance_set(b.panel, 1), 1, 0, 199, seed)
         floor_hits += p == pytest.approx(1 / 200)
     assert floor_hits >= 9
-
-
-def test_surrogate_significance_refuses_a_singular_core():
-    a, b = make_rng(23).standard_normal((2, 300))
-    panel = TimeSeriesPanel(("a", "b", "a2"), np.vstack([a, b, a]))
-    with pytest.raises(SingularCovarianceError):
-        surrogate_significance(build_covariance_set(panel, 1), 0, 1, n_surrogates=19, seed=0)
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -227,12 +219,15 @@ def test_self_influence_carries_its_targets_inference(k):
 
 
 def test_matrix_surrogate_p_is_surrogate_significance_of_its_child_seed():
-    panel = benchmark("confounder_3", None, n=3000, seed=4).panel
-    cov = build_covariance_set(panel, 1)
-    children = np.random.SeedSequence(12).spawn(9)
-    matrix = estimate_flow_matrix(panel, surrogates=19, seed=12)
-    for i, j in zip(*np.nonzero(matrix.estimated)):
-        assert matrix.p_surrogate[i, j] == surrogate_significance(cov, j, i, n_surrogates=19, seed=children[i * 3 + j])
+    # the per-core pass, checked pair by pair against one-pair draws
+    for panel, k in ((benchmark("confounder_3", None, n=3000, seed=4).panel, 1),
+                     (correlated_panel(5, 2000, seed=45), 2)):
+        d = panel.d
+        cov = build_covariance_set(panel, k)
+        children = np.random.SeedSequence(12).spawn(d * d)
+        matrix = estimate_flow_matrix(panel, k, surrogates=19, seed=12)
+        for i, j in zip(*np.nonzero(matrix.estimated)):
+            assert matrix.p_surrogate[i, j] == surrogate_p(cov, j, i, 19, children[i * d + j])
 
 
 def freedman_lane_flows(panel, source, target, k, n_surrogates, seed):
@@ -323,8 +318,7 @@ def test_surrogate_indices_negative_and_out_of_range():
     cov = build_covariance_set(correlated_panel(3, 600, seed=51), 1)
     got = surrogate_flow_samples(cov, -1, -3, n_surrogates=20, seed=6)
     assert np.array_equal(got, surrogate_flow_samples(cov, 2, 0, n_surrogates=20, seed=6))
-    p = surrogate_significance(cov, -1, 0, n_surrogates=19, seed=6)
-    assert p == surrogate_significance(cov, 2, 0, n_surrogates=19, seed=6)
+    assert surrogate_p(cov, -1, 0, 19, 6) == surrogate_p(cov, 2, 0, 19, 6)
     with pytest.raises(IndexError):
         surrogate_flow_samples(cov, 3, 0, n_surrogates=20, seed=6)
     with pytest.raises(InvalidPairError):
