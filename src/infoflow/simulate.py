@@ -2,7 +2,8 @@
 
 Simulation uses the same first-order scheme the estimator's forward
 differencing assumes, which keeps estimator bias at O(dt) for fixed step.
-The linear recursion runs as a blocked prefix scan, not step by step. All
+The linear recursion runs as a recursive block scan, not step by step: a
+few GEMMs per level over about log_8(n) levels, O(8 n d^2) flops in all. All
 noise comes from numpy's PCG64 generator under an explicit (non-negative)
 seed, so a given spec reproduces its panel bit-for-bit.
 """
@@ -24,6 +25,11 @@ RNG_ALGORITHM = "pcg64"
 EXPLOSION_LIMIT = 1e12
 
 DEFAULT_BURN_IN = 10_000
+
+# Each level of the affine scan accumulates blocks of _SCAN_BLOCK steps by
+# GEMMs of at most _SCAN_BUDGET elements, which bounds its temporaries.
+_SCAN_BLOCK = 8
+_SCAN_BUDGET = 1 << 15
 
 BENCHMARK_NAMES = ("one_way_2d", "chain_3", "confounder_3", "independent_d", "henon")
 
@@ -63,7 +69,8 @@ def euler_maruyama(spec: SimulationSpec) -> TimeSeriesPanel:
 
     The first ``burn_in`` steps are discarded; the returned panel holds the
     next ``n`` states (the initial state itself when burn_in = 0). The
-    recursion runs as a blocked scan, so panels match a step-by-step loop
+    recursion runs as a recursive block scan (``_affine_scan``) in O(8 n d^2)
+    flops and a few GEMMs per level, so panels match a step-by-step loop
     over the same noise to round-off; identical seeds produce bit-identical
     panels.
     """
@@ -86,7 +93,7 @@ def _integrate(spec: SimulationSpec, A_late: np.ndarray, switch: int) -> TimeSer
         _affine_scan(traj[:switch], np.eye(sys.d) + sys.A.T * dt)
         _affine_scan(traj[switch - 1 :], np.eye(sys.d) + A_late.T * dt)
 
-    if not np.isfinite(traj).all() or np.abs(traj).max() > EXPLOSION_LIMIT:
+    if not np.abs(traj).max() <= EXPLOSION_LIMIT:  # also true for NaN and inf
         raise InstabilityError(
             f"trajectory exploded beyond |X| = {EXPLOSION_LIMIT:g};"
             " try a smaller dt or a stabler system"
@@ -97,36 +104,47 @@ def _integrate(spec: SimulationSpec, A_late: np.ndarray, switch: int) -> TimeSer
 def _affine_scan(x: np.ndarray, M: np.ndarray) -> None:
     """In place, x[m] = x[m-1] @ M + x[m] for m = 1, 2, ... (x[0] is the start).
 
-    Blocked prefix scan (Blelloch 1990) in about 3 sqrt(n) vectorised steps:
-    every block of L steps is accumulated from a zero state at once, a carry
-    over the block starts s <- s @ M^L + (block's last value) follows, and
-    then step t of every block adds start @ M^(t+1). The powers stop short
-    of EXPLOSION_LIMIT, so an unexcited mode that M would blow up never
-    multiplies 0 by inf; the last partial block runs the plain recursion.
+    Recursive block scan in O(n L d^2) flops, a few GEMMs on each of about
+    log_L(n) levels, for blocks of L = ``_SCAN_BLOCK`` steps. A product with
+    the block upper-triangular Toeplitz T[r, t] = M^(t-r) accumulates every
+    block from a zero state; the block starts are the affine scan of the
+    block ends under M^L, run by this function; a product with
+    [M^1 | ... | M^L] adds each block's start to its steps. The powers stop
+    short of EXPLOSION_LIMIT, so an unexcited mode that M would blow up
+    never multiplies 0 by inf; below two powers the plain recursion runs.
     """
-    n = len(x) - 1
+    n, d = len(x) - 1, x.shape[1]
     if n <= 0:
         return
-    powers = [M]
-    while len(powers) < math.isqrt(n - 1) + 1:
+    powers = [np.eye(d), M]
+    while len(powers) <= _SCAN_BLOCK:
         nxt = powers[-1] @ M
         if not np.abs(nxt).max() <= EXPLOSION_LIMIT:
             break
         powers.append(nxt)
-    L = len(powers)
+    L = len(powers) - 1
+    if L < 2:
+        for m in range(1, n + 1):
+            x[m] += x[m - 1] @ M
+        return
+    powers = np.stack(powers)
+    lag = np.arange(L) - np.arange(L)[:, None]  # t - r
+    T = np.where((lag >= 0)[:, :, None, None], powers[np.maximum(lag, 0)], 0.0)
+    T = T.transpose(0, 2, 1, 3).reshape(L * d, L * d)
+    F = powers[1:].transpose(1, 0, 2).reshape(d, L * d)
     blocks = n // L
-    y = x[1 : 1 + blocks * L].reshape(blocks, L, -1)
-    for t in range(1, L):
-        y[:, t] += y[:, t - 1] @ M
-    starts = np.empty((blocks, x.shape[1]))
-    s = x[0]
-    for b in range(blocks):
-        starts[b] = s
-        s = s @ powers[-1] + y[b, -1]
-    for t in range(L):
-        y[:, t] += starts @ powers[t]
-    for m in range(1 + blocks * L, n + 1):
-        x[m] += x[m - 1] @ M
+    y = x[1 : 1 + blocks * L].reshape(blocks, L * d)
+    chunk = max(1, _SCAN_BUDGET // (L * d))
+    for c in range(0, blocks, chunk):
+        y[c : c + chunk] = y[c : c + chunk] @ T
+    starts = np.empty((blocks + 1, d))
+    starts[0] = x[0]
+    starts[1:] = y[:, -d:]
+    _affine_scan(starts, powers[L])
+    for c in range(0, blocks, chunk):
+        y[c : c + chunk] += starts[c : min(c + chunk, blocks)] @ F
+    tail = x[1 + blocks * L :].reshape(1, -1)
+    tail[:] = tail @ T[: tail.size, : tail.size] + starts[-1] @ F[:, : tail.size]
 
 
 @dataclass(frozen=True, eq=False)

@@ -383,6 +383,21 @@ def test_console_entry_point_installed():
     assert proc.returncode == 2
 
 
+def test_commands_in_one_process_match_separate_processes(capsys, tmp_path):
+    # main builds its parser once per process: after a refused flag, later
+    # commands still print the bytes and exit codes of fresh processes
+    data = tmp_path / "chain.csv"
+    assert main(["simulate", "--benchmark", "chain_3", "--n", "3000", "--seed", "4", "-o", str(data)]) == 0
+    window = ["window", str(data), "--window", "1000", "--step", "500", "--json"]
+    runs = [window, ["matrix", str(data)], ["matrix", str(data), "--no-such-flag"], window,
+            ["matrix", str(data), "--surrogates", "5", "--seed", "1"]]
+    in_process = [run_cli(capsys, *argv) for argv in runs]
+    assert [code for code, _, _ in in_process] == [0, 0, 2, 0, 2]
+    for argv, got in zip(runs, in_process):
+        proc = subprocess.run([sys.executable, "-m", "infoflow.cli", *argv], capture_output=True, text=True)
+        assert got == (proc.returncode, proc.stdout, proc.stderr), argv
+
+
 def test_estimate_and_matrix_share_surrogate_p_values(capsys, tmp_path):
     data = tmp_path / "chain.csv"
     assert main(["simulate", "--benchmark", "chain_3", "--n", "4000", "--seed", "6", "-o", str(data)]) == 0

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from infoflow import (
     stationary_covariance,
 )
 from infoflow.errors import InstabilityError, InsufficientDataError, UsageError, ValidationError
+from infoflow.simulate import _SCAN_BLOCK, _SCAN_BUDGET, _affine_scan
 from conftest import make_rng, random_stable_system
 
 
@@ -222,6 +225,51 @@ def test_unexcited_mode_stays_finite():
     assert np.isfinite(panel.values).all()
     assert not panel.values[1].any()
     assert_round_off(panel.values, loop_oracle(spec))
+
+
+def test_scan_matches_step_loop_around_block_powers():
+    # L, L^2 and L^3 steps fill every level's blocks exactly; one step fewer
+    # or more leaves a partial tail at some level
+    L = _SCAN_BLOCK
+    steps = [p + e for p in (L, L**2, L**3) for e in (-1, 0, 1)]
+    for d in (1, 3, 8):
+        rng = make_rng(200 + d)
+        base = random_stable_system(rng, d, d)
+        sys = LinearSDE(f=rng.standard_normal(d), A=base.A, B=base.B)
+        x0 = rng.standard_normal(d)
+        for s in steps:
+            spec = SimulationSpec(system=sys, n=s + 1, dt=0.05, seed=d * 1000 + s, burn_in=0, x0=x0)
+            assert_round_off(euler_maruyama(spec).values, loop_oracle(spec))
+
+
+@pytest.mark.parametrize("growth, block", [(30.0, _SCAN_BLOCK), (100.0, 6), (1e7, 1)])
+def test_scan_falls_back_where_powers_pass_the_limit(growth, block):
+    # M = diag(0.9, growth) with the second mode unexcited: 30^8 passes the
+    # limit but 30^16 does not, so the second level runs the plain
+    # recursion; 100^6 = 1e12 makes blocks of 6; 1e7 leaves no block at all
+    assert growth**block <= 1e12 < growth ** (block + 1)
+    sys = LinearSDE(f=np.zeros(2), A=np.diag([-0.1, growth - 1.0]), B=np.diag([1.0, 0.0]))
+    for n in (2, block + 2, 100, 1000):
+        spec = SimulationSpec(system=sys, n=n, dt=1.0, seed=n, burn_in=0, x0=[1.0, 0.0])
+        panel = euler_maruyama(spec)
+        assert not panel.values[1].any()
+        assert_round_off(panel.values, loop_oracle(spec))
+
+
+def test_scan_memory_stays_within_its_gemm_budget():
+    # an unchunked GEMM would hold a second trajectory; the scan holds the
+    # block starts of every level (under 1/(L - 1) of the trajectory), one
+    # GEMM product of at most _SCAN_BUDGET elements and a few copies of T
+    d, n, L = 8, 100_000, _SCAN_BLOCK
+    x = make_rng(17).standard_normal((n + 1, d))
+    M = np.eye(d) - 0.01 * (np.eye(d) + np.tri(d, k=-1))
+    tracemalloc.start()
+    try:
+        _affine_scan(x, M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= x.nbytes / (L - 1) + 8 * (_SCAN_BUDGET + 4 * (L * d) ** 2)
 
 
 def test_negative_seed_rejected():
