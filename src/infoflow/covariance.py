@@ -278,9 +278,13 @@ def window_cores(panel: TimeSeriesPanel, k: int, window_length: int, step: int,
     """The cores of the windows w*step + [0, window_length), w < ``n_windows``,
     as one stacked ``CovarianceSet`` over the windows that pass the
     ``NEAR_SINGULAR_RTOL`` rule, from one pass of segment moments
-    (``_window_moments``) over the stack centred by its own mean, so that
-    segment means carry no series' offset. That centres a window twice, so
-    its constant-series floor adds the magnitudes of both means.
+    (``_window_moments``). Where windows are pooled from several segments
+    (step < n_eff) the stack is first centred by its own mean, so that
+    segment means carry no series' offset; that centres a window twice, so
+    its constant-series floor adds the magnitudes of both means. A window
+    that is one segment is centred once, by its own mean, exactly as
+    ``build_covariance_set`` centres its sub-panel, so its C and G are the
+    sub-panel's bit for bit.
 
     The flows come from one batched solve over the good windows. Each
     target's residual variance is read off the moments, except where it is
@@ -296,8 +300,10 @@ def window_cores(panel: TimeSeriesPanel, k: int, window_length: int, step: int,
             f"need window length - k > d + 2 samples: window={window_length}, k={k}, d={d}"
         )
     Z = _stack(panel, k, (n_windows - 1) * step + n_eff)
-    offset = Z.mean(axis=1)
-    Z -= offset[:, None]
+    offset = np.zeros(2 * d)
+    if step < n_eff:  # pooled windows; a window that is one segment is centred once
+        offset = Z.mean(axis=1)
+        Z -= offset[:, None]
     xz, dd, means = _window_moments(Z, d, n_eff, step, n_windows)
     moments = xz / (n_eff - 1)
     C = 0.5 * (moments[..., :d] + moments[..., :d].swapaxes(1, 2))

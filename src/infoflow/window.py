@@ -86,8 +86,9 @@ def windowed_flows(
     ``pairs`` are (source, target) index pairs; all ordered pairs by default.
     Window centers are reported in time units. Window w gives the flows of
     the ``estimate_flow_matrix`` of its sub-panel restricted to ``pairs``,
-    seeded with child w of ``seed``, up to round-off: every window's core is
-    pooled from the moments of its whole steps and its head, each taken once
+    seeded with child w of ``seed``, up to round-off (bit for bit where
+    window_length - k <= step): every window's core is pooled from the
+    moments of its whole steps and its head, each taken once
     (``covariance.window_cores``), and read off with the matrix's own
     ``read_off``. A window that draws surrogates draws them on its
     sub-panel's own core, so its surrogate p values are the matrix's

@@ -195,10 +195,12 @@ def test_regime_switch_matches_its_two_matrix_loop():
 
 
 def test_scan_matches_step_loop_on_every_block_shape():
-    # n - 1 steps run in blocks of L = ceil(sqrt(n - 1)); these lengths give
-    # one step, blocks with and without a partial tail, and 255, 256 and 257
-    # steps around L^2 for L = 16; nonzero f and x0, m != d. A single state
-    # (no step) is no panel.
+    # n - 1 steps run in blocks of L = 8 steps and the block ends are scanned
+    # again on the next level; these lengths give one and two steps (a tail
+    # and no block), one and two blocks with and without a partial tail, and
+    # 255, 256 and 257 steps, where 256 = 4 L^2 leaves no partial tail on the
+    # first two levels; nonzero f and x0, m != d. A single state (no step)
+    # is no panel.
     lengths = (2, 3, 15, 16, 17, 18, 256, 257, 258)
     for d in range(1, 9):
         rng = make_rng(100 + d)
@@ -218,7 +220,8 @@ def test_scan_matches_step_loop_on_every_block_shape():
 
 def test_unexcited_mode_stays_finite():
     # M = I + A dt = diag(0, -10): the second mode is never excited and stays
-    # exactly 0, although M^k overflows long before a block of sqrt(n) steps
+    # exactly 0; M^8 = diag(0, 1e8) is within the limit but its square is
+    # not, so the second level falls back to the plain recursion
     sys = LinearSDE(f=np.zeros(2), A=np.diag([-1.0, -11.0]), B=np.diag([1.0, 0.0]))
     spec = SimulationSpec(system=sys, n=100_000, dt=1.0, seed=0, burn_in=0)
     panel = euler_maruyama(spec)
@@ -270,6 +273,23 @@ def test_scan_memory_stays_within_its_gemm_budget():
     finally:
         tracemalloc.stop()
     assert peak <= x.nbytes / (L - 1) + 8 * (_SCAN_BUDGET + 4 * (L * d) ** 2)
+
+
+def test_euler_maruyama_memory_stays_within_trajectory_and_panel():
+    # the whole call peaks where the panel takes a C-contiguous copy of the
+    # kept states and a finiteness mask of it, beside the trajectory; the
+    # noise draw and the scan stay below that
+    d, n, burn_in = 8, 100_000, 10_000
+    sys = LinearSDE(f=np.zeros(d), A=-np.eye(d) - 0.5 * np.tri(d, k=-1), B=np.eye(d))
+    spec = SimulationSpec(system=sys, n=n, dt=0.01, seed=1, burn_in=burn_in)
+    tracemalloc.start()
+    try:
+        euler_maruyama(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    trajectory, panel = 8 * (burn_in + n) * d, 8 * n * d
+    assert peak <= trajectory + panel + panel / 8 + 8 * _SCAN_BUDGET
 
 
 def test_negative_seed_rejected():

@@ -38,13 +38,25 @@ def test_centers_strictly_increasing_and_scaled_by_dt():
 
 
 def test_degenerate_single_window_equals_plain_estimate():
-    # the window pools its moments about the panel's mean and then its own,
-    # the plain core about its mean once: equal to round-off, not bit for bit
     b = benchmark("one_way_2d", None, n=2000, seed=3)
     res = windowed_flows(b.panel, b.panel.n, b.panel.n, pairs=[(1, 0)])
     assert res.n_windows == 1
-    assert_flow_parity(res, 0, 0, estimate_flow_matrix(b.panel), 1, 0, b.panel)
+    assert res.value[0, 0] == build_covariance_set(b.panel, 1).flows[0, 1]
 
+
+
+@pytest.mark.parametrize("window_length, step", [(150, 150), (150, 400), (500, 600)])
+@pytest.mark.parametrize("k", [1, 2])
+def test_one_segment_windows_equal_their_sub_panels_bit_for_bit(window_length, step, k):
+    # a window of n_eff <= step samples is one segment, centred once by its
+    # own mean as its sub-panel's core is, so C, G and the flows are equal
+    panel = benchmark("chain_3", None, n=3000, seed=k).panel
+    res = windowed_flows(panel, window_length, step, k=k)
+    for w, start in enumerate(range(0, panel.n - window_length + 1, step)):
+        flows = build_covariance_set(panel.window(start, window_length), k).flows
+        for c, (source, target) in enumerate(res.pairs):
+            j, i = panel.labels.index(source), panel.labels.index(target)
+            assert res.value[w, c] == flows[i, j]
 
 def test_all_pairs_by_default():
     panel = TimeSeriesPanel(("a", "b", "c"), make_rng(2).standard_normal((3, 400)))
