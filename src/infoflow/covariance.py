@@ -11,10 +11,10 @@ first n_eff = n - k samples of every series, so C and G line up
 sample-for-sample.
 
 A running-window analysis needs the same core for many windows of one
-panel. Every moment the core reads is additive over sample segments, and a
+panel. Every moment the core reads pools over sample segments, and a
 window is whole steps plus the head of one more, so ``window_cores`` takes
-the moments of [X; dX] once per step and once per head, pools each
-window's into its C and G, and reads every window off at once with the
+the moments of [X; dX] once per step and head, pools each window's C and G
+in O(log(window/step)) merges, and reads every window off at once with the
 same array functions as ``build_covariance_set``, its one-window case,
 into one ``CovarianceSet`` with a leading axis over the windows.
 """
@@ -41,11 +41,6 @@ NEAR_SINGULAR_RTOL = 1e-12
 # which keeps the standard errors within about 1e-13 of the sub-panel's and
 # detects an exact zero as ``build_covariance_set`` does.
 MOMENT_RESIDUAL_RTOL = 1e-3
-
-# Elements per gather of segment moments in the window merge; bounds its
-# memory at any step.
-_GATHER_BUDGET = 1 << 18
-
 
 @dataclass(frozen=True, eq=False)
 class CovarianceSet:
@@ -215,17 +210,35 @@ def build_covariance_set(panel: TimeSeriesPanel, k: int = 1) -> CovarianceSet:
 
 
 def _segment_moments(Z: np.ndarray, d: int, offset: int, length: int, step: int, count: int):
-    """The centred scatter of the X rows against all rows (count x d x 2d)
-    and of each dX row with itself (count x d) of the segments
-    Z[:, offset + m*step :][:, :length], m < count (None when ``length`` is
-    1: one sample has no scatter), and their means (count x 2d)."""
+    """The moments of the segments Z[:, offset + m*step :][:, :length],
+    m < count: their length, the centred scatter of the X rows against all
+    rows (count x d x 2d) and of each dX row with itself (count x d), and
+    their means (count x 2d). One sample's centred scatter is exactly 0."""
     V = sliding_window_view(Z, length, axis=1)[:, offset::step][:, :count]
     means = V.mean(axis=2)
-    if length == 1:
-        return None, None, means.T
     Vc = (V - means[..., None]).transpose(1, 0, 2)
-    return (np.matmul(Vc[:, :d], Vc.transpose(0, 2, 1)),
+    return (length, np.matmul(Vc[:, :d], Vc.transpose(0, 2, 1)),
             np.einsum("mit,mit->mi", Vc[:, d:], Vc[:, d:]), means.T)
+
+
+def _merge(a, b):
+    """The moments of two runs of samples pooled into one, from the moments
+    (``_segment_moments``) of each, by the Chan-Golub-LeVeque update
+    M2 = M2_a + M2_b + n_a n_b / n (m_b - m_a)(m_b - m_a)', which does not
+    cancel as raw sums do."""
+    n_a, xz_a, dd_a, m_a = a
+    n_b, xz_b, dd_b, m_b = b
+    n, d = n_a + n_b, dd_a.shape[-1]
+    D = m_b - m_a
+    f = n_a * n_b / n
+    return (n, xz_a + xz_b + f * D[:, :d, None] * D[:, None, :],
+            dd_a + dd_b + f * D[:, d:] ** 2, m_a + (n_b / n) * D)
+
+
+def _rows(moments, start, stop):
+    """The moments of the segments start:stop of a moment set."""
+    length, *arrays = moments
+    return (length, *(a[start:stop] for a in arrays))
 
 
 def _window_moments(Z: np.ndarray, d: int, n_eff: int, step: int, n_windows: int):
@@ -235,56 +248,40 @@ def _window_moments(Z: np.ndarray, d: int, n_eff: int, step: int, n_windows: int
 
     With n_eff = q*step + r, window w is the q whole steps w, ..., w + q - 1
     of ``step`` samples and the head, the first r samples, of step w + q.
-    The moments of every whole step and of every head are taken once, and a
-    window pools its q + 1 segments b by the Chan-Golub-LeVeque update,
-    M2 = sum M2_b + sum n_b (m_b - m)(m_b - m)', which does not cancel as
-    raw sums do. The pooling gathers at most ``_GATHER_BUDGET`` elements at
-    a time.
+    The moments of every whole step are taken once, and level l of a sparse
+    table holds those of every run of 2^l whole steps, each pooled from two
+    runs of level l - 1 (``_merge``). A window pools its head with the runs
+    that the binary digits of q name, lowest first: O(log q) merges, each
+    one slice over all windows. A window of one segment is never merged, so
+    its moments are its segment's.
     """
     q, r = divmod(n_eff, step)
-    # per kind of segment: its moments (``_segment_moments``), its length and
-    # how many of them a window pools
-    parts = []
+    pooled = _segment_moments(Z, d, q * step, r, step, n_windows) if r else None
     if q:
-        parts.append((_segment_moments(Z, d, 0, step, step, n_windows + q - 1), step, q))
-    if r:
-        parts.append((_segment_moments(Z, d, q * step, r, step, n_windows), r, 1))
-    if q + (r > 0) == 1:  # the window is its segment; pooling would move the mean by an ulp
-        return parts[0][0]
-
-    xz = np.zeros((n_windows, d, 2 * d))
-    dd = np.zeros((n_windows, d))
-    means = np.empty((n_windows, 2 * d))
-    chunk = max(1, _GATHER_BUDGET // ((q + 1) * (2 * d * (d + 3) + d)))
-    for lo in range(0, n_windows, chunk):
-        hi = min(n_windows, lo + chunk)
-        gathered = []  # (segment length, the windows' segment means) per kind
-        for (seg_xz, seg_dd, seg_means), length, span in parts:
-            idx = np.arange(lo, hi)[:, None] + np.arange(span)
-            if seg_xz is not None:
-                xz[lo:hi] += seg_xz[idx].sum(axis=1)
-                dd[lo:hi] += seg_dd[idx].sum(axis=1)
-            gathered.append((length, seg_means[idx]))
-        means[lo:hi] = sum(length * M.sum(axis=1) for length, M in gathered) / n_eff
-        for length, M in gathered:
-            D = M - means[lo:hi, None]
-            xz[lo:hi] += length * (D[..., :d].swapaxes(1, 2) @ D)
-            dd[lo:hi] += length * np.einsum("wbi,wbi->wi", D[..., d:], D[..., d:])
-    return xz, dd, means
+        runs = _segment_moments(Z, d, 0, step, step, n_windows + q - 1)
+    for level in range(q.bit_length()):
+        span = 1 << level  # steps per run
+        if level:  # each run pools two runs of the level below
+            runs = _merge(_rows(runs, 0, -(span // 2)), _rows(runs, span // 2, None))
+        if q & span:  # the run that follows those of q's lower digits
+            run = _rows(runs, q % span, q % span + n_windows)
+            pooled = run if pooled is None else _merge(pooled, run)
+            del run  # it would keep this level alive while the next is built
+    return pooled[1:]
 
 
 def window_cores(panel: TimeSeriesPanel, k: int, window_length: int, step: int,
                  n_windows: int) -> CovarianceSet:
     """The cores of the windows w*step + [0, window_length), w < ``n_windows``,
     as one stacked ``CovarianceSet`` over the windows that pass the
-    ``NEAR_SINGULAR_RTOL`` rule, from one pass of segment moments
-    (``_window_moments``). Where windows are pooled from several segments
-    (step < n_eff) the stack is first centred by its own mean, so that
-    segment means carry no series' offset; that centres a window twice, so
-    its constant-series floor adds the magnitudes of both means. A window
-    that is one segment is centred once, by its own mean, exactly as
-    ``build_covariance_set`` centres its sub-panel, so its C and G are the
-    sub-panel's bit for bit.
+    ``NEAR_SINGULAR_RTOL`` rule, each pooled from step and head moments in
+    O(log(window/step)) merges (``_window_moments``). Where windows are
+    pooled from several segments (step < n_eff) the stack is first centred
+    by its own mean, so that segment means carry no series' offset; that
+    centres a window twice, so its constant-series floor adds the
+    magnitudes of both means. A window that is one segment is centred once,
+    by its own mean, exactly as ``build_covariance_set`` centres its
+    sub-panel, so its C and G are the sub-panel's bit for bit.
 
     The flows come from one batched solve over the good windows. Each
     target's residual variance is read off the moments, except where it is

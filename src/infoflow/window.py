@@ -88,8 +88,8 @@ def windowed_flows(
     the ``estimate_flow_matrix`` of its sub-panel restricted to ``pairs``,
     seeded with child w of ``seed``, up to round-off (bit for bit where
     window_length - k <= step): every window's core is pooled from the
-    moments of its whole steps and its head, each taken once
-    (``covariance.window_cores``), and read off with the matrix's own
+    moments of its head and of runs of 2^l whole steps in O(log(window/step))
+    merges (``covariance.window_cores``), and read off with the matrix's own
     ``read_off``. A window that draws surrogates draws them on its
     sub-panel's own core, so its surrogate p values are the matrix's
     exactly. A window with too few samples or a singular covariance is

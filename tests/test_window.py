@@ -206,6 +206,10 @@ STEP_CASES = [
     pytest.param("chain_3", 900, 4, 150, 150, False, id="150-150"),
     pytest.param("chain_3", 900, 4, 300, 10, True, id="offset-300-10"),
     pytest.param("chain_3", 900, 4, 60, 1, True, id="offset-60-1"),
+    # q = 64 (one run), q = 63 (every digit) and q = 42 with a head of 5
+    *(pytest.param("chain_3", 900, 4, window_length, step, offset,
+                   id=f"{'offset-' * offset}{window_length}-{step}")
+      for window_length, step in ((65, 1), (64, 1), (300, 7)) for offset in (False, True)),
     *(pytest.param("chain_3", 900, seed, 60, 1, offset, id=f"{'offset-' * offset}60-1-seed{seed}")
       for offset in (False, True) for seed in range(12) if seed != 4),
     pytest.param("chain_3", 3000, 3, 400, 10, False, id="chain_3-seed3-400-10"),
@@ -276,9 +280,10 @@ PEAK_STEP_1_BYTES = 8_000_000
 
 
 def test_step_1_memory_stays_bounded():
-    # 1501 windows of 499 one-sample segments: the merge peaked at 2.1 MB in
-    # chunks, and at 78 MB when it gathered every window's segments at once.
-    # At step 7 each window is 71 steps and a head of two samples.
+    # 1501 windows of 499 one-sample steps: pooled from runs of 1 to 256
+    # steps, one level at a time, they peaked at 1.1 MB, and at 78 MB when
+    # every window's steps were gathered at once. At step 7 each window is
+    # 71 steps and a head of two samples.
     panel = random_panel(make_rng(16), 2, 2000)
     for step, n_windows in ((1, 1501), (7, 215)):
         tracemalloc.start()

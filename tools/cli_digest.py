@@ -12,7 +12,9 @@ in an output depends on where it ran:
 - ``simulate`` of chain_3 and confounder_3 at n = 1e4, seeds 1 and 2;
 - on each panel, at k = 1, 2 and 4, each without and with 199 surrogates:
   ``matrix`` and ``estimate`` (text and JSON), ``graph`` (DOT and JSON) and
-  ``window`` (2000/1000, CSV and JSON).
+  ``window`` (CSV and JSON) at 2000/1000, where each window is one step
+  and a head, and at 2000/100, where it pools a head with runs of 1, 2
+  and 16 steps.
 
 Each line is the sha256 of one output (the command's stdout, or a file
 that ``simulate`` wrote), its exit code and the command. Two source trees
@@ -53,6 +55,8 @@ COMMANDS = (
     ("graph", "--format", "json"),
     ("window", "--window", "2000", "--step", "1000"),
     ("window", "--window", "2000", "--step", "1000", "--json"),
+    ("window", "--window", "2000", "--step", "100"),
+    ("window", "--window", "2000", "--step", "100", "--json"),
 )
 
 
