@@ -66,8 +66,9 @@ def _flags(parser: argparse.ArgumentParser, *names: str) -> None:
 def _ingest_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--delimiter", default=",", help="CSV field delimiter (default ,)")
     parser.add_argument("--no-header", action="store_true", help="file has no header row; labels become c0, c1, ...")
-    parser.add_argument("--time-column", default=None, help="name of the time column (default: auto-detect 't'/'time')")
-    parser.add_argument("--no-time-column", action="store_true", help="treat every column as data even if one looks like time")
+    time = parser.add_mutually_exclusive_group()
+    time.add_argument("--time-column", default=None, help="name of the time column (default: auto-detect 't'/'time')")
+    time.add_argument("--no-time-column", action="store_true", help="treat every column as data even if one looks like time")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -192,8 +193,6 @@ def _load_panel(args) -> TimeSeriesPanel:
     time_column = args.time_column
     if time_column is None and has_header and not args.no_time_column:
         time_column = _detect_time_column(args.csv, args.delimiter)
-    if args.no_time_column:
-        time_column = None
     if time_column is not None and args.dt is not None:
         raise UsageError(
             f"file has time column {time_column!r}; drop --dt or pass --no-time-column"
@@ -269,7 +268,8 @@ def _flow_fields(report, at, scale: float, z: bool = False) -> list[dict]:
 
 
 def _fmt(x, width: int) -> str:
-    return ("." if x is None else f"{x:.4g}").rjust(width)
+    """One right-aligned table cell, with at least one space before it."""
+    return " " + ("." if x is None else f"{x:.4g}").rjust(width - 1)
 
 
 def _emit(text: str, output: str | None) -> None:

@@ -25,6 +25,7 @@ from .panel import TimeSeriesPanel
 from .significance import (
     _require_surrogates,
     _resolve_pairs,
+    _seed_sequence,
     _surrogate_p_values,
     asymptotic_inference,
 )
@@ -32,33 +33,23 @@ from .significance import (
 
 @dataclass(frozen=True)
 class FlowEstimate:
-    """One directed flow rate with its inference: the element type of the
-    read-only ``FlowMatrix.flows`` and ``WindowedFlowSeries.flows`` views."""
+    """One directed flow rate with its asymptotic inference: the element type
+    of the read-only ``FlowMatrix.flows`` and ``WindowedFlowSeries.flows``
+    views, holding only what ``bench/`` reads. Everything else a report
+    holds (z, surrogate p, normalized, k, n_eff) is in its own fields."""
 
     value: float
     source: int
     target: int
-    k: int
-    n_eff: int
-    stderr: float | None = None
-    p_value_asymptotic: float | None = None
-    p_value_surrogate: float | None = None
-    normalized: float | None = None
-    z_score: float | None = None
+    stderr: float
+    p_value_asymptotic: float
 
 
-def _nan_to_none(values: list) -> list:
-    return [None if x != x else x for x in values]
-
-
-def _estimates(pairs, k: int, n_eff: int, value, stderr, z, p, p_surrogate, normalized) -> list[FlowEstimate]:
+def _estimates(pairs, value, stderr, p) -> list[FlowEstimate]:
     """The ``FlowEstimate`` of each (source, target) of ``pairs`` from 1-D
-    arrays aligned with it; a NaN entry, or an array that is None, gives None."""
-    fields = [[None] * len(value) if a is None else _nan_to_none(a.tolist())
-              for a in (value, stderr, z, p, p_surrogate, normalized)]
-    return [FlowEstimate(value=v, source=j, target=i, k=k, n_eff=n_eff, stderr=se, p_value_asymptotic=pv,
-                         p_value_surrogate=ps, normalized=nz, z_score=zs)
-            for (j, i), v, se, zs, pv, ps, nz in zip(pairs, *fields)]
+    arrays aligned with it."""
+    return [FlowEstimate(value=v, source=j, target=i, stderr=se, p_value_asymptotic=pv)
+            for (j, i), v, se, pv in zip(pairs, value.tolist(), stderr.tolist(), p.tolist())]
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,8 +86,8 @@ class FlowMatrix:
     @property
     def flows(self) -> tuple:
         """Read-only view kept only for ``bench/``: ``flows[i][j]`` is the
-        ``FlowEstimate`` of j -> i, None on the diagonal and for pairs not
-        estimated. Built from the arrays on every access."""
+        ``FlowEstimate`` of j -> i (value, stderr, asymptotic p), None on the
+        diagonal and for unestimated pairs. Built from the arrays on access."""
         estimates = self.iter_flows()  # in the row-major order of ``estimated``
         return tuple(tuple(next(estimates) if wanted else None for wanted in row) for row in self.estimated.tolist())
 
@@ -104,9 +95,8 @@ class FlowMatrix:
         """The estimated flows of the ``flows`` view, target by target; kept
         only for ``bench/``."""
         targets, sources = np.nonzero(self.estimated)
-        arrays = (self.value, self.stderr, self.z, self.p_asymptotic, self.p_surrogate, self.normalized)
-        return iter(_estimates(zip(sources.tolist(), targets.tolist()), self.k, self.n_eff,
-                               *(None if a is None else a[self.estimated] for a in arrays)))
+        return iter(_estimates(zip(sources.tolist(), targets.tolist()),
+                               *(a[self.estimated] for a in (self.value, self.stderr, self.p_asymptotic))))
 
 
 def read_off(cov: CovarianceSet, at=()) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -145,6 +135,7 @@ def estimate_flow_matrix(
         estimated[i, j] = True
     if surrogates:
         _require_surrogates(surrogates)
+        seed = _seed_sequence(seed)  # refuses a negative seed before the moment pass
     cov = build_covariance_set(panel, k)
     if cov.near_singular:
         raise SingularCovarianceError(

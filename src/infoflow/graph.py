@@ -8,11 +8,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .estimator import FlowMatrix, _nan_to_none
+from .estimator import FlowMatrix
 
 GRAPH_SCHEMA = "infoflow-graph/1"
 
 CORRECTIONS = ("none", "bonferroni", "benjamini_hochberg")
+
+
+def _nan_to_none(values: list) -> list:
+    return [None if x != x else x for x in values]
 
 
 @dataclass(frozen=True)

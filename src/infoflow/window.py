@@ -6,16 +6,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import build_covariance_set, window_cores
+from .covariance import window_cores
 from .errors import InsufficientDataError, UsageError
-from .estimator import _estimates, read_off
+from .estimator import _estimates, estimate_flow_matrix, read_off
 from .panel import TimeSeriesPanel
-from .significance import (
-    _require_surrogates,
-    _resolve_pairs,
-    _seed_sequence,
-    _surrogate_p_values,
-)
+from .significance import _require_surrogates, _resolve_pairs, _seed_sequence
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,12 +46,10 @@ class WindowedFlowSeries:
     @property
     def flows(self) -> dict:
         """Read-only view kept only for ``bench/``: ``flows[pair]`` is a tuple
-        aligned with ``centers`` of the pair's ``FlowEstimate``, None where a
-        window is missing. Built from the arrays on every access."""
+        aligned with ``centers`` of the pair's ``FlowEstimate`` (value, stderr,
+        asymptotic p), None where a window is missing. Built on access."""
         pairs = [(self.labels.index(s), self.labels.index(t)) for s, t in self.pairs]
-        arrays = (self.value, self.stderr, self.z, self.p_asymptotic, self.p_surrogate)
-        rows = [_estimates(pairs, self.k, self.window_length - self.k,
-                           *(None if a is None else a[w] for a in arrays), None)
+        rows = [_estimates(pairs, self.value[w], self.stderr[w], self.p_asymptotic[w])
                 if valid else [None] * len(pairs) for w, valid in enumerate(self.valid.tolist())]
         return {pair: tuple(row[c] for row in rows) for c, pair in enumerate(self.pairs)}
 
@@ -90,10 +83,10 @@ def windowed_flows(
     window_length - k <= step): every window's core is pooled from the
     moments of its head and of runs of 2^l whole steps in O(log(window/step))
     merges (``covariance.window_cores``), and read off with the matrix's own
-    ``read_off``. A window that draws surrogates draws them on its
-    sub-panel's own core, so its surrogate p values are the matrix's
-    exactly. A window with too few samples or a singular covariance is
-    missing from ``valid`` and NaN for every pair.
+    ``read_off``. A window's surrogate p values are read from that seeded
+    sub-panel matrix itself, so they are its own exactly. A window with too
+    few samples or a singular covariance is missing from ``valid`` and NaN
+    for every pair.
     """
     starts = window_starts(panel.n, window_length, step)
     seeds = _seed_sequence(seed).spawn(len(starts)) if surrogates else None
@@ -110,13 +103,13 @@ def windowed_flows(
         cores = None
     if cores is not None:
         valid[cores.windows] = True
-        arrays[:4, cores.windows] = read_off(cores, (slice(None), [i for _, i in resolved],
-                                                     [j for j, _ in resolved]))
-        if surrogates:  # on each window's own core, as its sub-panel's matrix draws them
+        targets, sources = [i for _, i in resolved], [j for j, _ in resolved]
+        arrays[:4, cores.windows] = read_off(cores, (slice(None), targets, sources))
+        if surrogates:
             for w in cores.windows.tolist():
-                arrays[4, w] = _surrogate_p_values(
-                    build_covariance_set(panel.window(starts[w], window_length), k), resolved,
-                    n_surrogates=surrogates, seed=seeds[w])
+                sub = estimate_flow_matrix(panel.window(starts[w], window_length), k, pairs=resolved,
+                                           surrogates=surrogates, seed=seeds[w])
+                arrays[4, w] = sub.p_surrogate[targets, sources]
 
     return WindowedFlowSeries(
         window_length=int(window_length),

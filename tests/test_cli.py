@@ -10,7 +10,7 @@ import pytest
 
 from importlib.resources import files
 
-from infoflow.cli import _ingest_flags, build_parser, main
+from infoflow.cli import _fmt, _ingest_flags, build_parser, main
 from conftest import make_rng
 
 
@@ -178,6 +178,17 @@ def test_matrix_table_layout(capsys, one_way_csv):
     x_row = lines[2].split()
     assert x_row[0] == "x" and x_row[1] == "."
     assert float(x_row[2]) == pytest.approx(1 / 9, rel=0.15)
+
+
+def test_matrix_cells_stay_apart_at_every_width(capsys, tmp_path):
+    data = tmp_path / "c.csv"
+    assert main(["simulate", "--benchmark", "chain_3", "--n", "10000", "--seed", "1", "-o", str(data)]) == 0
+    code, out, _ = run_cli(capsys, "matrix", str(data), "--k", "2")  # x1's row prints -0.0005803
+    assert code == 0
+    rows = [row.split() for row in out.splitlines()[2:]]
+    assert [len(row) for row in rows] == [3 + 2] * 3
+    assert max(len(cell) for row in rows for cell in row) == 10
+    assert (_fmt(-1.234e100, 10) + _fmt(-0.0005803, 10)).split() == ["-1.234e+100", "-0.0005803"]
 
 
 def test_matrix_on_a_byte_order_marked_file_prints_the_plain_bytes(capsys, tmp_path):
@@ -532,6 +543,15 @@ def short_chain_csv(tmp_path):
     path = tmp_path / "c.csv"
     assert main(["simulate", "--benchmark", "chain_3", "--n", "400", "--seed", "1", "-o", str(path)]) == 0
     return path
+
+
+@pytest.mark.parametrize("flags", [["--time-column", "t", "--no-time-column"],
+                                   ["--no-time-column", "--time-column", "t"]])
+def test_time_column_and_no_time_column_exit_2(capsys, short_chain_csv, flags):
+    code, out, err = run_cli(capsys, "matrix", str(short_chain_csv), *flags)
+    assert code == 2
+    assert out == ""
+    assert "not allowed with" in err
 
 
 @pytest.mark.parametrize("command", ["simulate", "graph", "window"])

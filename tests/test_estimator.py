@@ -348,6 +348,16 @@ def test_negative_seed_refused_by_every_surrogate_route():
                 call(seed)
 
 
+def test_negative_seed_refused_before_the_moment_pass(monkeypatch):
+    def built(*args, **kwargs):
+        pytest.fail("moment pass ran before the seed was checked")
+
+    monkeypatch.setattr("infoflow.estimator.build_covariance_set", built)
+    panel = benchmark("chain_3", None, n=400, seed=1).panel
+    with pytest.raises(UsageError, match="seed must be non-negative"):
+        estimate_flow_matrix(panel, surrogates=19, seed=-1)
+
+
 def test_compat_views_match_arrays():
     # the benchmark reads FlowMatrix.flows, iter_flows() and WindowedFlowSeries.flows
     panel = benchmark("chain_3", None, n=3000, seed=3).panel
@@ -356,21 +366,15 @@ def test_compat_views_match_arrays():
         degenerate = estimate_flow_matrix(ramp, normalize=True)
     matrices = [estimate_flow_matrix(panel), degenerate,
                 estimate_flow_matrix(panel, pairs=[(0, 1), (2, 1)], normalize=True, surrogates=19, seed=2)]
-    def optional(a, i, j):
-        return None if a is None or np.isnan(a[i, j]) else a[i, j]
-
     for m in matrices:
-        want = [[FlowEstimate(value=m.value[i, j], source=j, target=i, k=m.k, n_eff=m.n_eff,
-                              stderr=m.stderr[i, j], p_value_asymptotic=m.p_asymptotic[i, j],
-                              p_value_surrogate=optional(m.p_surrogate, i, j),
-                              normalized=optional(m.normalized, i, j), z_score=m.z[i, j])
+        want = [[FlowEstimate(value=m.value[i, j], source=j, target=i,
+                              stderr=m.stderr[i, j], p_value_asymptotic=m.p_asymptotic[i, j])
                  if m.estimated[i, j] else None for j in range(m.d)] for i in range(m.d)]
         assert [list(row) for row in m.flows] == want
         assert list(m.iter_flows()) == [est for row in want for est in row if est is not None]
         for est in m.iter_flows():
             assert all(type(x) in (int, float, type(None)) for x in dataclasses.astuple(est))
-    assert degenerate.flows[0][1].normalized is None
-    assert matrices[2].flows[0][1] is None and matrices[2].flows[1][0].p_value_surrogate is not None
+    assert matrices[2].flows[0][1] is None
 
     rng = make_rng(14)
     b = np.concatenate([np.zeros(250), rng.standard_normal(350)])
@@ -380,10 +384,7 @@ def test_compat_views_match_arrays():
         assert list(res.flows) == list(res.pairs) and not res.valid.all()
         for c, (s, t) in enumerate(res.pairs):
             j, i = res.labels.index(s), res.labels.index(t)
-            want = [FlowEstimate(value=res.value[w, c], source=j, target=i, k=res.k,
-                                 n_eff=res.window_length - res.k, stderr=res.stderr[w, c],
-                                 p_value_asymptotic=res.p_asymptotic[w, c],
-                                 p_value_surrogate=None if res.p_surrogate is None else res.p_surrogate[w, c],
-                                 z_score=res.z[w, c]) if res.valid[w] else None
+            want = [FlowEstimate(value=res.value[w, c], source=j, target=i, stderr=res.stderr[w, c],
+                                 p_value_asymptotic=res.p_asymptotic[w, c]) if res.valid[w] else None
                     for w in range(res.n_windows)]
             assert list(res.flows[(s, t)]) == want

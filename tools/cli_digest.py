@@ -22,12 +22,14 @@ give byte-identical outputs exactly when ``diff`` of their listings is
 empty.
 
 ``--compare`` runs the commands against OLD and then NEW in one process
-and prints a line for each output that differs: whether only its numeric
-tokens differ and, if so, their largest relative difference; whether the
-exit codes match; for ``graph``, whether the edge sets (self loops
-included) match; for ``window``, whether the same windows are null. A
-summary follows. It exits 1 when any output differs in more than its
-numbers or in any of these, else 0.
+and prints a line for each output that differs: whether only its
+whitespace differs (the two are equal once all whitespace is removed, so
+a space put between two cells that ran together counts), or else whether
+only its numeric tokens differ and, if so, their largest relative
+difference; whether the exit codes match; for ``graph``, whether the edge
+sets (self loops included) match; for ``window``, whether the same
+windows are null. A summary follows. It exits 1 when any output differs
+in more than its whitespace or numbers or in any of these, else 0.
 """
 
 from __future__ import annotations
@@ -157,7 +159,7 @@ def _structure(argv: list[str], text: str):
 
 def main_compare(old: Path, new: Path) -> int:
     runs = [list(_outputs(_import_cli(src))) for src in (old, new)]
-    identical = numeric = other = 0
+    identical = spacing = numeric = other = 0
     worst = 0.0
     counts = {"exit codes": [0, 0], "graph edge sets": [0, 0], "window nulls": [0, 0]}  # [same, compared]
     for (argv, old_code, old_out), (_, new_code, new_out) in zip(*runs):
@@ -175,7 +177,10 @@ def main_compare(old: Path, new: Path) -> int:
             identical += 1
             continue
         relative = _max_relative_difference(old_text, new_text)
-        if relative is None:
+        if "".join(old_text.split()) == "".join(new_text.split()):
+            spacing += 1
+            what = "whitespace only"
+        elif relative is None:
             other += 1
             what = "differs beyond numbers"
         else:
@@ -186,8 +191,8 @@ def main_compare(old: Path, new: Path) -> int:
         if shape is not None:
             notes.append(("edges" if argv[0] == "graph" else "nulls") + (" same" if shape else " DIFFER"))
         print(f"{'; '.join(notes)}  {' '.join(argv)}")
-    print(f"# {len(runs[0])} outputs: {identical} identical, {numeric} differ only in numbers"
-          f" (max rel {worst:.2g}), {other} differ otherwise")
+    print(f"# {len(runs[0])} outputs: {identical} identical, {spacing} differ only in whitespace,"
+          f" {numeric} differ only in numbers (max rel {worst:.2g}), {other} differ otherwise")
     print("# " + "; ".join(f"{name} identical {same}/{total}" for name, (same, total) in counts.items()))
     agree = other == 0 and all(same == total for same, total in counts.values())
     return 0 if agree else 1
