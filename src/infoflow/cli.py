@@ -459,8 +459,10 @@ def _meta_path(output: str, override: str | None) -> str:
 
 
 def cmd_simulate(args) -> int:
-    if args.n <= 0:
-        raise UsageError("--n must be positive")
+    if args.n < 2:
+        raise UsageError(f"--n must be at least 2, got {args.n}")
+    if args.d is not None and args.d < 1:
+        raise UsageError(f"--d must be at least 1, got {args.d}")
     if args.burn_in is not None and args.burn_in < 0:
         raise UsageError(f"--burn-in must be non-negative, got {args.burn_in}")
     _require_dt(args.dt)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InsufficientDataError
+from .errors import InsufficientDataError, SingularCovarianceError
 from .panel import TimeSeriesPanel, _require_stride, forward_difference
 
 # A covariance matrix whose correlation matrix has |det| below this (that is,
@@ -44,43 +44,42 @@ MOMENT_RESIDUAL_RTOL = 1e-3
 
 @dataclass(frozen=True, eq=False)
 class CovarianceSet:
-    """Sample moments of one panel at one stride, and what follows from them.
+    """Sample moments of one panel at one stride, and the fit they give.
 
     ``matrix`` is C and ``deriv`` is G (entry [j, i] is the covariance of
     series j with dX_i), both with the 1/(n_eff - 1) normalization.
-    ``det_corr`` is the determinant of the correlation matrix of C, the
-    margin the ``NEAR_SINGULAR_RTOL`` rule tests. ``n_eff`` is the shared
-    window length n - k; ``k`` and ``panel`` are the stride and the panel
-    the moments were taken from. When C is not near-singular,
-    ``inverse`` is C^-1, column i of ``coefficients`` (B = C^-1 G) holds the
-    slopes of the least-squares fit of dX_i on intercept plus all series,
-    and ``residual_variance`` (mean squared residual) and
+    ``det_corr`` (a float, or an array for a window stack) is the
+    determinant of the correlation matrix of C, the margin the
+    ``NEAR_SINGULAR_RTOL`` rule tests. ``n_eff`` is the shared window length
+    n - k. ``inverse`` is C^-1, column i of ``coefficients`` (B = C^-1 G)
+    holds the slopes of the least-squares fit of dX_i on intercept plus all
+    series, and ``residual_variance`` (mean squared residual) and
     ``lag1_residual_autocorr`` describe that fit's residuals.
     ``noise_intensity`` is k*dt times the residual variance, the
     additive-noise magnitude g_ii of the fitted SDE, and entry [i, j] of
     ``flows`` is the flow j -> i, B[j, i] C[i, j] / C[i, i], with the self
-    influence B[i, i] on its diagonal. All six are None otherwise.
+    influence B[i, i] on its diagonal. ``stack`` is the centred [X; dX]
+    (2d x n_eff, read-only) the moments were taken from. Every set is a
+    whole fit: ``build_covariance_set`` refuses a panel that has none.
 
     A stack of window cores (``window_cores``) lists in ``windows`` the
     windows whose C passes the rule, and carries C, G, det_corr, B, C^-1,
-    flows and residual variance with one leading entry per listed window;
-    ``panel`` is the whole panel. It has no noise intensity or lag-1
-    autocorrelation: a window reports flows only.
+    flows and residual variance with one leading entry per listed window.
+    It has no noise intensity, lag-1 autocorrelation or stack: a window
+    reports flows only.
     """
 
     matrix: np.ndarray
     deriv: np.ndarray
-    det_corr: float
+    det_corr: float | np.ndarray
     n_eff: int
-    k: int
-    panel: TimeSeriesPanel
-    near_singular: bool
-    inverse: np.ndarray | None = None
-    coefficients: np.ndarray | None = None
-    residual_variance: np.ndarray | None = None
+    inverse: np.ndarray
+    coefficients: np.ndarray
+    residual_variance: np.ndarray
+    flows: np.ndarray
     lag1_residual_autocorr: np.ndarray | None = None
     noise_intensity: np.ndarray | None = None
-    flows: np.ndarray | None = None
+    stack: np.ndarray | None = None
     windows: np.ndarray | None = None
 
     @property
@@ -88,15 +87,14 @@ class CovarianceSet:
         return self.matrix.shape[-1]
 
 
-def _window(panel: TimeSeriesPanel, k: int) -> int:
-    """The shared window length n - k, checked against the stride and d."""
+def _window(n: int, k: int, d: int) -> int:
+    """The shared window length n - k of n samples of d series, checked
+    against the stride and against d: the fit and its inference need
+    n - k > d + 2 samples."""
     _require_stride(k)
-    n_eff = panel.n - k
-    if n_eff < panel.d + 2:
-        raise InsufficientDataError(
-            f"need n - k >= d + 2 samples: n={panel.n}, k={k}, d={panel.d}"
-        )
-    return n_eff
+    if n - k <= d + 2:
+        raise InsufficientDataError(f"need n - k > d + 2 samples: n={n}, k={k}, d={d}")
+    return n - k
 
 
 def _stack(panel: TimeSeriesPanel, k: int, cols: int) -> np.ndarray:
@@ -127,7 +125,7 @@ def _correlation_det(C: np.ndarray, floor):
     return np.linalg.det(C / s[..., None, :] / s[..., :, None]) + 0.0  # never -0.0
 
 
-def _near_singular(det_corr):
+def _singular(det_corr):
     """The singularity rule on correlation-scale determinants, elementwise; NaN
     (0/0 from a zero variance) counts as singular."""
     return ~(np.abs(det_corr) >= NEAR_SINGULAR_RTOL)
@@ -165,26 +163,32 @@ def _residuals(Zc: np.ndarray, B: np.ndarray):
 
 
 def build_covariance_set(panel: TimeSeriesPanel, k: int = 1) -> CovarianceSet:
-    """One moment pass shared by every estimator touching this panel.
+    """One moment pass shared by every estimator touching this panel, and
+    the one place that decides whether the panel has a fit.
 
     Centres the stack [X; dX] (2d x n_eff, dX the ``forward_difference`` of
     every series) in place and takes [C | G] from one product. The residuals
     of all targets (``_residuals``) come from one more product over the same
-    stack.
+    stack, which the set keeps for the surrogates. Raises
+    ``InsufficientDataError`` when n - k <= d + 2 and
+    ``SingularCovarianceError`` when C fails the ``NEAR_SINGULAR_RTOL`` rule.
     """
-    n_eff = _window(panel, k)
     d = panel.d
+    n_eff = _window(panel.n, k, d)
     Z = _stack(panel, k, n_eff)
     mean = Z.mean(axis=1)
     Z -= mean[:, None]
+    Z.flags.writeable = False
 
     moments = (Z[:d] @ Z.T) / (n_eff - 1)
     C = 0.5 * (moments[:, :d] + moments[:, :d].T)
     G = moments[:, d:]
     det_corr = float(_correlation_det(C, n_eff * np.abs(mean[:d])))
-    if _near_singular(det_corr):
-        return CovarianceSet(matrix=C, deriv=G, det_corr=det_corr, n_eff=n_eff, k=int(k),
-                             panel=panel, near_singular=True)
+    if _singular(det_corr):
+        raise SingularCovarianceError(
+            "covariance matrix is singular or near-singular"
+            f" (correlation det={det_corr:.3e}); refusing to estimate"
+        )
 
     B, inverse, flows = _fit(C, G)
     E, residual_variance, exact = _residuals(Z, B)
@@ -197,15 +201,13 @@ def build_covariance_set(panel: TimeSeriesPanel, k: int = 1) -> CovarianceSet:
         deriv=G,
         det_corr=det_corr,
         n_eff=n_eff,
-        k=int(k),
-        panel=panel,
-        near_singular=False,
         inverse=inverse,
         coefficients=B,
         residual_variance=residual_variance,
+        flows=flows,
         lag1_residual_autocorr=lag1,
         noise_intensity=k * panel.dt * residual_variance,
-        flows=flows,
+        stack=Z,
     )
 
 
@@ -287,15 +289,11 @@ def window_cores(panel: TimeSeriesPanel, k: int, window_length: int, step: int,
     target's residual variance is read off the moments, except where it is
     below ``MOMENT_RESIDUAL_RTOL`` var(dX): there that window's residuals
     are recomputed from the data as in ``build_covariance_set``. Windows
-    with n_eff = window_length - k <= d + 2 samples, too few for the core
-    and its inference, raise ``InsufficientDataError``.
+    with n_eff = window_length - k <= d + 2 samples raise
+    ``InsufficientDataError``, as that function does.
     """
-    _require_stride(k)
-    d, n_eff = panel.d, window_length - k
-    if n_eff <= d + 2:
-        raise InsufficientDataError(
-            f"need window length - k > d + 2 samples: window={window_length}, k={k}, d={d}"
-        )
+    d = panel.d
+    n_eff = _window(window_length, k, d)
     Z = _stack(panel, k, (n_windows - 1) * step + n_eff)
     offset = np.zeros(2 * d)
     if step < n_eff:  # pooled windows; a window that is one segment is centred once
@@ -305,7 +303,7 @@ def window_cores(panel: TimeSeriesPanel, k: int, window_length: int, step: int,
     moments = xz / (n_eff - 1)
     C = 0.5 * (moments[..., :d] + moments[..., :d].swapaxes(1, 2))
     det_corr = _correlation_det(C, n_eff * (np.abs(offset[:d]) + np.abs(means[:, :d])))
-    windows = np.flatnonzero(~_near_singular(det_corr))
+    windows = np.flatnonzero(~_singular(det_corr))
     C, G, dd = C[windows], moments[windows, :, d:], dd[windows]
     B, inverse, flows = _fit(C, G)
     # E'E = S_dXdX - B' S_XdX per target
@@ -315,6 +313,5 @@ def window_cores(panel: TimeSeriesPanel, k: int, window_length: int, step: int,
         Zw = Z[:, start:start + n_eff].copy()
         Zw -= Zw.mean(axis=1)[:, None]
         residual_variance[g] = _residuals(Zw, B[g])[1]
-    return CovarianceSet(matrix=C, deriv=G, det_corr=det_corr[windows], n_eff=n_eff, k=int(k), panel=panel,
-                         near_singular=False, inverse=inverse, coefficients=B,
-                         residual_variance=residual_variance, flows=flows, windows=windows)
+    return CovarianceSet(matrix=C, deriv=G, det_corr=det_corr[windows], n_eff=n_eff, inverse=inverse,
+                         coefficients=B, residual_variance=residual_variance, flows=flows, windows=windows)

@@ -34,13 +34,11 @@ import warnings
 
 import numpy as np
 
-from .covariance import CovarianceSet, _diagonal, _residuals, _stack
+from .covariance import CovarianceSet, _diagonal, _residuals
 from .errors import (
     DegenerateInferenceWarning,
-    InsufficientDataError,
     InvalidPairError,
     ResolutionError,
-    SingularCovarianceError,
     UsageError,
 )
 
@@ -69,12 +67,6 @@ def asymptotic_inference(cov: CovarianceSet) -> tuple[np.ndarray, np.ndarray, np
     residual variance (a perfect fit) warns and gives z 0 where the value
     is 0 and +inf elsewhere.
     """
-    if cov.near_singular:
-        raise SingularCovarianceError("cannot attach significance to a singular fit")
-    if cov.n_eff <= cov.d + 2:
-        raise InsufficientDataError(
-            f"need n_eff > d + 2 for asymptotic inference (n_eff={cov.n_eff}, d={cov.d})"
-        )
     C, values, residual_variance = cov.matrix, cov.flows, cov.residual_variance
     inverse_diagonal = _diagonal(cov.inverse)[..., None, :]
     var = np.maximum(residual_variance[..., :, None] * inverse_diagonal / (cov.n_eff - 1), 0.0)
@@ -153,9 +145,10 @@ def _surrogate_flows(cov: CovarianceSet, pairs, n_surrogates: int, seeds) -> np.
     """The surrogate flows (``surrogate_flow_samples``) of each resolved
     (source, target) of ``pairs``, one row per pair, row p drawn on ``seeds[p]``.
 
-    With Xc the centred first n = n_eff samples of every series and E every
-    target's residuals (``covariance._residuals``), coefficient j of a fit on
-    all series is w_j . y for w = C^-1 Xc / (n - 1), and
+    With Xc the centred first n = n_eff samples of every series (the X rows
+    of the core's ``stack``) and E every target's residuals
+    (``covariance._residuals``), coefficient j of a fit on all series is
+    w_j . y for w = C^-1 Xc / (n - 1), and
 
         r_ij = E_i + B_ji (n - 1) / [C^-1]_jj w_j
         T    = (w_j . roll(r_ij, s)) C_ij / C_ii,
@@ -164,20 +157,16 @@ def _surrogate_flows(cov: CovarianceSet, pairs, n_surrogates: int, seeds) -> np.
     correlation of w_j with r_ij at the smallest 5-smooth length >= 2n - 1.
     r_ij is linear in E_i and w_j, so a core takes 2d forward real FFTs and a
     pair one inverse. No surrogate refits a covariance, so none can be
-    singular; a near-singular core is refused.
+    singular; ``build_covariance_set`` refuses a singular panel before any
+    core exists.
     """
-    if cov.near_singular:
-        raise SingularCovarianceError("cannot test the flow of a singular fit")
     n, C, B, inverse = cov.n_eff, cov.matrix, cov.coefficients, cov.inverse
     length = _fft_length(2 * n - 1)
-    Z = _stack(cov.panel, cov.k, n)
-    Z -= Z.mean(axis=1, keepdims=True)
-    E = _residuals(Z, B)[0]
-    W = inverse @ Z[:cov.d]
+    E = _residuals(cov.stack, B)[0]
+    W = inverse @ cov.stack[:cov.d]
     W /= n - 1
-    del Z  # each array goes as soon as its spectrum is taken
     FE = np.fft.rfft(E, length)
-    del E
+    del E  # each array goes as soon as its spectrum is taken
     FW = np.fft.rfft(W, length)
     del W
     lo = max(1, math.ceil(n / 10))

@@ -486,7 +486,8 @@ def test_simulate_system_refuses_benchmark_flags(capsys, tmp_path, flag):
 
 
 @pytest.mark.parametrize("flag, value", [("--coupling", "nan"), ("--coupling", "inf"), ("--coupling", "-inf"),
-                                         ("--noise", "nan"), ("--noise", "inf"), ("--noise", "-1")])
+                                         ("--noise", "nan"), ("--noise", "inf"), ("--noise", "-1"),
+                                         ("--n", "1"), ("--d", "0")])
 def test_simulate_bad_coupling_or_noise_exit_2_before_any_seed(capsys, tmp_path, flag, value):
     # no --seed: the value is refused before a seed is generated and announced
     code, _, err = run_cli(

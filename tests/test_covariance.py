@@ -8,7 +8,7 @@ from infoflow import (
     forward_difference,
     surrogate_flow_samples,
 )
-from infoflow.errors import InsufficientDataError
+from infoflow.errors import InsufficientDataError, SingularCovarianceError
 from conftest import cofactor_matrix, lstsq_fit, make_rng, random_panel, random_spd, with_series
 
 
@@ -51,21 +51,19 @@ def gaussian_elimination_solve(A, b):
 # --- sample covariance ---------------------------------------------------
 
 def test_identical_series_give_rank_one_covariance():
+    # a rank-one C has no fit: the core refuses it
     rng = make_rng(0)
     row = rng.standard_normal(50)
     panel = TimeSeriesPanel(("a", "b"), np.vstack([row, row]))
-    cov = build_covariance_set(panel, k=1)
-    assert cov.matrix[0, 0] == pytest.approx(cov.matrix[1, 1], rel=1e-14)
-    assert cov.matrix[0, 1] == pytest.approx(cov.matrix[0, 0], rel=1e-14)
-    assert cov.near_singular
+    with pytest.raises(SingularCovarianceError):
+        build_covariance_set(panel, k=1)
 
 
 def test_anticorrelated_ramps_hand_value():
+    # n - k = 4 = d + 2 samples leave too few for the fit and its inference
     panel = TimeSeriesPanel(("x", "y"), np.array([[1.0, 2, 3, 4, 5], [4.0, 3, 2, 1, 0]]))
-    cov = build_covariance_set(panel, k=1)  # first four samples, n_eff = 4
-    assert cov.n_eff == 4
-    assert cov.matrix[0, 0] == pytest.approx(5 / 3, rel=1e-14)
-    assert cov.matrix[0, 1] == pytest.approx(-5 / 3, rel=1e-14)
+    with pytest.raises(InsufficientDataError):
+        build_covariance_set(panel, k=1)
 
 
 def test_covariance_matches_two_pass_oracle():
@@ -101,6 +99,23 @@ def test_insufficient_samples_error():
         build_covariance_set(panel, k=1)  # n - k = 4 < d + 2 = 5
 
 
+def test_core_refuses_n_minus_k_equal_to_d_plus_2():
+    # the core applies the one sample-count rule that inference needs
+    for d, n, k in ((3, 6, 1), (2, 7, 3)):
+        panel = random_panel(make_rng(d), d=d, n=n)
+        with pytest.raises(InsufficientDataError, match=r"n - k > d \+ 2"):
+            build_covariance_set(panel, k)
+        assert build_covariance_set(random_panel(make_rng(d), d=d, n=n + 1), k).n_eff == d + 3
+
+
+def test_bare_flow_of_a_singular_panel_is_refused():
+    # build_covariance_set(panel, k).flows[i, j] raises, never reads a None
+    a = make_rng(10).standard_normal(200)
+    panel = TimeSeriesPanel(("a", "b"), np.vstack([a, 2 * a]))
+    with pytest.raises(SingularCovarianceError, match="correlation det="):
+        build_covariance_set(panel, 1).flows[0, 1]
+
+
 def test_window_alignment_shared_between_parts():
     # C and the cross terms must use the same first n-k samples
     rng = make_rng(6)
@@ -118,7 +133,8 @@ def test_deriv_cross_constant_target_is_zero():
     rng = make_rng(7)
     values = np.vstack([rng.standard_normal(40), np.full(40, 2.0)])
     panel = TimeSeriesPanel(("a", "b"), values)
-    assert np.array_equal(build_covariance_set(panel, 1).deriv[:, 1], np.zeros(2))
+    with pytest.raises(SingularCovarianceError):  # a constant series has no variance
+        build_covariance_set(panel, 1)
 
 
 def test_deriv_cross_ramp_target_is_zero():
@@ -244,7 +260,7 @@ def test_flows_are_scale_invariant_down_to_tiny_series():
     base = estimate_flow_matrix(panel)
     for scale in (1e-60, 1e-120):
         tiny = TimeSeriesPanel(panel.labels, panel.values * scale, panel.dt)
-        assert not build_covariance_set(tiny, 1).near_singular
+        build_covariance_set(tiny, 1)  # must not be refused as singular
         got = estimate_flow_matrix(tiny)
         for g, want in zip(got.value[got.estimated], base.value[base.estimated]):
             assert g == pytest.approx(want, rel=1e-12, abs=0)

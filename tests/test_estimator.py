@@ -324,7 +324,7 @@ def test_same_seed_sequence_twice_gives_same_surrogates():
 
 
 def test_too_short_panel_refused_before_any_surrogate(monkeypatch):
-    # n - k = d + 2 passes the core but not inference: no surrogate is drawn
+    # n - k = d + 2 is refused by the core, before any surrogate is drawn
     def drawn(*args, **kwargs):
         pytest.fail("surrogates drawn for a panel that inference refuses")
 

@@ -292,6 +292,20 @@ def test_surrogate_samples_refuse_a_singular_core():
         surrogate_flow_samples(build_covariance_set(panel, 1), 0, 1, n_surrogates=20, seed=3)
 
 
+def test_surrogates_read_the_core_stack_without_a_second_pass(monkeypatch):
+    panel = benchmark("chain_3", None, n=2000, seed=3).panel
+    cov = build_covariance_set(panel, 2)
+    want = surrogate_flow_samples(cov, 1, 0, n_surrogates=19, seed=4)
+
+    def restacked(*args, **kwargs):
+        pytest.fail("the surrogate pass re-stacked the panel")
+
+    monkeypatch.setattr("infoflow.covariance._stack", restacked)
+    monkeypatch.setattr("infoflow.significance._stack", restacked, raising=False)
+    assert np.array_equal(surrogate_flow_samples(cov, 1, 0, n_surrogates=19, seed=4), want)
+    assert not cov.stack.flags.writeable
+
+
 def test_fft_length_is_the_smallest_5_smooth_at_least_m():
     def smooth(x):
         for p in (2, 3, 5):

@@ -14,12 +14,16 @@ in an output depends on where it ran:
   ``matrix`` and ``estimate`` (text and JSON), ``graph`` (DOT and JSON) and
   ``window`` (CSV and JSON) at 2000/1000, where each window is one step
   and a head, and at 2000/100, where it pools a head with runs of 1, 2
-  and 16 steps.
+  and 16 steps;
+- refusals: ``estimate`` on a two-series panel with b = 2a (singular),
+  ``matrix`` on a chain_3 panel of n = 6 at k = 1 (n - k = d + 2 samples)
+  and ``simulate --n 1``.
 
-Each line is the sha256 of one output (the command's stdout, or a file
-that ``simulate`` wrote), its exit code and the command. Two source trees
-give byte-identical outputs exactly when ``diff`` of their listings is
-empty.
+That is 251 outputs. Each line is the sha256 of one output (the command's
+stdout, or a file that ``simulate`` wrote, followed by its stderr when it
+exits nonzero, so that a changed message counts), its exit code and the
+command. Two source trees give byte-identical outputs exactly when
+``diff`` of their listings is empty.
 
 ``--compare`` runs the commands against OLD and then NEW in one process
 and prints a line for each output that differs: whether only its
@@ -86,10 +90,23 @@ def _import_cli(src: Path):
 
 
 def _run(main, argv: list[str]) -> tuple[int, bytes]:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    """The exit code and output of one command: its stdout, and then its
+    stderr when it exits nonzero."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, out.getvalue().encode("utf-8")
+    return code, (out.getvalue() + (err.getvalue() if code else "")).encode("utf-8")
+
+
+def _refusals(main):
+    """(command, exit code, output) of each command that must fail."""
+    a = [(m * 37 % 101 - 50) / 8 for m in range(60)]
+    Path("double.csv").write_text("a,b\n" + "".join(f"{x!r},{2 * x!r}\n" for x in a), encoding="utf-8")
+    _run(main, ["simulate", "--benchmark", "chain_3", "--n", "6", "--seed", "1", "-o", "short.csv"])
+    for argv in (["estimate", "double.csv", "--source", "a", "--target", "b"],
+                 ["matrix", "short.csv", "--k", "1"],
+                 ["simulate", "--benchmark", "chain_3", "--n", "1", "--seed", "1", "-o", "one.csv"]):
+        yield (argv, *_run(main, argv))
 
 
 def _line(data: bytes, code: int, argv: list[str]) -> str:
@@ -116,6 +133,7 @@ def _outputs(main):
                                     "--surrogates", str(surrogates), "--seed", str(seed)]
                             code, out = _run(main, argv)
                             yield argv, code, out
+            yield from _refusals(main)
         finally:
             os.chdir(cwd)
 
