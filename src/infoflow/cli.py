@@ -10,7 +10,6 @@ seed mandatory.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -30,7 +29,7 @@ from .errors import (
 )
 from .estimator import estimate_flow_matrix
 from .graph import CORRECTIONS, export_graph, reconstruct_graph
-from .panel import TimeSeriesPanel, _require_delimiter, ingest_csv, write_csv
+from .panel import TimeSeriesPanel, ingest_csv, write_csv
 from .significance import SERIAL_CORRELATION_LIMIT
 from .simulate import BENCHMARK_NAMES, DEFAULT_BURN_IN, RNG_ALGORITHM, benchmark, simulate_system
 from .window import windowed_flows
@@ -39,8 +38,6 @@ ESTIMATE_SCHEMA = "infoflow-estimate/1"
 MATRIX_SCHEMA = "infoflow-matrix/1"
 WINDOW_SCHEMA = "infoflow-window/1"
 SIM_META_SCHEMA = "infoflow-sim-meta/1"
-
-AUTO_TIME_LABELS = ("t", "time")
 
 
 # Options shared by several subcommands; each registers only those it reads.
@@ -168,19 +165,6 @@ def main(argv=None) -> int:
         return 3
 
 
-def _detect_time_column(path, delimiter) -> str | None:
-    try:
-        with open(path, "r", newline="", encoding="utf-8-sig") as fh:
-            first = next(csv.reader(fh, delimiter=delimiter), None)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read input: {exc}") from exc
-    if first:
-        head = first[0].strip()
-        if head.lower() in AUTO_TIME_LABELS:
-            return head
-    return None
-
-
 def _require_dt(dt: float | None) -> None:
     if dt is not None and not (math.isfinite(dt) and dt > 0):
         raise UsageError(f"--dt must be a finite positive number, got {dt}")
@@ -188,20 +172,11 @@ def _require_dt(dt: float | None) -> None:
 
 def _load_panel(args) -> TimeSeriesPanel:
     _require_dt(args.dt)
-    _require_delimiter(args.delimiter)
-    has_header = not args.no_header
-    time_column = args.time_column
-    if time_column is None and has_header and not args.no_time_column:
-        time_column = _detect_time_column(args.csv, args.delimiter)
-    if time_column is not None and args.dt is not None:
-        raise UsageError(
-            f"file has time column {time_column!r}; drop --dt or pass --no-time-column"
-        )
     return ingest_csv(
         args.csv,
         delimiter=args.delimiter,
-        has_header=has_header,
-        time_column=time_column,
+        has_header=not args.no_header,
+        time_column=False if args.no_time_column else args.time_column,
         dt_override=args.dt,
     )
 

@@ -104,6 +104,7 @@ def _stack(panel: TimeSeriesPanel, k: int, cols: int) -> np.ndarray:
     Z = np.empty((2 * d, cols))
     Z[:d] = panel.values[:, :cols]
     for i in range(d):
+        # public on purpose: the only panel span of a run that reads no CSV; a traced benchmark run needs one
         Z[d + i] = forward_difference(panel, i, k)[:cols]
     return Z
 

@@ -28,6 +28,9 @@ from .errors import (
 # Relative tolerance for declaring a time column uniformly spaced.
 TIME_UNIFORMITY_RTOL = 1e-6
 
+# First-column headers (any case) that ingest_csv takes as the time column.
+AUTO_TIME_LABELS = ("t", "time")
+
 # Significant digits used when writing floats; 17 round-trips IEEE doubles.
 CSV_FLOAT_DIGITS = 17
 
@@ -128,24 +131,27 @@ def ingest_csv(
     *,
     delimiter: str = ",",
     has_header: bool = True,
-    time_column: str | None = None,
+    time_column: str | bool | None = None,
     dt_override: float | None = None,
 ) -> TimeSeriesPanel:
     """Read a delimited text file into a validated panel.
 
-    Cells must be numeric apart from an optional time column. When a time
-    column is named, dt is inferred from it and the grid is checked for
-    uniformity (relative tolerance 1e-6); a column that is exactly
-    t[0] + m*(t[1] - t[0]), as ``write_csv`` writes it, gives that step
-    bit for bit. Without a time column dt is ``dt_override`` or 1.0. Missing
-    values are rejected, never imputed; so are Python-only literals such as
-    ``1_000``. A leading UTF-8 byte-order mark is skipped.
+    Cells must be numeric. The time column, if any, is the one that
+    ``time_column`` names; with the default None, a first column headed
+    ``t`` or ``time`` (any case, after stripping) when the file has a
+    header, so ``ingest_csv(path)`` reads what ``write_csv`` wrote; with
+    False, none: every column is a series. dt is inferred from a time
+    column and the grid is checked for uniformity (relative tolerance
+    1e-6); a column that is exactly t[0] + m*(t[1] - t[0]), as
+    ``write_csv`` writes it, gives that step bit for bit. Without a time
+    column dt is ``dt_override`` or 1.0; a ``dt_override`` beside a time
+    column, named or detected, is a ``UsageError``. Missing values are
+    rejected, never imputed; so are Python-only literals such as ``1_000``.
+    A leading UTF-8 byte-order mark is skipped.
     """
-    if time_column is not None and dt_override is not None:
-        raise UsageError("pass either time_column or dt_override, not both")
-    if time_column is not None and not has_header:
-        raise UsageError("time_column requires a header row")
     _require_delimiter(delimiter)
+    if isinstance(time_column, str) and not has_header:
+        raise UsageError("time_column requires a header row")
     try:
         with open(path, "r", newline="", encoding="utf-8-sig") as fh:
             text = fh.read()
@@ -156,10 +162,19 @@ def ingest_csv(
         path, text, delimiter, has_header, first_data_line
     )
 
+    if time_column is False or not has_header:
+        time_column = None
+    elif time_column is None and labels[0].lower() in AUTO_TIME_LABELS:
+        time_column = labels[0]
     dt = 1.0 if dt_override is None else float(dt_override)
     if time_column is not None:
         if time_column not in labels:
             raise UsageError(f"{path}: no column named {time_column!r}")
+        if dt_override is not None:
+            raise UsageError(
+                f"{path}: time column {time_column!r} sets dt; drop the dt override (--dt),"
+                " or read that column as a series (time_column=False, --no-time-column)"
+            )
         t_idx = labels.index(time_column)
         t = parsed[:, t_idx]
         if not np.isfinite(t).all():
@@ -274,9 +289,11 @@ def write_csv(
 ) -> None:
     """Write a panel in the same format ``ingest_csv`` reads.
 
-    When ``time_label`` is given, a leading time column m*dt is included so
-    that re-ingestion recovers dt without flags. Values are written at 17
-    significant digits and round-trip bit-for-bit.
+    When ``time_label`` is given, a leading time column m*dt is included;
+    under the default ``t`` (or ``time``) ``ingest_csv(path)`` detects it
+    and recovers dt without flags, and any other label must be passed as
+    ``time_column``. Values are written at 17 significant digits and
+    round-trip bit-for-bit.
     """
     writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
     header = ([time_label] if time_label else []) + list(panel.labels)

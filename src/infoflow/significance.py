@@ -49,9 +49,11 @@ SERIAL_CORRELATION_LIMIT = 0.2
 MIN_SURROGATES = 19
 
 
-def two_sided_p(z: float) -> float:
-    """Two-sided standard-normal tail probability."""
-    return math.erfc(abs(z) / math.sqrt(2.0))
+def two_sided_p(z) -> np.ndarray:
+    """Two-sided standard-normal tail probability of each entry of ``z``, in
+    z's shape (0-d for a scalar)."""
+    x = np.abs(np.asarray(z, dtype=np.float64)) / math.sqrt(2.0)
+    return np.fromiter(map(math.erfc, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
 
 
 def asymptotic_inference(cov: CovarianceSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -81,8 +83,7 @@ def asymptotic_inference(cov: CovarianceSet) -> tuple[np.ndarray, np.ndarray, np
             stacklevel=_outside_stacklevel(),
         )
         z[perfect] = np.where(values[perfect] == 0.0, 0.0, math.inf)
-    p = np.array([two_sided_p(x) for x in z.ravel().tolist()]).reshape(z.shape)
-    return stderr, z, p
+    return stderr, z, two_sided_p(z)
 
 
 def _outside_stacklevel() -> int:

@@ -104,6 +104,7 @@ def windowed_flows(
     if cores is not None:
         valid[cores.windows] = True
         targets, sources = [i for _, i in resolved], [j for j, _ in resolved]
+        # public on purpose: a window run's only estimator span, which a traced benchmark run requires
         arrays[:4, cores.windows] = read_off(cores, (slice(None), targets, sources))
         if surrogates:
             for w in cores.windows.tolist():

@@ -555,6 +555,18 @@ def test_time_column_and_no_time_column_exit_2(capsys, short_chain_csv, flags):
     assert "not allowed with" in err
 
 
+def test_no_time_column_reads_t_as_a_series(capsys, short_chain_csv):
+    code, out, _ = run_cli(capsys, "matrix", str(short_chain_csv), "--no-time-column", "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["labels"] == ["t", "x1", "x2", "x3"]
+    assert report["dt"] == 1.0
+    _, named, _ = run_cli(capsys, "matrix", str(short_chain_csv), "--time-column", "t", "--json")
+    _, detected, _ = run_cli(capsys, "matrix", str(short_chain_csv), "--json")
+    assert named == detected
+    assert json.loads(detected)["labels"] == ["x1", "x2", "x3"]
+
+
 @pytest.mark.parametrize("command", ["simulate", "graph", "window"])
 def test_negative_seed_exit_2(capsys, tmp_path, short_chain_csv, command):
     argv = {

@@ -116,6 +116,49 @@ def test_time_column_plus_dt_override_rejected(tmp_path):
         ingest_csv(path, time_column="t", dt_override=0.5)
 
 
+@pytest.mark.parametrize("head", ["t", "time", " Time ", "T"])
+def test_first_column_headed_t_or_time_is_the_time_column(tmp_path, head):
+    path = write_file(tmp_path, f"{head},x\n0,1\n0.5,2\n1.0,4\n")
+    panel = ingest_csv(path)
+    assert panel.labels == ("x",)
+    assert panel.dt == 0.5
+
+
+def test_time_column_detected_only_first_and_with_a_header(tmp_path):
+    assert ingest_csv(write_file(tmp_path, "x,t\n1,0\n2,1\n4,2\n")).labels == ("x", "t")
+    assert ingest_csv(write_file(tmp_path, "0,1\n1,2\n2,4\n"), has_header=False).labels == ("c0", "c1")
+
+
+@pytest.mark.parametrize("dt_override, dt", [(None, 1.0), (0.25, 0.25)])
+def test_time_column_false_reads_t_as_a_series(tmp_path, dt_override, dt):
+    path = write_file(tmp_path, "t,x\n0,1\n0.5,2\n1.0,4\n")
+    panel = ingest_csv(path, time_column=False, dt_override=dt_override)
+    assert panel.labels == ("t", "x")
+    assert np.array_equal(panel.values, [[0.0, 0.5, 1.0], [1.0, 2.0, 4.0]])
+    assert panel.dt == dt
+
+
+def test_dt_override_conflicts_with_a_detected_time_column(tmp_path):
+    path = write_file(tmp_path, "time,x\n0,1\n1,2\n")
+    with pytest.raises(UsageError, match="time column 'time'"):
+        ingest_csv(path, dt_override=0.5)
+
+
+def test_conflict_is_checked_after_the_file_is_read(tmp_path):
+    with pytest.raises(DataError, match="cannot read input"):
+        ingest_csv(tmp_path / "nope.csv", time_column="t", dt_override=0.5)
+
+
+def test_named_time_column_needs_a_header(tmp_path):
+    with pytest.raises(UsageError, match="header"):
+        ingest_csv(write_file(tmp_path, "0,1\n1,2\n"), has_header=False, time_column="t")
+
+
+def test_empty_time_column_name_is_not_detection(tmp_path):
+    with pytest.raises(UsageError, match="no column named ''"):
+        ingest_csv(write_file(tmp_path, "t,x\n0,1\n1,2\n"), time_column="")
+
+
 def test_unknown_time_column(tmp_path):
     path = write_file(tmp_path, "t,x\n0,1\n1,2\n")
     with pytest.raises(UsageError, match="'tt'"):
@@ -195,10 +238,11 @@ def test_csv_round_trip_is_bit_exact(tmp_path):
         buf = io.StringIO()
         write_csv(panel, buf)
         path = write_file(tmp_path, buf.getvalue(), "rt.csv")
-        back = ingest_csv(path, time_column="t")
-        assert back.labels == panel.labels
-        assert np.array_equal(back.values, panel.values)
-        assert back.dt == pytest.approx(panel.dt, rel=1e-12)
+        named = ingest_csv(path, time_column="t")
+        for back in (named, ingest_csv(path)):  # the leading t column is detected without flags
+            assert back.labels == panel.labels
+            assert np.array_equal(back.values, panel.values)
+            assert back.dt == named.dt == pytest.approx(panel.dt, rel=1e-12)
 
 
 def test_byte_order_mark_ingests_as_the_plain_file(tmp_path):

@@ -17,9 +17,12 @@ in an output depends on where it ran:
   and 16 steps;
 - refusals: ``estimate`` on a two-series panel with b = 2a (singular),
   ``matrix`` on a chain_3 panel of n = 6 at k = 1 (n - k = d + 2 samples)
-  and ``simulate --n 1``.
+  and ``simulate --n 1``;
+- the time-column rules, on the chain_3 seed-1 panel: ``matrix
+  --no-time-column`` (``t`` read as a series), ``matrix --time-column t``
+  and the refusal of ``estimate`` with ``--dt`` beside the time column.
 
-That is 251 outputs. Each line is the sha256 of one output (the command's
+That is 254 outputs. Each line is the sha256 of one output (the command's
 stdout, or a file that ``simulate`` wrote, followed by its stderr when it
 exits nonzero, so that a changed message counts), its exit code and the
 command. Two source trees give byte-identical outputs exactly when
@@ -109,6 +112,15 @@ def _refusals(main):
         yield (argv, *_run(main, argv))
 
 
+def _time_columns(main):
+    """(command, exit code, output) of each command that pins how the time
+    column of a ``simulate`` file is read."""
+    for argv in (["matrix", "chain_3-1.csv", "--no-time-column"],
+                 ["matrix", "chain_3-1.csv", "--time-column", "t"],
+                 ["estimate", "chain_3-1.csv", "--source", "1", "--target", "2", "--dt", "0.5"]):
+        yield (argv, *_run(main, argv))
+
+
 def _line(data: bytes, code: int, argv: list[str]) -> str:
     return f"{hashlib.sha256(data).hexdigest()}  {code}  {' '.join(argv)}"
 
@@ -134,6 +146,7 @@ def _outputs(main):
                             code, out = _run(main, argv)
                             yield argv, code, out
             yield from _refusals(main)
+            yield from _time_columns(main)
         finally:
             os.chdir(cwd)
 
