@@ -103,9 +103,8 @@ def _stack(panel: TimeSeriesPanel, k: int, cols: int) -> np.ndarray:
     d = panel.d
     Z = np.empty((2 * d, cols))
     Z[:d] = panel.values[:, :cols]
-    for i in range(d):
-        # public on purpose: the only panel span of a run that reads no CSV; a traced benchmark run needs one
-        Z[d + i] = forward_difference(panel, i, k)[:cols]
+    # public on purpose: the only panel span of a run that reads no CSV; a traced benchmark run needs one
+    Z[d:] = forward_difference(panel, slice(None), k)[:, :cols]
     return Z
 
 
@@ -150,17 +149,18 @@ def _fit(C: np.ndarray, G: np.ndarray):
 
 def _residuals(Zc: np.ndarray, B: np.ndarray):
     """Residuals E = dX - B' X of every target on the centred stack
-    Zc = [Xc; dXc], and their mean squares. A mean square below
-    1e-24 var(dX_i) is snapped to an exact zero (``exact``), so that a
-    perfect fit is detected reliably downstream."""
+    Zc = [Xc; dXc], their sums of squares E.E and their mean squares. A
+    mean square below 1e-24 var(dX_i) is snapped to an exact zero
+    (``exact``), so that a perfect fit is detected reliably downstream."""
     d, n = B.shape[0], Zc.shape[1]
     Xc, dXc = Zc[:d], Zc[d:]
     E = B.T @ Xc
     np.subtract(dXc, E, out=E)
-    residual_variance = _rowwise_dot(E, E) / n
+    squares = _rowwise_dot(E, E)
+    residual_variance = squares / n
     exact = residual_variance < 1e-24 * (_rowwise_dot(dXc, dXc) / n)
     residual_variance[exact] = 0.0
-    return E, residual_variance, exact
+    return E, squares, residual_variance, exact
 
 
 def build_covariance_set(panel: TimeSeriesPanel, k: int = 1) -> CovarianceSet:
@@ -192,11 +192,10 @@ def build_covariance_set(panel: TimeSeriesPanel, k: int = 1) -> CovarianceSet:
         )
 
     B, inverse, flows = _fit(C, G)
-    E, residual_variance, exact = _residuals(Z, B)
+    E, squares, residual_variance, exact = _residuals(Z, B)
     # E has zero row means: the centred rows leave no intercept to fit
-    denom = _rowwise_dot(E, E)
-    lag1 = np.divide(_rowwise_dot(E[:, :-1], E[:, 1:]), denom,
-                     out=np.zeros(d), where=~exact & (denom != 0.0))
+    lag1 = np.divide(_rowwise_dot(E[:, :-1], E[:, 1:]), squares,
+                     out=np.zeros(d), where=~exact & (squares != 0.0))
     return CovarianceSet(
         matrix=C,
         deriv=G,
@@ -313,6 +312,6 @@ def window_cores(panel: TimeSeriesPanel, k: int, window_length: int, step: int,
         start = step * windows[g]
         Zw = Z[:, start:start + n_eff].copy()
         Zw -= Zw.mean(axis=1)[:, None]
-        residual_variance[g] = _residuals(Zw, B[g])[1]
+        residual_variance[g] = _residuals(Zw, B[g])[2]
     return CovarianceSet(matrix=C, deriv=G, det_corr=det_corr[windows], n_eff=n_eff, inverse=inverse,
                          coefficients=B, residual_variance=residual_variance, flows=flows, windows=windows)

@@ -7,9 +7,11 @@ so they are safe to share across threads.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -34,10 +36,9 @@ AUTO_TIME_LABELS = ("t", "time")
 # Significant digits used when writing floats; 17 round-trips IEEE doubles.
 CSV_FLOAT_DIGITS = 17
 
-# ASCII characters the fast ingest path leaves to the strict one: str.splitlines
-# breaks lines at all of them and csv at none, and np.loadtxt strips the last
-# four around a number as whitespace where float() does not.
-_FAST_PATH_EXCLUDED = "\v\f\x1c\x1d\x1e\x1f"
+# ASCII bytes the fast ingest path leaves to the strict one: np.loadtxt strips
+# them around a number as whitespace where float() does not.
+_FAST_PATH_EXCLUDED = b"\x1c\x1d\x1e\x1f"
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,18 +102,19 @@ def _require_stride(k) -> None:
         raise InvalidStrideError(f"stride k must be a positive integer, got {k!r}")
 
 
-def forward_difference(panel: TimeSeriesPanel, j: int, k: int = 1) -> np.ndarray:
+def forward_difference(panel: TimeSeriesPanel, j: int | slice, k: int = 1) -> np.ndarray:
     """Euler forward difference of series ``j`` with stride ``k``.
 
     Returns the derivative-scale series of length n - k whose element m is
     (x[m+k] - x[m]) / (k * dt). A linear ramp yields its slope exactly
-    (up to floating round-off) for any stride.
+    (up to floating round-off) for any stride. A slice ``j`` selects a
+    block of series and gives one such row for each.
     """
     _require_stride(k)
     if k >= panel.n:
         raise InvalidStrideError(f"stride k={k} must be smaller than n={panel.n}")
-    row = panel.values[j]
-    return (row[k:] - row[:-k]) / (k * panel.dt)
+    rows = panel.values[j]
+    return (rows[..., k:] - rows[..., :-k]) / (k * panel.dt)
 
 
 def _require_delimiter(delimiter) -> None:
@@ -148,25 +150,41 @@ def ingest_csv(
     column, named or detected, is a ``UsageError``. Missing values are
     rejected, never imputed; so are Python-only literals such as ``1_000``.
     A leading UTF-8 byte-order mark is skipped.
+
+    The file is first read whole as bytes. When they are ASCII (after an
+    optional byte-order mark), the header is parsed from them and the body
+    is read a second time, from the path, by ``np.loadtxt`` in chunks
+    (``_parse_fast``). If the file's size, modification time or inode
+    after that second read differs from the first read's, or the fast
+    parse fails, the bytes of the first read are parsed cell by cell
+    instead (``_parse_strict``), which also words every refusal.
     """
     _require_delimiter(delimiter)
     if isinstance(time_column, str) and not has_header:
         raise UsageError("time_column requires a header row")
     try:
-        with open(path, "r", newline="", encoding="utf-8-sig") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+            stamp = _stamp(os.fstat(fh.fileno()))
+    except OSError as exc:
         raise DataError(f"cannot read input: {exc}") from exc
     first_data_line = 2 if has_header else 1
-    labels, parsed = _parse_fast(text, delimiter, has_header) or _parse_strict(
-        path, text, delimiter, has_header, first_data_line
-    )
+    table = _parse_fast(path, raw, stamp, delimiter, has_header)
+    if table is None:
+        try:
+            text = raw.decode("utf-8-sig")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"cannot read input: {exc}") from exc
+        del raw
+        table = _parse_strict(path, text, delimiter, has_header, first_data_line)
+    labels, parsed = table
 
     if time_column is False or not has_header:
         time_column = None
     elif time_column is None and labels[0].lower() in AUTO_TIME_LABELS:
         time_column = labels[0]
     dt = 1.0 if dt_override is None else float(dt_override)
+    keep = list(range(len(labels)))
     if time_column is not None:
         if time_column not in labels:
             raise UsageError(f"{path}: no column named {time_column!r}")
@@ -194,46 +212,61 @@ def ingest_csv(
                 f"{path}: non-uniform time column {time_column!r} near row"
                 f" {first_data_line + r + 1} (step {steps[r]!r} vs {dt!r})"
             )
-        keep = [i for i in range(len(labels)) if i != t_idx]
+        del keep[t_idx]
         labels = tuple(labels[i] for i in keep)
-        parsed = parsed[:, keep]
+    values = parsed.T[keep]  # (series, samples), C-contiguous: the panel's one copy
 
-    bad = np.argwhere(~np.isfinite(parsed))
-    if len(bad):
-        r, c = bad[0]
+    if not np.isfinite(values).all():
+        r, c = np.argwhere(~np.isfinite(values.T))[0]  # the first in file order
         raise ValidationError(
             f"{path}: non-finite value at row {first_data_line + r}, column {labels[c]!r}"
         )
 
-    return TimeSeriesPanel(labels=labels, values=parsed.T, dt=dt)
+    return TimeSeriesPanel(labels=labels, values=values, dt=dt)
 
 
-def _parse_fast(text: str, delimiter: str, has_header: bool):
+def _stamp(st: os.stat_result) -> tuple:
+    """What tells two reads of one file apart: device, inode, size, mtime."""
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _parse_fast(path, raw: bytes, stamp: tuple, delimiter: str, has_header: bool):
     """Labels and (rows x columns) values of a plain-ASCII file, the header
-    taken with ``csv`` and the body with ``np.loadtxt``; None wherever
-    ``_parse_strict`` must decide, including every input it refuses.
+    taken with ``csv`` from ``raw``, the file's bytes, and the body with
+    ``np.loadtxt`` from ``path``; None wherever ``_parse_strict`` must
+    decide, including every input it refuses, and when the file's
+    ``_stamp`` after that read is not ``stamp``, the one of ``raw``.
 
-    ``loadtxt`` reads some cells that the strict parser refuses: it strips
-    a non-breaking space or a \\x1f around a number, where ``float`` does
-    not. Hence ASCII text without the ``_FAST_PATH_EXCLUDED`` characters
-    only, and ``comments=None``, since it would drop ``#`` lines as comments.
+    The header reader decodes only the leading lines of ``raw``.
+    ``loadtxt`` gets the absolute path, so that its C reader parses the
+    body in chunks (a file object or a list of lines goes through a
+    per-line iterator) and no ``http://host/...``-like name is taken for a
+    URL; a name ending in ``.gz`` or the like fails to decompress and goes
+    to the strict parser. ``loadtxt`` reads some cells that the strict
+    parser refuses: it strips a non-breaking space or a \\x1f around a
+    number, where ``float`` does not. Hence ASCII without the
+    ``_FAST_PATH_EXCLUDED`` bytes only, and ``comments=None``, since it
+    would drop ``#`` lines as comments.
     """
-    if not text.isascii() or any(c in text for c in _FAST_PATH_EXCLUDED):
+    if not (raw.isascii() or raw.startswith(codecs.BOM_UTF8) and raw[3:].isascii()):
         return None
-    lines = text.splitlines(keepends=True)
-    reader = csv.reader(lines, delimiter=delimiter)
+    if any(byte in raw for byte in _FAST_PATH_EXCLUDED):
+        return None
+    head = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="")
+    reader = csv.reader(head, delimiter=delimiter)
     first = next((row for row in reader if row), None)
     if first is None:
         return None
-    if has_header:
-        labels = tuple(cell.strip() for cell in first)
-        lines = lines[reader.line_num:]
-    else:
-        labels = _default_labels(len(first))
+    labels = tuple(cell.strip() for cell in first) if has_header else _default_labels(len(first))
     try:
+        name = os.path.abspath(path)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # "input contained no data"
-            values = np.loadtxt(lines, delimiter=delimiter, comments=None, ndmin=2)
+            values = np.loadtxt(name, delimiter=delimiter, comments=None, ndmin=2,
+                                skiprows=reader.line_num if has_header else 0,
+                                encoding="utf-8-sig")
+        if _stamp(os.stat(name)) != stamp:
+            return None
     except Exception:  # whatever loadtxt refuses, the strict parser words
         return None
     if values.shape[0] < 2 or values.shape[1] != len(labels):

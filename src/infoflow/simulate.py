@@ -99,7 +99,7 @@ def _integrate(spec: SimulationSpec, A_late: np.ndarray, switch: int) -> TimeSer
         _affine_scan(traj[:switch], np.eye(sys.d) + sys.A.T * dt)
         _affine_scan(traj[switch - 1 :], np.eye(sys.d) + A_late.T * dt)
 
-    if not np.abs(traj).max() <= EXPLOSION_LIMIT:  # also true for NaN and inf
+    if not (traj.max() <= EXPLOSION_LIMIT and -traj.min() <= EXPLOSION_LIMIT):  # NaN and ±inf fail too
         raise InstabilityError(
             f"trajectory exploded beyond |X| = {EXPLOSION_LIMIT:g};"
             " try a smaller dt or a stabler system"

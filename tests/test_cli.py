@@ -486,8 +486,7 @@ def test_simulate_system_refuses_benchmark_flags(capsys, tmp_path, flag):
 
 
 @pytest.mark.parametrize("flag, value", [("--coupling", "nan"), ("--coupling", "inf"), ("--coupling", "-inf"),
-                                         ("--noise", "nan"), ("--noise", "inf"), ("--noise", "-1"),
-                                         ("--n", "1"), ("--d", "0")])
+                                         ("--noise", "nan"), ("--noise", "inf"), ("--noise", "-1")])
 def test_simulate_bad_coupling_or_noise_exit_2_before_any_seed(capsys, tmp_path, flag, value):
     # no --seed: the value is refused before a seed is generated and announced
     code, _, err = run_cli(
@@ -497,6 +496,11 @@ def test_simulate_bad_coupling_or_noise_exit_2_before_any_seed(capsys, tmp_path,
     assert code == 2
     assert flag in err and "seed" not in err
     assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--n", "1"), ("--d", "0")])
+def test_simulate_bad_size_exit_2_before_any_seed(capsys, tmp_path, flag, value):
+    test_simulate_bad_coupling_or_noise_exit_2_before_any_seed(capsys, tmp_path, flag, value)
 
 
 def test_simulate_independent_d_refuses_coupling(capsys, tmp_path):

@@ -59,7 +59,7 @@ def test_identical_series_give_rank_one_covariance():
         build_covariance_set(panel, k=1)
 
 
-def test_anticorrelated_ramps_hand_value():
+def test_anticorrelated_ramps_refused_at_n_minus_k_equal_d_plus_2():
     # n - k = 4 = d + 2 samples leave too few for the fit and its inference
     panel = TimeSeriesPanel(("x", "y"), np.array([[1.0, 2, 3, 4, 5], [4.0, 3, 2, 1, 0]]))
     with pytest.raises(InsufficientDataError):

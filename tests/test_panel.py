@@ -1,5 +1,8 @@
 import io
 import math
+import os
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -367,7 +370,19 @@ _INGEST_CASES = {
     "space, doubled": ("a b\n1 2\n3  4\n", {"delimiter": " "}),
     "time column": ("t,x\n0,1\n0.5,2\n1.0,4\n", {"time_column": "t"}),
     "non-uniform time": ("t,x\n0,1\n0.5,2\n1.7,4\n", {"time_column": "t"}),
+    "byte-order mark": ("\ufeffa,b\n1,2\n3,4\n", {}),
+    "byte-order mark, time column": ("\ufefft,x\n0,1\n0.5,2\n1.0,4\n", {}),
+    "byte-order mark, no header": ("\ufeff1,2\n3,4\n", {"has_header": False}),
+    "byte-order mark, then non-ascii": ("\ufeffa,b\n1,2\n3,\u00a04\n", {}),
+    "header after blank lines": ("\n\n\na,b\n1,2\n3,4\n", {}),
+    "header after blank lines, crlf": ("\r\n\r\na,b\r\n1,2\r\n3,4\r\n", {}),
+    "form feed in header": ("a\f,b\n1,2\n3,4\n", {}),
+    "vertical tab line": ("a,b\n1,2\n\v\n3,4\n", {}),
+    "gz-named ascii": ("a,b\n1,2\n3,4\n", {}),
 }
+
+# Cases whose file name matters; the others are read from case.csv.
+_INGEST_FILE_NAMES = {"gz-named ascii": "case.csv.gz"}
 
 
 @pytest.mark.parametrize("name", list(_INGEST_CASES))
@@ -375,7 +390,7 @@ def test_ingest_fast_path_agrees_with_strict_parser(tmp_path, monkeypatch, name)
     from infoflow import panel as panel_module
 
     text, kwargs = _INGEST_CASES[name]
-    path = tmp_path / "case.csv"
+    path = tmp_path / _INGEST_FILE_NAMES.get(name, "case.csv")
     path.write_bytes(text.encode("utf-8"))
     fast = _ingest_outcome(path, **kwargs)
     monkeypatch.setattr(panel_module, "_parse_fast", lambda *args: None)
@@ -390,8 +405,86 @@ def test_ingest_fast_path_reads_random_decimals_bit_for_bit(tmp_path, monkeypatc
     cells += ["0"] * (len(cells) % 2)
     rows = [f"{a},{b}" for a, b in zip(cells[::2], cells[1::2])]
     text = "a,b\n" + "\n".join(rows) + "\n"
-    assert panel_module._parse_fast(text, ",", True) is not None
     path = write_file(tmp_path, text)
+    stamp = panel_module._stamp(os.stat(path))
+    assert panel_module._parse_fast(path, path.read_bytes(), stamp, ",", True) is not None
     fast = _ingest_outcome(path)
     monkeypatch.setattr(panel_module, "_parse_fast", lambda *args: None)
     assert _ingest_outcome(path) == fast
+
+
+def test_write_csv_byte_order_mark_and_blank_lead_files_take_the_fast_path(tmp_path, monkeypatch):
+    from infoflow import panel as panel_module
+
+    def refuse_strict(*args):
+        raise AssertionError("the strict parser ran")
+
+    panel = TimeSeriesPanel(("x", "y"), make_rng(14).standard_normal((2, 500)), dt=0.5)
+    buf = io.StringIO()
+    write_csv(panel, buf)
+    text = buf.getvalue()
+    files = [write_file(tmp_path, text, "plain.csv"),
+             write_file(tmp_path, "\n\r\n" + text.replace("\n", "\r\n"), "blank-lead.csv")]
+    files.append(tmp_path / "bom.csv")
+    files[-1].write_bytes(b"\xef\xbb\xbf" + files[0].read_bytes())
+    monkeypatch.setattr(panel_module, "_parse_strict", refuse_strict)
+    for path in files:
+        back = ingest_csv(path)
+        assert back.labels == panel.labels and back.dt == panel.dt
+        assert np.array_equal(back.values, panel.values)
+
+
+def test_file_changed_between_the_two_reads_is_parsed_from_the_first(tmp_path, monkeypatch):
+    # the body is read again from the path; a file that changed in between
+    # is parsed strictly from the bytes that passed the fast-path checks
+    from infoflow import panel as panel_module
+
+    path = write_file(tmp_path, "a,b\n1,2\n3,4\n")
+    real_loadtxt = np.loadtxt
+
+    def rewrite_then_load(*args, **kwargs):
+        path.write_text("a,b\n5,6\n7,8\n9,10\n")
+        return real_loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(panel_module.np, "loadtxt", rewrite_then_load)
+    assert np.array_equal(ingest_csv(path).values, [[1.0, 3.0], [2.0, 4.0]])
+
+
+def test_changed_stamp_takes_the_strict_route(tmp_path, monkeypatch):
+    from infoflow import panel as panel_module
+
+    path = write_file(tmp_path, "a,b\n1,2\n3,4\n")
+    strict = []
+    real_strict, real_fstat = panel_module._parse_strict, os.fstat
+
+    def spy(*args):
+        strict.append(args[1])
+        return real_strict(*args)
+
+    def earlier_fstat(fd):  # the first read sees an older modification time
+        st = real_fstat(fd)
+        return SimpleNamespace(st_dev=st.st_dev, st_ino=st.st_ino, st_size=st.st_size,
+                               st_mtime_ns=st.st_mtime_ns - 1)
+
+    monkeypatch.setattr(panel_module, "_parse_strict", spy)
+    assert np.array_equal(ingest_csv(path).values, [[1.0, 3.0], [2.0, 4.0]])
+    assert strict == []
+    monkeypatch.setattr(os, "fstat", earlier_fstat)
+    assert np.array_equal(ingest_csv(path).values, [[1.0, 3.0], [2.0, 4.0]])
+    assert strict == ["a,b\n1,2\n3,4\n"]
+
+
+def test_ingest_peak_memory_is_a_small_multiple_of_the_file(tmp_path):
+    # 20000 rows of write_csv output (1.5 MB): the chunked body read peaks at
+    # about 1.9x the file's size; loadtxt over a list of its lines took 3.4x
+    panel = TimeSeriesPanel(("x", "y", "z"), make_rng(15).standard_normal((3, 20_000)), dt=0.01)
+    path = tmp_path / "big.csv"
+    with open(path, "w") as fh:
+        write_csv(panel, fh)
+    tracemalloc.start()
+    try:
+        ingest_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * path.stat().st_size

@@ -87,6 +87,13 @@ def test_exploding_trajectory_raises():
         euler_maruyama(spec)
 
 
+def test_trajectory_exploding_towards_minus_infinity_raises():
+    sys = LinearSDE(f=[0.0], A=[[+5.0]], B=[[0.0]])
+    spec = SimulationSpec(system=sys, n=5000, dt=1.0, seed=0, burn_in=0, x0=[-1.0])
+    with pytest.raises(InstabilityError, match="smaller dt"):
+        euler_maruyama(spec)
+
+
 def test_spec_validation():
     sys = decay_system()
     with pytest.raises(ValidationError):
