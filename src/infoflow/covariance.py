@@ -58,9 +58,11 @@ class CovarianceSet:
     ``noise_intensity`` is k*dt times the residual variance, the
     additive-noise magnitude g_ii of the fitted SDE, and entry [i, j] of
     ``flows`` is the flow j -> i, B[j, i] C[i, j] / C[i, i], with the self
-    influence B[i, i] on its diagonal. ``stack`` is the centred [X; dX]
-    (2d x n_eff, read-only) the moments were taken from. Every set is a
-    whole fit: ``build_covariance_set`` refuses a panel that has none.
+    influence B[i, i] on its diagonal. ``stack`` (2d x n_eff, read-only)
+    is [Xc; E]: the centred series the moments were taken from, over the
+    residuals E = dX - B' X of every target's fit, for the surrogates and
+    any residual autocovariance to read. Every set is a whole fit:
+    ``build_covariance_set`` refuses a panel that has none.
 
     A stack of window cores (``window_cores``) lists in ``windows`` the
     windows whose C passes the rule, and carries C, G, det_corr, B, C^-1,
@@ -148,17 +150,18 @@ def _fit(C: np.ndarray, G: np.ndarray):
 
 
 def _residuals(Zc: np.ndarray, B: np.ndarray):
-    """Residuals E = dX - B' X of every target on the centred stack
-    Zc = [Xc; dXc], their sums of squares E.E and their mean squares. A
-    mean square below 1e-24 var(dX_i) is snapped to an exact zero
-    (``exact``), so that a perfect fit is detected reliably downstream."""
+    """Residuals E = dX - B' X of every target, written in place over the
+    dXc rows of the centred stack Zc = [Xc; dXc], their sums of squares E.E
+    and their mean squares. A mean square below 1e-24 var(dX_i) is snapped
+    to an exact zero (``exact``), so that a perfect fit is detected
+    reliably downstream."""
     d, n = B.shape[0], Zc.shape[1]
-    Xc, dXc = Zc[:d], Zc[d:]
-    E = B.T @ Xc
-    np.subtract(dXc, E, out=E)
+    Xc, E = Zc[:d], Zc[d:]
+    scale = 1e-24 * (_rowwise_dot(E, E) / n)  # var(dX_i), before E overwrites dX
+    E -= B.T @ Xc
     squares = _rowwise_dot(E, E)
     residual_variance = squares / n
-    exact = residual_variance < 1e-24 * (_rowwise_dot(dXc, dXc) / n)
+    exact = residual_variance < scale
     residual_variance[exact] = 0.0
     return E, squares, residual_variance, exact
 
@@ -169,8 +172,8 @@ def build_covariance_set(panel: TimeSeriesPanel, k: int = 1) -> CovarianceSet:
 
     Centres the stack [X; dX] (2d x n_eff, dX the ``forward_difference`` of
     every series) in place and takes [C | G] from one product. The residuals
-    of all targets (``_residuals``) come from one more product over the same
-    stack, which the set keeps for the surrogates. Raises
+    of all targets (``_residuals``) come from one more product and replace
+    the dX rows of that stack, which the set keeps for the surrogates. Raises
     ``InsufficientDataError`` when n - k <= d + 2 and
     ``SingularCovarianceError`` when C fails the ``NEAR_SINGULAR_RTOL`` rule.
     """
@@ -179,7 +182,6 @@ def build_covariance_set(panel: TimeSeriesPanel, k: int = 1) -> CovarianceSet:
     Z = _stack(panel, k, n_eff)
     mean = Z.mean(axis=1)
     Z -= mean[:, None]
-    Z.flags.writeable = False
 
     moments = (Z[:d] @ Z.T) / (n_eff - 1)
     C = 0.5 * (moments[:, :d] + moments[:, :d].T)
@@ -193,6 +195,7 @@ def build_covariance_set(panel: TimeSeriesPanel, k: int = 1) -> CovarianceSet:
 
     B, inverse, flows = _fit(C, G)
     E, squares, residual_variance, exact = _residuals(Z, B)
+    Z.flags.writeable = False
     # E has zero row means: the centred rows leave no intercept to fit
     lag1 = np.divide(_rowwise_dot(E[:, :-1], E[:, 1:]), squares,
                      out=np.zeros(d), where=~exact & (squares != 0.0))

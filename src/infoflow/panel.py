@@ -7,11 +7,12 @@ so they are safe to share across threads.
 
 from __future__ import annotations
 
-import codecs
 import csv
 import io
+import itertools
 import math
 import os
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -39,6 +40,9 @@ CSV_FLOAT_DIGITS = 17
 # ASCII bytes the fast ingest path leaves to the strict one: np.loadtxt strips
 # them around a number as whitespace where float() does not.
 _FAST_PATH_EXCLUDED = b"\x1c\x1d\x1e\x1f"
+
+# One line of a file and its ending, as the csv reader and loadtxt split them.
+_LINE = re.compile(rb"[^\r\n]*(?:\r\n|\r|\n)?")
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,15 +153,17 @@ def ingest_csv(
     column dt is ``dt_override`` or 1.0; a ``dt_override`` beside a time
     column, named or detected, is a ``UsageError``. Missing values are
     rejected, never imputed; so are Python-only literals such as ``1_000``.
-    A leading UTF-8 byte-order mark is skipped.
+    A leading UTF-8 byte-order mark is skipped. A refusal's "row" counts
+    non-empty lines, the header being row 1.
 
-    The file is first read whole as bytes. When they are ASCII (after an
-    optional byte-order mark), the header is parsed from them and the body
-    is read a second time, from the path, by ``np.loadtxt`` in chunks
-    (``_parse_fast``). If the file's size, modification time or inode
-    after that second read differs from the first read's, or the fast
-    parse fails, the bytes of the first read are parsed cell by cell
-    instead (``_parse_strict``), which also words every refusal.
+    The file is read once as bytes, which must be UTF-8, and one ``csv``
+    reader over them finds the header (or, without one, the width) and
+    the lines before the body. The body is then read a second time, from
+    the path, by ``np.loadtxt`` in chunks (``_parse_fast``) when its bytes
+    are plain ASCII. If the file's size, modification time or inode after
+    that second read differs from the first read's, or the fast parse
+    fails, the reader goes on over the body cell by cell instead
+    (``_parse_strict``), which words every refusal of a cell.
     """
     _require_delimiter(delimiter)
     if isinstance(time_column, str) and not has_header:
@@ -168,35 +174,51 @@ def ingest_csv(
             stamp = _stamp(os.fstat(fh.fileno()))
     except OSError as exc:
         raise DataError(f"cannot read input: {exc}") from exc
-    first_data_line = 2 if has_header else 1
-    table = _parse_fast(path, raw, stamp, delimiter, has_header)
-    if table is None:
-        try:
-            text = raw.decode("utf-8-sig")
+    if not raw.isascii():
+        try:  # whole: the reader below would place a bad byte within its 8 KB chunk
+            raw.decode("utf-8-sig")
         except UnicodeDecodeError as exc:
             raise DataError(f"cannot read input: {exc}") from exc
-        del raw
-        table = _parse_strict(path, text, delimiter, has_header, first_data_line)
-    labels, parsed = table
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline=""),
+                        delimiter=delimiter)
+    rows = filter(None, reader)
+    first = next(rows, None)
+    if first is None:
+        raise InsufficientDataError(f"{path}: empty file")
+    if has_header:
+        labels, first_data_line = tuple(cell.strip() for cell in first), 2
+    else:
+        labels, first_data_line = _default_labels(len(first)), 1
+        rows = itertools.chain([first], rows)
+    parsed = _parse_fast(path, raw, stamp, delimiter, reader.line_num if has_header else 0,
+                         len(labels))
+    if parsed is None:
+        parsed = _parse_strict(path, rows, labels, first_data_line)
+    if len(parsed) < 2:
+        raise InsufficientDataError(f"{path}: need at least 2 data rows, found {len(parsed)}")
 
     if time_column is False or not has_header:
         time_column = None
     elif time_column is None and labels[0].lower() in AUTO_TIME_LABELS:
         time_column = labels[0]
+    if time_column is not None and time_column not in labels:
+        raise UsageError(f"{path}: no column named {time_column!r}")
+    if time_column is not None and dt_override is not None:
+        raise UsageError(
+            f"{path}: time column {time_column!r} sets dt; drop the dt override (--dt),"
+            " or read that column as a series (time_column=False, --no-time-column)"
+        )
+    if not np.isfinite(parsed).all():
+        r, c = np.argwhere(~np.isfinite(parsed))[0]  # the first in file order
+        raise ValidationError(
+            f"{path}: non-finite value at row {first_data_line + r}, column {labels[c]!r}"
+        )
+
     dt = 1.0 if dt_override is None else float(dt_override)
     keep = list(range(len(labels)))
     if time_column is not None:
-        if time_column not in labels:
-            raise UsageError(f"{path}: no column named {time_column!r}")
-        if dt_override is not None:
-            raise UsageError(
-                f"{path}: time column {time_column!r} sets dt; drop the dt override (--dt),"
-                " or read that column as a series (time_column=False, --no-time-column)"
-            )
         t_idx = labels.index(time_column)
         t = parsed[:, t_idx]
-        if not np.isfinite(t).all():
-            raise ValidationError(f"{path}: non-finite value in time column {time_column!r}")
         steps = np.diff(t)
         # write_csv's grid m*dt is exact in its first step; the mean step
         # (t[-1] - t[0]) / (n - 1) may miss dt by an ulp
@@ -205,23 +227,16 @@ def ingest_csv(
             dt = (t[-1] - t[0]) / (len(t) - 1)
         if dt <= 0 or not np.all(steps > 0):
             raise CsvFormatError(f"{path}: time column {time_column!r} must strictly increase")
-        off = np.abs(steps - dt) > TIME_UNIFORMITY_RTOL * abs(dt)
-        if off.any():
-            r = int(np.argmax(off))
+        if np.any(np.abs(steps - dt) > TIME_UNIFORMITY_RTOL * abs(dt)):
+            usual = np.median(steps)  # the mean step would make every step look off
+            r = int(np.argmax(np.abs(steps - usual) > TIME_UNIFORMITY_RTOL * usual))
             raise CsvFormatError(
                 f"{path}: non-uniform time column {time_column!r} near row"
-                f" {first_data_line + r + 1} (step {steps[r]!r} vs {dt!r})"
+                f" {first_data_line + r + 1} (step {float(steps[r])!r} vs {float(usual)!r})"
             )
         del keep[t_idx]
         labels = tuple(labels[i] for i in keep)
     values = parsed.T[keep]  # (series, samples), C-contiguous: the panel's one copy
-
-    if not np.isfinite(values).all():
-        r, c = np.argwhere(~np.isfinite(values.T))[0]  # the first in file order
-        raise ValidationError(
-            f"{path}: non-finite value at row {first_data_line + r}, column {labels[c]!r}"
-        )
-
     return TimeSeriesPanel(labels=labels, values=values, dt=dt)
 
 
@@ -230,87 +245,64 @@ def _stamp(st: os.stat_result) -> tuple:
     return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
 
 
-def _parse_fast(path, raw: bytes, stamp: tuple, delimiter: str, has_header: bool):
-    """Labels and (rows x columns) values of a plain-ASCII file, the header
-    taken with ``csv`` from ``raw``, the file's bytes, and the body with
-    ``np.loadtxt`` from ``path``; None wherever ``_parse_strict`` must
-    decide, including every input it refuses, and when the file's
-    ``_stamp`` after that read is not ``stamp``, the one of ``raw``.
+def _parse_fast(path, raw: bytes, stamp: tuple, delimiter: str, lines: int, width: int):
+    """The (rows x ``width``) values of the body of ``raw``, the file's
+    bytes after its first ``lines`` lines, read by ``np.loadtxt`` from
+    ``path``; None wherever ``_parse_strict`` must decide, including every
+    body it refuses, and when the file's ``_stamp`` after that read is not
+    ``stamp``, the one of ``raw``.
 
-    The header reader decodes only the leading lines of ``raw``.
     ``loadtxt`` gets the absolute path, so that its C reader parses the
     body in chunks (a file object or a list of lines goes through a
     per-line iterator) and no ``http://host/...``-like name is taken for a
     URL; a name ending in ``.gz`` or the like fails to decompress and goes
     to the strict parser. ``loadtxt`` reads some cells that the strict
     parser refuses: it strips a non-breaking space or a \\x1f around a
-    number, where ``float`` does not. Hence ASCII without the
-    ``_FAST_PATH_EXCLUDED`` bytes only, and ``comments=None``, since it
-    would drop ``#`` lines as comments.
+    number, where ``float`` does not. Hence a body of ASCII without the
+    ``_FAST_PATH_EXCLUDED`` bytes only, checked without a copy, and
+    ``comments=None``, since it would drop ``#`` lines as comments.
     """
-    if not (raw.isascii() or raw.startswith(codecs.BOM_UTF8) and raw[3:].isascii()):
+    body = 0
+    for _ in range(lines):
+        body = _LINE.match(raw, body).end()
+    if np.frombuffer(raw, np.uint8, offset=body).max(initial=0) >= 0x80:
         return None
-    if any(byte in raw for byte in _FAST_PATH_EXCLUDED):
+    if any(raw.find(byte, body) >= 0 for byte in _FAST_PATH_EXCLUDED):
         return None
-    head = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="")
-    reader = csv.reader(head, delimiter=delimiter)
-    first = next((row for row in reader if row), None)
-    if first is None:
-        return None
-    labels = tuple(cell.strip() for cell in first) if has_header else _default_labels(len(first))
     try:
         name = os.path.abspath(path)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # "input contained no data"
             values = np.loadtxt(name, delimiter=delimiter, comments=None, ndmin=2,
-                                skiprows=reader.line_num if has_header else 0,
-                                encoding="utf-8-sig")
+                                skiprows=lines, encoding="utf-8-sig")
         if _stamp(os.stat(name)) != stamp:
             return None
     except Exception:  # whatever loadtxt refuses, the strict parser words
         return None
-    if values.shape[0] < 2 or values.shape[1] != len(labels):
-        return None
-    return labels, values
+    return values if values.shape[1] == width else None
 
 
-def _parse_strict(path, text: str, delimiter: str, has_header: bool, first_data_line: int):
-    """Labels and values cell by cell with ``csv`` and ``float``, naming the
-    row and column of the first refused cell."""
-    rows = [row for row in csv.reader(io.StringIO(text, newline=""), delimiter=delimiter) if row]
-    if not rows:
-        raise InsufficientDataError(f"{path}: empty file")
-
-    if has_header:
-        labels = tuple(cell.strip() for cell in rows[0])
-        data_rows = rows[1:]
-    else:
-        labels = _default_labels(len(rows[0]))
-        data_rows = rows
-
-    if len(data_rows) < 2:
-        raise InsufficientDataError(f"{path}: need at least 2 data rows, found {len(data_rows)}")
-
+def _parse_strict(path, rows, labels: tuple[str, ...], first_data_line: int) -> np.ndarray:
+    """The values of the non-empty ``rows`` that follow the header, cell by
+    cell with ``float``, naming the row and column of the first refused
+    cell."""
     width = len(labels)
-    parsed = np.empty((len(data_rows), width), dtype=np.float64)
-    for r, row in enumerate(data_rows):
+    cells = []
+    for r, row in enumerate(rows, first_data_line):
         if len(row) != width:
-            raise CsvFormatError(
-                f"{path}: row {first_data_line + r} has {len(row)} cells, expected {width}"
-            )
+            raise CsvFormatError(f"{path}: row {r} has {len(row)} cells, expected {width}")
         for c, cell in enumerate(row):
             try:
                 # float() also takes Python-only forms such as 1_000 or
                 # non-ASCII digits; a data file gets plain decimal text only
                 if "_" in cell or not cell.isascii():
                     raise ValueError
-                parsed[r, c] = float(cell)
+                cells.append(float(cell))
             except ValueError:
                 raise CsvParseError(
-                    f"{path}: non-numeric value {cell.strip()!r} at row {first_data_line + r},"
-                    f" column {labels[c]!r}"
+                    f"{path}: non-numeric value {cell.strip()!r} at row {r}, column {labels[c]!r}"
                 ) from None
-    return labels, parsed
+    return np.array(cells, dtype=np.float64).reshape(-1, width)
 
 
 def write_csv(

@@ -34,7 +34,7 @@ import warnings
 
 import numpy as np
 
-from .covariance import CovarianceSet, _diagonal, _residuals
+from .covariance import CovarianceSet, _diagonal
 from .errors import (
     DegenerateInferenceWarning,
     InvalidPairError,
@@ -146,9 +146,9 @@ def _surrogate_flows(cov: CovarianceSet, pairs, n_surrogates: int, seeds) -> np.
     """The surrogate flows (``surrogate_flow_samples``) of each resolved
     (source, target) of ``pairs``, one row per pair, row p drawn on ``seeds[p]``.
 
-    With Xc the centred first n = n_eff samples of every series (the X rows
-    of the core's ``stack``) and E every target's residuals
-    (``covariance._residuals``), coefficient j of a fit on all series is
+    With Xc the centred first n = n_eff samples of every series and E every
+    target's residuals, the two halves of the core's ``stack``, coefficient
+    j of a fit on all series is
     w_j . y for w = C^-1 Xc / (n - 1), and
 
         r_ij = E_i + B_ji (n - 1) / [C^-1]_jj w_j
@@ -163,13 +163,11 @@ def _surrogate_flows(cov: CovarianceSet, pairs, n_surrogates: int, seeds) -> np.
     """
     n, C, B, inverse = cov.n_eff, cov.matrix, cov.coefficients, cov.inverse
     length = _fft_length(2 * n - 1)
-    E = _residuals(cov.stack, B)[0]
     W = inverse @ cov.stack[:cov.d]
     W /= n - 1
-    FE = np.fft.rfft(E, length)
-    del E  # each array goes as soon as its spectrum is taken
+    FE = np.fft.rfft(cov.stack[cov.d:], length)
     FW = np.fft.rfft(W, length)
-    del W
+    del W  # it goes as soon as its spectrum is taken
     lo = max(1, math.ceil(n / 10))
     samples = np.empty((len(pairs), n_surrogates))
     for row, ((j, i), seed) in enumerate(zip(pairs, seeds)):

@@ -71,6 +71,20 @@ def test_non_uniform_time_column_rejected(tmp_path):
         ingest_csv(path, time_column="t")
 
 
+def test_non_uniform_time_column_names_the_first_step_off_the_median(tmp_path):
+    # the gap 3 -> 5 ends at row 6; against the mean step 1.2 every step was
+    # off and row 3 was named, as np.float64(1.0)
+    path = write_file(tmp_path, "t,x\n0,1\n1,2\n2,3\n3,4\n5,5\n6,6\n")
+    with pytest.raises(CsvFormatError, match=r"near row 6 \(step 2\.0 vs 1\.0\)$"):
+        ingest_csv(path)
+
+
+def test_non_finite_time_cell_names_its_row_and_column(tmp_path):
+    path = write_file(tmp_path, "t,x\n0,1\n1,2\nnan,3\n3,4\n")
+    with pytest.raises(ValidationError, match=r"non-finite value at row 4, column 't'$"):
+        ingest_csv(path)
+
+
 def test_decreasing_time_column_rejected(tmp_path):
     path = write_file(tmp_path, "t,x\n0.0,1\n-1.0,2\n-2.0,3\n")
     with pytest.raises(CsvFormatError, match="increase"):
@@ -79,7 +93,7 @@ def test_decreasing_time_column_rejected(tmp_path):
 
 def test_too_few_rows(tmp_path):
     path = write_file(tmp_path, "x,y\n1,2\n")
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(InsufficientDataError, match="need at least 2 data rows, found 1"):
         ingest_csv(path)
 
 
@@ -336,6 +350,7 @@ _INGEST_CASES = {
     "whitespace-only line, one column": ("a\n1\n \t\n3\n", {}),
     "crlf": ("a,b\r\n1,2\r\n3,4\r\n", {}),
     "cr": ("a,b\r1,2\r3,4\r", {}),
+    "cr, then non-ascii": ("a,b\r1,\u00a02\r3,4\r", {}),
     "trailing delimiter": ("a,b\n1,2,\n3,4,\n", {}),
     "quoted cells": ('a,b\n"1",2\n3,"4"\n', {}),
     "quoted header": ('"a, x",b\n1,2\n3,4\n', {}),
@@ -379,6 +394,10 @@ _INGEST_CASES = {
     "form feed in header": ("a\f,b\n1,2\n3,4\n", {}),
     "vertical tab line": ("a,b\n1,2\n\v\n3,4\n", {}),
     "gz-named ascii": ("a,b\n1,2\n3,4\n", {}),
+    "non-ascii label": ("t,Ni\u00f1o3.4\n0,1\n0.5,2\n1.0,4\n", {}),
+    "byte-order mark, non-ascii label": ("\ufefft,Ni\u00f1o3.4\n0,1\n0.5,2\n1.0,4\n", {}),
+    "nan in time column": ("t,x\n0,1\nnan,2\n1.0,4\n", {}),
+    "gap in time column": ("t,x\n0,1\n1,2\n2,3\n3,4\n5,5\n6,6\n", {}),
 }
 
 # Cases whose file name matters; the others are read from case.csv.
@@ -407,7 +426,7 @@ def test_ingest_fast_path_reads_random_decimals_bit_for_bit(tmp_path, monkeypatc
     text = "a,b\n" + "\n".join(rows) + "\n"
     path = write_file(tmp_path, text)
     stamp = panel_module._stamp(os.stat(path))
-    assert panel_module._parse_fast(path, path.read_bytes(), stamp, ",", True) is not None
+    assert panel_module._parse_fast(path, path.read_bytes(), stamp, ",", 1, 2) is not None
     fast = _ingest_outcome(path)
     monkeypatch.setattr(panel_module, "_parse_fast", lambda *args: None)
     assert _ingest_outcome(path) == fast
@@ -457,9 +476,10 @@ def test_changed_stamp_takes_the_strict_route(tmp_path, monkeypatch):
     strict = []
     real_strict, real_fstat = panel_module._parse_strict, os.fstat
 
-    def spy(*args):
-        strict.append(args[1])
-        return real_strict(*args)
+    def spy(path, rows, *args):
+        rows = list(rows)
+        strict.append(rows)
+        return real_strict(path, iter(rows), *args)
 
     def earlier_fstat(fd):  # the first read sees an older modification time
         st = real_fstat(fd)
@@ -471,7 +491,7 @@ def test_changed_stamp_takes_the_strict_route(tmp_path, monkeypatch):
     assert strict == []
     monkeypatch.setattr(os, "fstat", earlier_fstat)
     assert np.array_equal(ingest_csv(path).values, [[1.0, 3.0], [2.0, 4.0]])
-    assert strict == ["a,b\n1,2\n3,4\n"]
+    assert strict == [[["1", "2"], ["3", "4"]]]
 
 
 def test_ingest_peak_memory_is_a_small_multiple_of_the_file(tmp_path):
@@ -488,3 +508,29 @@ def test_ingest_peak_memory_is_a_small_multiple_of_the_file(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * path.stat().st_size
+
+
+def test_non_ascii_label_file_takes_the_fast_path_at_a_small_multiple_of_its_size(tmp_path, monkeypatch):
+    # a label is header, which loadtxt skips, so the body alone decides the
+    # route. 20000 rows (1.5 MB) peak at about 3.0x the file, most of it the
+    # one decode that checks the bytes are UTF-8; the strict parser took 9.8x
+    from infoflow import panel as panel_module
+
+    def refuse_strict(*args):
+        raise AssertionError("the strict parser ran")
+
+    panel = TimeSeriesPanel(("Ni\u00f1o3.4", "y", "z"), make_rng(16).standard_normal((3, 20_000)),
+                            dt=0.01)
+    path = tmp_path / "nino.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        write_csv(panel, fh)
+    monkeypatch.setattr(panel_module, "_parse_strict", refuse_strict)
+    tracemalloc.start()
+    try:
+        back = ingest_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.labels == panel.labels and back.dt == panel.dt
+    assert np.array_equal(back.values, panel.values)
+    assert peak < 3.5 * path.stat().st_size

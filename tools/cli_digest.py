@@ -20,9 +20,13 @@ in an output depends on where it ran:
   and ``simulate --n 1``;
 - the time-column rules, on the chain_3 seed-1 panel: ``matrix
   --no-time-column`` (``t`` read as a series), ``matrix --time-column t``
-  and the refusal of ``estimate`` with ``--dt`` beside the time column.
+  and the refusal of ``estimate`` with ``--dt`` beside the time column;
+- ingest, on copies of the chain_3 seed-1 file: ``matrix --json`` with
+  the first series labelled ``Niño3.4``, after a UTF-8 byte-order mark,
+  with CRLF line ends and with every cell quoted, and the refusal of
+  ``matrix`` on the file without one row, a gap in its time column.
 
-That is 254 outputs. Each line is the sha256 of one output (the command's
+That is 259 outputs. Each line is the sha256 of one output (the command's
 stdout, or a file that ``simulate`` wrote, followed by its stderr when it
 exits nonzero, so that a changed message counts), its exit code and the
 command. Two source trees give byte-identical outputs exactly when
@@ -121,6 +125,26 @@ def _time_columns(main):
         yield (argv, *_run(main, argv))
 
 
+def _ingest_variants(main):
+    """(command, exit code, output) of each command that pins how ingest
+    reads a rewritten copy of the chain_3 seed-1 file."""
+    text = Path("chain_3-1.csv").read_text(encoding="utf-8")
+    lines = text.splitlines(keepends=True)
+    first, *rest = lines[0].split(",")
+    variants = {
+        "label.csv": ",".join([first, "Niño3.4", *rest[1:]]) + "".join(lines[1:]),
+        "bom.csv": "\ufeff" + text,
+        "crlf.csv": text.replace("\n", "\r\n"),
+        "quoted.csv": "".join(",".join(f'"{cell}"' for cell in line.split(",")) + "\n"
+                              for line in text.splitlines()),
+        "gap.csv": "".join(lines[:100] + lines[101:]),
+    }
+    for name, variant in variants.items():
+        Path(name).write_bytes(variant.encode("utf-8"))
+        argv = ["matrix", name] + (["--json"] if name != "gap.csv" else [])
+        yield (argv, *_run(main, argv))
+
+
 def _line(data: bytes, code: int, argv: list[str]) -> str:
     return f"{hashlib.sha256(data).hexdigest()}  {code}  {' '.join(argv)}"
 
@@ -147,6 +171,7 @@ def _outputs(main):
                             yield argv, code, out
             yield from _refusals(main)
             yield from _time_columns(main)
+            yield from _ingest_variants(main)
         finally:
             os.chdir(cwd)
 
