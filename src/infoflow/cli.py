@@ -23,7 +23,6 @@ from .analytic import load_system, stationary_covariance
 from .errors import (
     DataError,
     DegenerateNormalizerError,
-    InfoflowError,
     NumericalError,
     UsageError,
 )
@@ -156,9 +155,6 @@ def main(argv=None) -> int:
         return 3
     except NumericalError as exc:
         print(f"infoflow: numerical error: {exc}", file=sys.stderr)
-        return 4
-    except InfoflowError as exc:
-        print(f"infoflow: error: {exc}", file=sys.stderr)
         return 4
     except OSError as exc:
         print(f"infoflow: data error: {exc}", file=sys.stderr)
@@ -322,14 +318,14 @@ def cmd_matrix(args) -> int:
     panel = _load_panel(args)
     matrix = estimate_flow_matrix(panel, args.k, normalize=args.normalize, **_surrogate_plan(args))
     scale, units = _per_step(args, panel.dt)
-    labels, estimated = matrix.labels, matrix.estimated
+    labels, off = matrix.labels, ~np.eye(matrix.d, dtype=bool)
 
     if args.json:
-        targets, sources = (a.tolist() for a in np.nonzero(estimated))
-        normalized = [None] * len(targets) if matrix.normalized is None else matrix.normalized[estimated].tolist()
+        targets, sources = (a.tolist() for a in np.nonzero(off))
+        normalized = [None] * len(targets) if matrix.normalized is None else matrix.normalized[off].tolist()
         flows = [
             {"source": labels[j], "target": labels[i], **fields, "normalized": _json_float(norm)}
-            for j, i, fields, norm in zip(sources, targets, _flow_fields(matrix, estimated, scale), normalized)
+            for j, i, fields, norm in zip(sources, targets, _flow_fields(matrix, off, scale), normalized)
         ]
         diagonals = (np.diag(a).tolist() for a in (matrix.value * scale, matrix.stderr * scale, matrix.p_asymptotic))
         selfs = [
@@ -357,8 +353,8 @@ def cmd_matrix(args) -> int:
         head + "self".rjust(width),
     ]
     values = (matrix.value * scale).tolist()
-    for i, (label, row, wanted) in enumerate(zip(labels, values, estimated.tolist())):
-        cells = [_fmt(value if ok else None, width) for value, ok in zip(row, wanted)]
+    for i, (label, row) in enumerate(zip(labels, values)):
+        cells = [_fmt(None if i == j else value, width) for j, value in enumerate(row)]
         lines.append(label.ljust(width) + "".join(cells) + _fmt(row[i], width))
     sys.stdout.write("\n".join(lines) + "\n")
     return 0

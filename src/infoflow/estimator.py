@@ -57,10 +57,10 @@ class FlowMatrix:
 
     ``value``, ``stderr``, ``z`` and ``p_asymptotic`` are d x d arrays in the
     [target, source] layout of ``CovarianceSet.flows``: entry [i, j] is the
-    flow j -> i and [i, i] the self influence of target i. ``estimated``
-    marks the off-diagonal pairs asked for. ``p_surrogate`` is NaN outside
-    ``estimated``, and None when no surrogates were drawn; ``normalized`` is
-    NaN where the normalizer is 0, and None unless asked for.
+    flow j -> i and [i, i] the self influence of target i. Every entry is
+    estimated. ``p_surrogate`` is NaN on the diagonal and for the pairs that
+    drew no surrogates, and None when none were drawn; ``normalized`` is NaN
+    where the normalizer is 0, and None unless asked for.
     ``lag1_residual_autocorr[i]`` describes the residuals of target i's fit,
     which every flow into i shares.
     """
@@ -70,7 +70,6 @@ class FlowMatrix:
     stderr: np.ndarray
     z: np.ndarray
     p_asymptotic: np.ndarray
-    estimated: np.ndarray
     lag1_residual_autocorr: np.ndarray
     k: int
     dt: float
@@ -86,16 +85,17 @@ class FlowMatrix:
     def flows(self) -> tuple:
         """Read-only view kept only for ``bench/``: ``flows[i][j]`` is the
         ``FlowEstimate`` of j -> i (value, stderr, asymptotic p), None on the
-        diagonal and for unestimated pairs. Built from the arrays on access."""
-        estimates = self.iter_flows()  # in the row-major order of ``estimated``
-        return tuple(tuple(next(estimates) if wanted else None for wanted in row) for row in self.estimated.tolist())
+        diagonal. Built from the arrays on access."""
+        estimates = self.iter_flows()  # row-major
+        return tuple(tuple(None if i == j else next(estimates) for j in range(self.d)) for i in range(self.d))
 
     def iter_flows(self):
-        """The estimated flows of the ``flows`` view, target by target; kept
-        only for ``bench/``."""
-        targets, sources = np.nonzero(self.estimated)
+        """The off-diagonal flows of the ``flows`` view, target by target;
+        kept only for ``bench/``."""
+        off = ~np.eye(self.d, dtype=bool)
+        targets, sources = np.nonzero(off)
         return iter(_estimates(zip(sources.tolist(), targets.tolist()),
-                               *(a[self.estimated] for a in (self.value, self.stderr, self.p_asymptotic))))
+                               *(a[off] for a in (self.value, self.stderr, self.p_asymptotic))))
 
 
 def read_off(cov: CovarianceSet, at=()) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -116,22 +116,21 @@ def estimate_flow_matrix(
     surrogates: int = 0,
     seed=None,
 ) -> FlowMatrix:
-    """Estimate ordered pairs plus all self influences in one pass.
+    """Estimate every ordered pair plus all self influences in one pass.
 
-    ``pairs`` lists the (source, target) index pairs to mark ``estimated``,
-    all ordered pairs by default. Asymptotic inference covers every entry;
-    surrogate p values are added for the estimated pairs when
-    ``surrogates`` >= 19, each pair drawing from its own child of ``seed``
-    (an int, None or a SeedSequence; ``significance._surrogate_p_values``).
+    Value and asymptotic inference cover every entry. With ``surrogates``
+    >= 19, surrogate p values are drawn for the (source, target) index
+    ``pairs``, every ordered pair by default; each pair draws from its own
+    child of ``seed`` (an int, None or a SeedSequence;
+    ``significance._surrogate_p_values``), so a pair's p value does not
+    depend on which other pairs are listed.
     With ``normalize``, a flow is divided by |flow| + |self influence| +
     |noise intensity / (2 C_ii)| of its target. Every number is read off the
     one moment core (``read_off``); this is the one place that attaches
     inference to a flow.
     """
     d = panel.d
-    estimated = np.zeros((d, d), dtype=bool)
-    for j, i in _resolve_pairs(pairs, d):
-        estimated[i, j] = True
+    pairs = _resolve_pairs(pairs, d)
     if surrogates:
         _require_surrogates(surrogates)
         seed = _seed_sequence(seed)  # refuses a negative seed before the moment pass
@@ -139,16 +138,14 @@ def estimate_flow_matrix(
     value, stderr, z, p = read_off(cov)
     p_surrogate = None
     if surrogates:
-        targets, sources = np.nonzero(estimated)
         p_surrogate = np.full((d, d), np.nan)
-        p_surrogate[estimated] = _surrogate_p_values(cov, list(zip(sources.tolist(), targets.tolist())),
-                                                     n_surrogates=surrogates, seed=seed)
+        p_surrogate[[i for _, i in pairs], [j for j, _ in pairs]] = _surrogate_p_values(
+            cov, pairs, n_surrogates=surrogates, seed=seed)
     normalized = None
     if normalize:
         noise = np.abs(cov.noise_intensity / (2.0 * np.diag(cov.matrix)))
         total = np.abs(cov.flows) + np.abs(np.diag(cov.flows))[:, None] + noise[:, None]
         normalized = np.divide(cov.flows, total, out=np.full((d, d), np.nan), where=total != 0.0)
     return FlowMatrix(labels=panel.labels, value=value, stderr=stderr, z=z, p_asymptotic=p,
-                      estimated=estimated, lag1_residual_autocorr=cov.lag1_residual_autocorr,
-                      k=int(k), dt=panel.dt, n_eff=cov.n_eff, p_surrogate=p_surrogate,
-                      normalized=normalized)
+                      lag1_residual_autocorr=cov.lag1_residual_autocorr, k=int(k), dt=panel.dt,
+                      n_eff=cov.n_eff, p_surrogate=p_surrogate, normalized=normalized)

@@ -81,27 +81,22 @@ def reconstruct_graph(
 ) -> CausalGraph:
     """Keep the edges whose corrected p value is at most alpha.
 
-    The edge p value is the surrogate one where present, the asymptotic one
-    otherwise; the correction spans the d(d-1) directed-pair family, the
-    off-diagonal entries of the matrix. Self loops are gated by their own
-    (uncorrected) asymptotic p value.
+    The edge p value is the surrogate one where one was drawn, the
+    asymptotic one otherwise; the correction spans the d(d-1) directed-pair
+    family, the off-diagonal entries of the matrix, whichever pairs drew
+    surrogates. Self loops are gated by their own (uncorrected) asymptotic
+    p value.
     """
     if not 0.0 <= alpha <= 1.0:
         raise UsageError(f"alpha must lie in [0, 1], got {alpha}")
     if correction not in CORRECTIONS:
         raise UsageError(f"unknown correction {correction!r}; choose from {CORRECTIONS}")
     d, labels = matrix.d, matrix.labels
-    arrays = (matrix.value, matrix.p_asymptotic, matrix.estimated, matrix.p_surrogate, matrix.normalized)
+    arrays = (matrix.value, matrix.p_asymptotic, matrix.p_surrogate, matrix.normalized)
     if any(a is not None and np.shape(a) != (d, d) for a in arrays):
         raise UsageError("flow matrix shape does not match its labels")
 
     off = ~np.eye(d, dtype=bool)
-    estimated = matrix.estimated[off]
-    if not estimated.all():
-        raise UsageError(
-            f"flow matrix must cover all {d * (d - 1)} ordered pairs, not {estimated.sum()};"
-            " the correction spans that family"
-        )
     ps = matrix.p_asymptotic[off]
     if matrix.p_surrogate is not None:
         ps = np.where(np.isnan(matrix.p_surrogate[off]), ps, matrix.p_surrogate[off])

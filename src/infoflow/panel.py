@@ -7,6 +7,7 @@ so they are safe to share across threads.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import itertools
@@ -262,7 +263,7 @@ def _parse_fast(path, raw: bytes, stamp: tuple, delimiter: str, lines: int, widt
     ``_FAST_PATH_EXCLUDED`` bytes only, checked without a copy, and
     ``comments=None``, since it would drop ``#`` lines as comments.
     """
-    body = 0
+    body = len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0  # loadtxt's utf-8-sig drops it
     for _ in range(lines):
         body = _LINE.match(raw, body).end()
     if np.frombuffer(raw, np.uint8, offset=body).max(initial=0) >= 0x80:

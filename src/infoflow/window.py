@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import window_cores
-from .errors import InsufficientDataError, UsageError
+from .errors import InsufficientDataError, SingularCovarianceError, UsageError
 from .estimator import _estimates, estimate_flow_matrix, read_off
 from .panel import TimeSeriesPanel
 from .significance import _require_surrogates, _resolve_pairs, _seed_sequence
@@ -77,16 +77,18 @@ def windowed_flows(
     """Slide a window of ``window_length`` samples by ``step`` and estimate flows.
 
     ``pairs`` are (source, target) index pairs; all ordered pairs by default.
-    Window centers are reported in time units. Window w gives the flows of
-    the ``estimate_flow_matrix`` of its sub-panel restricted to ``pairs``,
-    seeded with child w of ``seed``, up to round-off (bit for bit where
-    window_length - k <= step): every window's core is pooled from the
-    moments of its head and of runs of 2^l whole steps in O(log(window/step))
-    merges (``covariance.window_cores``), and read off with the matrix's own
-    ``read_off``. A window's surrogate p values are read from that seeded
+    Window centers are reported in time units. Window w gives the flows at
+    ``pairs`` of the ``estimate_flow_matrix`` of its sub-panel, drawing
+    surrogates for ``pairs`` from child w of ``seed``, up to round-off (bit
+    for bit where window_length - k <= step): every window's core is pooled
+    from the moments of its head and of runs of 2^l whole steps in
+    O(log(window/step)) merges (``covariance.window_cores``), and read off
+    with the matrix's own ``read_off``. A window's surrogate p values are read from that seeded
     sub-panel matrix itself, so they are its own exactly. A window with too
     few samples or a singular covariance is missing from ``valid`` and NaN
-    for every pair.
+    for every pair; with surrogates, so is a window whose sub-panel matrix
+    is refused as singular, which round-off can do near the
+    ``NEAR_SINGULAR_RTOL`` line where the pooled moments pass.
     """
     starts = window_starts(panel.n, window_length, step)
     seeds = _seed_sequence(seed).spawn(len(starts)) if surrogates else None
@@ -108,8 +110,12 @@ def windowed_flows(
         arrays[:4, cores.windows] = read_off(cores, (slice(None), targets, sources))
         if surrogates:
             for w in cores.windows.tolist():
-                sub = estimate_flow_matrix(panel.window(starts[w], window_length), k, pairs=resolved,
-                                           surrogates=surrogates, seed=seeds[w])
+                try:
+                    sub = estimate_flow_matrix(panel.window(starts[w], window_length), k, pairs=resolved,
+                                               surrogates=surrogates, seed=seeds[w])
+                except SingularCovarianceError:  # a window is its sub-panel's matrix
+                    valid[w], arrays[:, w] = False, np.nan
+                    continue
                 arrays[4, w] = sub.p_surrogate[targets, sources]
 
     return WindowedFlowSeries(

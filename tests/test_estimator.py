@@ -138,12 +138,15 @@ def test_negative_indices_map_like_python_sequences():
     b = benchmark("one_way_2d", None, n=5000, seed=0)
     with pytest.raises(InvalidPairError):
         estimate_flow_matrix(b.panel, pairs=[(-1, 1)])
-    m = estimate_flow_matrix(b.panel, pairs=[(-1, 0)])
-    assert m.estimated.tolist() == [[False, True], [False, False]]
-    assert m.value[0, 1] == estimate_flow_matrix(b.panel, pairs=[(1, 0)]).value[0, 1]
+    # the pairs that drew surrogates: the non-NaN pattern of p_surrogate
+    m = estimate_flow_matrix(b.panel, pairs=[(-1, 0)], surrogates=19, seed=0)
+    assert (~np.isnan(m.p_surrogate)).tolist() == [[False, True], [False, False]]
+    same = estimate_flow_matrix(b.panel, pairs=[(1, 0)], surrogates=19, seed=0)
+    assert m.p_surrogate[0, 1] == same.p_surrogate[0, 1]
     full = estimate_flow_matrix(b.panel)
     assert full.value[-2, -2] == full.value[0, 0]  # target 0's self influence
-    assert estimate_flow_matrix(b.panel, pairs=[(0, -1)]).estimated.tolist() == [[False, False], [True, False]]
+    m = estimate_flow_matrix(b.panel, pairs=[(0, -1)], surrogates=19, seed=0)
+    assert (~np.isnan(m.p_surrogate)).tolist() == [[False, False], [True, False]]
     for call in (
         lambda: estimate_flow_matrix(b.panel, pairs=[(2, 0)]),
         lambda: estimate_flow_matrix(b.panel, pairs=[(0, -3)]),
@@ -194,7 +197,6 @@ def test_flow_matrix_shape_d2():
     panel = random_panel(make_rng(10), d=2, n=300)
     m = estimate_flow_matrix(panel)
     assert m.d == 2
-    assert m.estimated.tolist() == [[False, True], [True, False]]
     for a in (m.value, m.stderr, m.z, m.p_asymptotic):
         assert a.shape == (2, 2)
     assert m.lag1_residual_autocorr.shape == (2,)
@@ -215,7 +217,7 @@ def test_flow_matrix_agrees_with_single_estimates():
 def test_chain_benchmark_only_true_flows_significant():
     b = benchmark("chain_3", None, n=100_000, seed=2)
     m = estimate_flow_matrix(b.panel)
-    targets, sources = np.nonzero(m.estimated & (m.p_asymptotic <= 0.05))
+    targets, sources = np.nonzero(~np.eye(3, dtype=bool) & (m.p_asymptotic <= 0.05))
     significant = set(zip(sources.tolist(), targets.tolist()))
     assert significant == {(0, 1), (1, 2)}
 
@@ -229,7 +231,7 @@ def test_independent_noise_false_positive_rate():
         rng = make_rng(40_000 + seed)
         panel = TimeSeriesPanel(("a", "b"), rng.standard_normal((2, 2000)))
         m = estimate_flow_matrix(panel)
-        ps = m.p_asymptotic[m.estimated]
+        ps = m.p_asymptotic[~np.eye(2, dtype=bool)]
         total += ps.size
         insignificant += int(np.sum(ps > 0.05))
     assert insignificant / total >= 0.90
@@ -275,7 +277,8 @@ def test_normalized_flow_regression_baseline():
 def test_normalized_sign_matches_flow_sign():
     panel = random_panel(make_rng(13), d=3, n=1000)
     m = estimate_flow_matrix(panel, normalize=True)
-    for value, normalized in zip(m.value[m.estimated], m.normalized[m.estimated]):
+    off = ~np.eye(3, dtype=bool)
+    for value, normalized in zip(m.value[off], m.normalized[off]):
         assert abs(normalized) <= 1.0
         if value != 0.0:
             assert np.sign(normalized) == np.sign(value)
@@ -284,12 +287,12 @@ def test_normalized_sign_matches_flow_sign():
 def test_one_pair_matrix_equals_full_matrix_entry():
     panel = benchmark("chain_3", None, n=5000, seed=8).panel
     full = estimate_flow_matrix(panel, normalize=True, surrogates=19, seed=4)
-    for i, j in zip(*np.nonzero(full.estimated)):
+    for i, j in zip(*np.nonzero(~np.eye(3, dtype=bool))):
         one = estimate_flow_matrix(panel, pairs=[(j, i)], normalize=True, surrogates=19,
                                    seed=np.random.SeedSequence(4))
         only = np.zeros((3, 3), dtype=bool)
         only[i, j] = True
-        assert np.array_equal(one.estimated, only)
+        assert np.array_equal(~np.isnan(one.p_surrogate), only)
         # every entry, the self influences included
         for name in ("value", "stderr", "z", "p_asymptotic", "normalized", "lag1_residual_autocorr"):
             assert np.array_equal(getattr(one, name), getattr(full, name)), name
@@ -315,7 +318,7 @@ def test_same_seed_sequence_twice_gives_same_surrogates():
     seed = np.random.SeedSequence(5)
     runs = [estimate_flow_matrix(panel, surrogates=19, seed=s)
             for s in (seed, seed, np.random.SeedSequence(5))]
-    p_values = [m.p_surrogate[m.estimated].tolist() for m in runs]
+    p_values = [m.p_surrogate[~np.eye(3, dtype=bool)].tolist() for m in runs]
     assert p_values[0] == p_values[1] == p_values[2]
     cov = build_covariance_set(panel, 1)
     samples = [surrogate_flow_samples(cov, 0, 1, n_surrogates=19, seed=s)
@@ -369,12 +372,11 @@ def test_compat_views_match_arrays():
     for m in matrices:
         want = [[FlowEstimate(value=m.value[i, j], source=j, target=i,
                               stderr=m.stderr[i, j], p_value_asymptotic=m.p_asymptotic[i, j])
-                 if m.estimated[i, j] else None for j in range(m.d)] for i in range(m.d)]
+                 if i != j else None for j in range(m.d)] for i in range(m.d)]
         assert [list(row) for row in m.flows] == want
         assert list(m.iter_flows()) == [est for row in want for est in row if est is not None]
         for est in m.iter_flows():
             assert all(type(x) in (int, float, type(None)) for x in dataclasses.astuple(est))
-    assert matrices[2].flows[0][1] is None
 
     rng = make_rng(14)
     b = np.concatenate([np.zeros(250), rng.standard_normal(350)])

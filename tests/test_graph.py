@@ -34,7 +34,6 @@ def toy_matrix(p_values, labels=("a", "b"), self_p=(1.0, 1.0), normalized=None):
         stderr=np.where(off, np.nan, 0.1),
         z=np.where(off, np.nan, -5.0),
         p_asymptotic=p,
-        estimated=off,
         lag1_residual_autocorr=np.full(d, np.nan),
         k=1,
         dt=0.5,
@@ -249,10 +248,27 @@ def test_confounder_recovery_single_seed():
     assert got == {("x3", "x1"), ("x3", "x2")}
 
 
-def test_matrix_restricted_by_pairs_is_refused():
-    # the correction spans all d(d-1) directed pairs, so a graph of a
-    # restricted matrix would correct over too small a family
+def test_matrix_with_pairs_gives_the_full_matrix_graph():
+    # pairs= picks only which pairs draw surrogates: every flow is estimated
+    # and the correction spans all d(d-1) directed pairs either way
     panel = benchmark("chain_3", None, n=5000, seed=1).panel
-    m = estimate_flow_matrix(panel, pairs=[(0, 1)])
-    with pytest.raises(UsageError, match="ordered pairs"):
-        reconstruct_graph(m, correction="bonferroni")
+    one, full = estimate_flow_matrix(panel, pairs=[(0, 1)]), estimate_flow_matrix(panel)
+    for correction in ("bonferroni", "benjamini_hochberg"):
+        assert reconstruct_graph(one, correction=correction) == reconstruct_graph(full, correction=correction)
+
+
+def test_surrogate_p_gates_only_the_pairs_that_drew_it():
+    panel = benchmark("chain_3", None, n=50_000, seed=1).panel
+    m = estimate_flow_matrix(panel, pairs=[(0, 1)], surrogates=19, seed=3)
+    everything = reconstruct_graph(m, alpha=1.0)
+    assert len(everything.edges) == 6
+    for e in everything.edges:
+        j, i = m.labels.index(e.source), m.labels.index(e.target)
+        assert e.p == (m.p_surrogate[1, 0] if (j, i) == (0, 1) else m.p_asymptotic[i, j])
+    # the planted 0 -> 1 is asymptotically far below any alpha, but its
+    # surrogate p is at least 1/20
+    alpha = m.p_surrogate[1, 0] / 2
+    assert m.p_asymptotic[1, 0] <= alpha and m.p_asymptotic[2, 1] <= alpha
+    edges = {(e.source, e.target) for e in reconstruct_graph(m, alpha=alpha).edges}
+    assert (m.labels[0], m.labels[1]) not in edges
+    assert (m.labels[1], m.labels[2]) in edges

@@ -453,6 +453,22 @@ def test_write_csv_byte_order_mark_and_blank_lead_files_take_the_fast_path(tmp_p
         assert np.array_equal(back.values, panel.values)
 
 
+def test_headerless_byte_order_mark_file_takes_the_fast_path(tmp_path, monkeypatch):
+    # the mark is the only non-ASCII byte; loadtxt's utf-8-sig drops it
+    from infoflow import panel as panel_module
+
+    def refuse_strict(*args):
+        raise AssertionError("the strict parser ran")
+
+    values = make_rng(17).standard_normal((2, 500))
+    path = tmp_path / "bom-no-header.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + "".join(f"{a!r},{b!r}\n" for a, b in values.T.tolist()).encode())
+    monkeypatch.setattr(panel_module, "_parse_strict", refuse_strict)
+    back = ingest_csv(path, has_header=False)
+    assert back.labels == ("c0", "c1") and back.dt == 1.0
+    assert np.array_equal(back.values, values)
+
+
 def test_file_changed_between_the_two_reads_is_parsed_from_the_first(tmp_path, monkeypatch):
     # the body is read again from the path; a file that changed in between
     # is parsed strictly from the bytes that passed the fast-path checks

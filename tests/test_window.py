@@ -88,6 +88,45 @@ def test_singular_window_reported_absent_not_error():
         assert res.valid.tolist() == [False, False, True], c
 
 
+def test_window_its_sub_panel_refuses_is_missing_with_surrogates():
+    # y = x + c z is near-collinear with x: near the NEAR_SINGULAR_RTOL line the
+    # pooled moments of a window can pass where its sub-panel's refit refuses
+    rng = np.random.default_rng(0)
+    x = 50 + 0.1 * np.cumsum(rng.standard_normal(3000))
+    z = rng.standard_normal(3000)
+
+    def panel_at(c):
+        return TimeSeriesPanel(("x", "y"), np.vstack([x, x + c * z]))
+
+    def refused(c, start):
+        try:
+            build_covariance_set(panel_at(c).window(start, 1000), 1)
+        except SingularCovarianceError:
+            return True
+        return False
+
+    # the line's c per window depends on BLAS round-off: bisect it, refused at lo
+    for w, start in enumerate(range(0, 2001, 100)):
+        lo, hi = 1e-8, 1e-4
+        assert refused(lo, start) and not refused(hi, start)
+        for _ in range(60):
+            mid = np.sqrt(lo * hi)
+            lo, hi = (mid, hi) if refused(mid, start) else (lo, mid)
+        plain = windowed_flows(panel_at(lo), 1000, 100)
+        if plain.valid[w]:
+            break
+    else:
+        pytest.fail("no window kept by its pooled moments beside a refused sub-panel")
+    res = windowed_flows(panel_at(lo), 1000, 100, surrogates=19, seed=1)
+    assert not res.valid[w]
+    assert np.isnan(res.p_surrogate[w]).all()
+    others = np.arange(res.n_windows) != w
+    assert res.valid[others].tolist() == plain.valid[others].tolist()
+    for name in ("value", "stderr", "z", "p_asymptotic"):
+        assert np.isnan(getattr(res, name)[w]).all(), name
+        assert np.array_equal(getattr(res, name)[others], getattr(plain, name)[others], equal_nan=True), name
+
+
 def test_windows_with_surrogates_are_seeded():
     b = benchmark("one_way_2d", None, n=3000, seed=5)
     r1 = windowed_flows(b.panel, 1000, 1000, pairs=[(1, 0)], surrogates=19, seed=7)
