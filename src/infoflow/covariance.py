@@ -10,6 +10,13 @@ statistics. Everything is taken over one shared window, the
 first n_eff = n - k samples of every series, so C and G line up
 sample-for-sample.
 
+C and G come from one moment product, Xc [Xc; dXc]' over the centred
+stack (``_scatter``), summed over runs of samples that fit in cache: one
+product over a few rows by n_eff samples runs at a fraction of memory
+speed, the same product over runs of a few thousand samples at memory
+speed. The core and the window segments share that product, so a window
+of one segment has its sub-panel's moments bit for bit.
+
 A running-window analysis needs the same core for many windows of one
 panel. Every moment the core reads pools over sample segments, and a
 window is whole steps plus the head of one more, so ``window_cores`` takes
@@ -41,6 +48,10 @@ NEAR_SINGULAR_RTOL = 1e-12
 # which keeps the standard errors within about 1e-13 of the sub-panel's and
 # detects an exact zero as ``build_covariance_set`` does.
 MOMENT_RESIDUAL_RTOL = 1e-3
+
+# Each run of samples that the moment product sums over holds at most this
+# many stack elements: 16384 samples at d = 3, 6144 at d = 8.
+_SCATTER_BUDGET = 3 << 15
 
 @dataclass(frozen=True, eq=False)
 class CovarianceSet:
@@ -115,6 +126,31 @@ def _diagonal(A: np.ndarray) -> np.ndarray:
     return A.diagonal(0, -2, -1)
 
 
+def _scatter(Zc: np.ndarray, d: int) -> np.ndarray:
+    """Xc [Xc; dXc]' (d x 2d) of a centred stack Zc = [Xc; dXc] (2d x n),
+    or of each in a stack of them on leading axes: the products over runs
+    of at most ``_SCATTER_BUDGET`` elements, summed in order. A stack of one
+    run gets the plain product."""
+    run = max(1, _SCATTER_BUDGET // Zc.shape[-2])
+    scatter = Zc[..., :d, :run] @ Zc[..., :run].swapaxes(-1, -2)
+    for start in range(run, Zc.shape[-1], run):
+        part = Zc[..., start : start + run]
+        scatter += part[..., :d, :] @ part.swapaxes(-1, -2)
+    return scatter
+
+
+def _centred_moments(Z: np.ndarray, d: int):
+    """Centres a stack Z = [X; dX] (2d x n) in place by its own mean, and
+    gives its C and G with the 1/(n - 1) normalization and the correlation
+    determinant that the ``NEAR_SINGULAR_RTOL`` rule tests."""
+    n = Z.shape[1]
+    mean = Z.mean(axis=1)
+    Z -= mean[:, None]
+    moments = _scatter(Z, d) / (n - 1)
+    C = 0.5 * (moments[:, :d] + moments[:, :d].T)
+    return C, moments[:, d:], float(_correlation_det(C, n * np.abs(mean[:d])))
+
+
 def _correlation_det(C: np.ndarray, floor):
     """det C over the product of the variances, of C or of each in a stack,
     taken on the correlation matrix so that it does not underflow for tiny
@@ -171,22 +207,17 @@ def build_covariance_set(panel: TimeSeriesPanel, k: int = 1) -> CovarianceSet:
     the one place that decides whether the panel has a fit.
 
     Centres the stack [X; dX] (2d x n_eff, dX the ``forward_difference`` of
-    every series) in place and takes [C | G] from one product. The residuals
-    of all targets (``_residuals``) come from one more product and replace
-    the dX rows of that stack, which the set keeps for the surrogates. Raises
+    every series) in place and takes [C | G] from one moment product
+    (``_scatter``). The residuals of all targets (``_residuals``) come from
+    one more product and replace the dX rows of that stack, which the set
+    keeps for the surrogates. Raises
     ``InsufficientDataError`` when n - k <= d + 2 and
     ``SingularCovarianceError`` when C fails the ``NEAR_SINGULAR_RTOL`` rule.
     """
     d = panel.d
     n_eff = _window(panel.n, k, d)
     Z = _stack(panel, k, n_eff)
-    mean = Z.mean(axis=1)
-    Z -= mean[:, None]
-
-    moments = (Z[:d] @ Z.T) / (n_eff - 1)
-    C = 0.5 * (moments[:, :d] + moments[:, :d].T)
-    G = moments[:, d:]
-    det_corr = float(_correlation_det(C, n_eff * np.abs(mean[:d])))
+    C, G, det_corr = _centred_moments(Z, d)
     if _singular(det_corr):
         raise SingularCovarianceError(
             "covariance matrix is singular or near-singular"
@@ -222,8 +253,7 @@ def _segment_moments(Z: np.ndarray, d: int, offset: int, length: int, step: int,
     V = sliding_window_view(Z, length, axis=1)[:, offset::step][:, :count]
     means = V.mean(axis=2)
     Vc = (V - means[..., None]).transpose(1, 0, 2)
-    return (length, np.matmul(Vc[:, :d], Vc.transpose(0, 2, 1)),
-            np.einsum("mit,mit->mi", Vc[:, d:], Vc[:, d:]), means.T)
+    return (length, _scatter(Vc, d), np.einsum("mit,mit->mi", Vc[:, d:], Vc[:, d:]), means.T)
 
 
 def _merge(a, b):
@@ -286,7 +316,11 @@ def window_cores(panel: TimeSeriesPanel, k: int, window_length: int, step: int,
     centres a window twice, so its constant-series floor adds the
     magnitudes of both means. A window that is one segment is centred once,
     by its own mean, exactly as ``build_covariance_set`` centres its
-    sub-panel, so its C and G are the sub-panel's bit for bit.
+    sub-panel, so its C and G are the sub-panel's bit for bit. A pooled
+    window that fails the rule is decided again on its own data, centred
+    as its sub-panel is, and if it passes there it reports its
+    sub-panel's C and G, since round-off in the pooled moments can carry a
+    correlation determinant across the ``NEAR_SINGULAR_RTOL`` line.
 
     The flows come from one batched solve over the good windows. Each
     target's residual variance is read off the moments, except where it is
@@ -304,10 +338,15 @@ def window_cores(panel: TimeSeriesPanel, k: int, window_length: int, step: int,
         Z -= offset[:, None]
     xz, dd, means = _window_moments(Z, d, n_eff, step, n_windows)
     moments = xz / (n_eff - 1)
-    C = 0.5 * (moments[..., :d] + moments[..., :d].swapaxes(1, 2))
+    C, G = 0.5 * (moments[..., :d] + moments[..., :d].swapaxes(1, 2)), moments[..., d:]
     det_corr = _correlation_det(C, n_eff * (np.abs(offset[:d]) + np.abs(means[:, :d])))
+    if step < n_eff:  # pooled: the rule's margin can round across the line
+        for w in np.flatnonzero(_singular(det_corr)):
+            Zw = _stack(panel.window(step * w, window_length), k, n_eff)
+            C[w], G[w], det_corr[w] = _centred_moments(Zw, d)
+            dd[w] = _rowwise_dot(Zw[d:], Zw[d:])
     windows = np.flatnonzero(~_singular(det_corr))
-    C, G, dd = C[windows], moments[windows, :, d:], dd[windows]
+    C, G, dd = C[windows], G[windows], dd[windows]
     B, inverse, flows = _fit(C, G)
     # E'E = S_dXdX - B' S_XdX per target
     residual_variance = (dd - (n_eff - 1) * np.einsum("wji,wji->wi", G, B)) / n_eff

@@ -119,7 +119,9 @@ def forward_difference(panel: TimeSeriesPanel, j: int | slice, k: int = 1) -> np
     if k >= panel.n:
         raise InvalidStrideError(f"stride k={k} must be smaller than n={panel.n}")
     rows = panel.values[j]
-    return (rows[..., k:] - rows[..., :-k]) / (k * panel.dt)
+    diff = np.subtract(rows[..., k:], rows[..., :-k])
+    diff /= k * panel.dt
+    return diff
 
 
 def _require_delimiter(delimiter) -> None:

@@ -3,14 +3,13 @@
 Simulation uses the same first-order scheme the estimator's forward
 differencing assumes, which keeps estimator bias at O(dt) for fixed step.
 The linear recursion runs as a recursive block scan, not step by step: a
-few GEMMs per level over about log_8(n) levels, about 10 n d^2
-multiply-adds in all against n d^2 step by step. That pays at small d,
-where the cost of a call outweighs its flops, and not at large d: at
-n = 1e5 on 2 vCPUs it beats the sqrt(n)-step blocked scan of earlier
-builds 6 times at d = 3, 2.6 times at d = 8 and 1.3 times at d = 16, but
-is 1.5 to 2 times slower at d = 32 and about 3 times at d = 64. All noise
-comes from numpy's PCG64 generator under an explicit (non-negative) seed,
-so a given spec reproduces its panel bit-for-bit.
+few GEMMs per level over about log_L(n) levels for blocks of L steps,
+about (L + 1) n d^2 multiply-adds in all against n d^2 step by step, which
+pays where the cost of a call outweighs its flops. Blocks are 8 steps up
+to d = 8 and 4 above, where the (L d)^2 block products grow faster than
+the calls they save. All noise comes from numpy's PCG64 generator under
+an explicit (non-negative) seed, so a given spec reproduces its panel
+bit-for-bit.
 """
 
 from __future__ import annotations
@@ -31,10 +30,15 @@ EXPLOSION_LIMIT = 1e12
 
 DEFAULT_BURN_IN = 10_000
 
-# Each level of the affine scan accumulates blocks of _SCAN_BLOCK steps by
-# GEMMs of at most _SCAN_BUDGET elements, which bounds its temporaries.
+# Each level of the affine scan accumulates blocks of _SCAN_BLOCK steps, or
+# _SCAN_BLOCK_LARGE_D above d = _SCAN_LARGE_D, by GEMMs of at most
+# _SCAN_BUDGET elements, which bounds its temporaries, and of at least
+# _SCAN_MIN_ROWS rows, which bounds the calls at large d.
 _SCAN_BLOCK = 8
+_SCAN_BLOCK_LARGE_D = 4
+_SCAN_LARGE_D = 8
 _SCAN_BUDGET = 1 << 13
+_SCAN_MIN_ROWS = 128
 
 BENCHMARK_NAMES = ("one_way_2d", "chain_3", "confounder_3", "independent_d", "henon")
 
@@ -74,9 +78,8 @@ def euler_maruyama(spec: SimulationSpec) -> TimeSeriesPanel:
 
     The first ``burn_in`` steps are discarded; the returned panel holds the
     next ``n`` states (the initial state itself when burn_in = 0). The
-    recursion runs as a recursive block scan (``_affine_scan``) in about
-    10 n d^2 multiply-adds and a few GEMMs per level, fast at small d and
-    slow at large d (see the module docstring), so panels match a
+    recursion runs as a recursive block scan (``_affine_scan``), a few
+    GEMMs per level (see the module docstring), so panels match a
     step-by-step loop over the same noise to round-off; identical seeds
     produce bit-identical panels.
     """
@@ -93,7 +96,8 @@ def _integrate(spec: SimulationSpec, A_late: np.ndarray, switch: int) -> TimeSer
     traj = np.empty((total, sys.d))
     traj[0] = spec.x0
     np.matmul(rng.standard_normal((total - 1, sys.m)), sys.B.T * np.sqrt(dt), out=traj[1:])
-    traj[1:] += sys.f * dt
+    if sys.f.any():  # a slow stride-0 add over every row, and a no-op at f = 0
+        traj[1:] += sys.f * dt
     # overflow is tolerated here and diagnosed below as an instability
     with np.errstate(over="ignore", invalid="ignore"):
         _affine_scan(traj[:switch], np.eye(sys.d) + sys.A.T * dt)
@@ -112,9 +116,9 @@ def _affine_scan(x: np.ndarray, M: np.ndarray) -> None:
 
     Recursive block scan in about (L + 1) n d^2 multiply-adds, a few GEMMs
     on each of about log_L(n) levels, for blocks of L = ``_SCAN_BLOCK``
-    steps. A product with
-    the block upper-triangular Toeplitz T[r, t] = M^(t-r) accumulates every
-    block from a zero state; the block starts are the affine scan of the
+    steps (``_SCAN_BLOCK_LARGE_D`` above d = ``_SCAN_LARGE_D``). A product
+    with the block upper-triangular Toeplitz T[r, t] = M^(t-r) accumulates
+    every block from a zero state; the block starts are the affine scan of the
     block ends under M^L, run by this function; a product with
     [M^1 | ... | M^L] adds each block's start to its steps. The powers stop
     short of EXPLOSION_LIMIT, so an unexcited mode that M would blow up
@@ -124,7 +128,7 @@ def _affine_scan(x: np.ndarray, M: np.ndarray) -> None:
     if n <= 0:
         return
     powers = [np.eye(d), M]
-    while len(powers) <= _SCAN_BLOCK:
+    while len(powers) <= (_SCAN_BLOCK if d <= _SCAN_LARGE_D else _SCAN_BLOCK_LARGE_D):
         nxt = powers[-1] @ M
         if not np.abs(nxt).max() <= EXPLOSION_LIMIT:
             break
@@ -141,7 +145,7 @@ def _affine_scan(x: np.ndarray, M: np.ndarray) -> None:
     F = powers[1:].transpose(1, 0, 2).reshape(d, L * d)
     blocks = n // L
     y = x[1 : 1 + blocks * L].reshape(blocks, L * d)
-    chunk = max(1, _SCAN_BUDGET // (L * d))
+    chunk = max(_SCAN_MIN_ROWS, _SCAN_BUDGET // (L * d))
     for c in range(0, blocks, chunk):
         y[c : c + chunk] = y[c : c + chunk] @ T
     tail = x[1 + blocks * L :].reshape(1, -1)

@@ -1,6 +1,13 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import infoflow
 from infoflow import (
     TimeSeriesPanel,
     build_covariance_set,
@@ -8,6 +15,7 @@ from infoflow import (
     forward_difference,
     surrogate_flow_samples,
 )
+from infoflow.covariance import _SCATTER_BUDGET
 from infoflow.errors import InsufficientDataError, SingularCovarianceError
 from conftest import cofactor_matrix, lstsq_fit, make_rng, random_panel, random_spd, with_series
 
@@ -26,6 +34,16 @@ def two_pass_covariance(X):
                 acc += (X[i][m] - means[i]) * (X[j][m] - means[j])
             C[i, j] = acc / (n - 1)
     return C
+
+
+def two_pass_cross_covariance(X, Y):
+    """Sample cross-covariances of the rows of X with those of Y, two
+    passes with exactly rounded sums (math.fsum)."""
+    X, Y = X.tolist(), Y.tolist()
+    n = len(X[0])
+    xm, ym = [math.fsum(x) / n for x in X], [math.fsum(y) / n for y in Y]
+    return np.array([[math.fsum((a - mx) * (b - my) for a, b in zip(x, y)) / (n - 1)
+                      for y, my in zip(Y, ym)] for x, mx in zip(X, xm)])
 
 
 def gaussian_elimination_solve(A, b):
@@ -72,6 +90,41 @@ def test_covariance_matches_two_pass_oracle():
     cov = build_covariance_set(panel, k=1)
     expected = two_pass_covariance(panel.values[:, :-1])
     assert np.allclose(cov.matrix, expected, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_covariance_over_several_runs_matches_two_pass_oracle(k):
+    # n_eff spans two whole runs of the moment product and a partial third
+    d = 3
+    run = _SCATTER_BUDGET // (2 * d)
+    panel = random_panel(make_rng(30 + k), d=d, n=2 * run + 777 + k)
+    cov = build_covariance_set(panel, k)
+    assert cov.n_eff == 2 * run + 777
+    X = panel.values[:, : cov.n_eff]
+    dX = forward_difference(panel, slice(None), k)
+    sx, sd = (np.sqrt(np.diag(two_pass_cross_covariance(Y, Y))) for Y in (X, dX))
+    assert (np.abs(cov.matrix - two_pass_cross_covariance(X, X)) <= 1e-13 * np.outer(sx, sx)).all()
+    assert (np.abs(cov.deriv - two_pass_cross_covariance(X, dX)) <= 1e-13 * np.outer(sx, sd)).all()
+
+
+_CORE_DIGEST = """
+import hashlib
+from infoflow import benchmark, build_covariance_set, windowed_flows
+panel = benchmark("chain_3", n=40_000, seed=3).panel
+core = build_covariance_set(panel)
+windows = windowed_flows(panel, 20_000, 20_000)
+print(hashlib.sha256(core.matrix.tobytes() + core.deriv.tobytes() + windows.value.tobytes()).hexdigest())
+"""
+
+
+def test_moments_do_not_depend_on_the_blas_thread_count():
+    # a core and one-segment windows whose products sum over several runs
+    # of samples give the same bytes on one BLAS thread as on the default
+    src = str(Path(infoflow.__file__).resolve().parents[1])
+    digests = {subprocess.run([sys.executable, "-c", _CORE_DIGEST], capture_output=True, text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": src, **threads}).stdout
+               for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"})}
+    assert len(digests) == 1
 
 
 def test_covariance_symmetric_and_diag_nonnegative():

@@ -1,3 +1,4 @@
+import io
 import tracemalloc
 
 import numpy as np
@@ -11,9 +12,17 @@ from infoflow import (
     regime_switch_panel,
     simulate_system,
     stationary_covariance,
+    write_csv,
 )
 from infoflow.errors import InstabilityError, InsufficientDataError, UsageError, ValidationError
-from infoflow.simulate import _SCAN_BLOCK, _SCAN_BUDGET, _affine_scan
+from infoflow.simulate import (
+    _SCAN_BLOCK,
+    _SCAN_BLOCK_LARGE_D,
+    _SCAN_BUDGET,
+    _SCAN_LARGE_D,
+    _SCAN_MIN_ROWS,
+    _affine_scan,
+)
 from conftest import make_rng, random_stable_system
 
 
@@ -250,6 +259,38 @@ def test_scan_matches_step_loop_around_block_powers():
         for s in steps:
             spec = SimulationSpec(system=sys, n=s + 1, dt=0.05, seed=d * 1000 + s, burn_in=0, x0=x0)
             assert_round_off(euler_maruyama(spec).values, loop_oracle(spec))
+
+
+@pytest.mark.parametrize("d", [16, 32])
+def test_scan_matches_step_loop_at_large_d(d):
+    # above d = _SCAN_LARGE_D the blocks are L = _SCAN_BLOCK_LARGE_D steps
+    # and every GEMM takes at least _SCAN_MIN_ROWS blocks: L, L^2 and L^3
+    # steps, one fewer and one more, and a run of several such GEMMs with a
+    # partial tail
+    assert d > _SCAN_LARGE_D
+    L = _SCAN_BLOCK_LARGE_D
+    steps = [p + e for p in (L, L**2, L**3) for e in (-1, 0, 1)] + [3 * _SCAN_MIN_ROWS * L + 5]
+    rng = make_rng(300 + d)
+    base = random_stable_system(rng, d, d)
+    sys = LinearSDE(f=rng.standard_normal(d), A=base.A, B=base.B)
+    x0 = rng.standard_normal(d)
+    for s in steps:
+        spec = SimulationSpec(system=sys, n=s + 1, dt=0.05, seed=d * 1000 + s, burn_in=0, x0=x0)
+        assert_round_off(euler_maruyama(spec).values, loop_oracle(spec))
+
+
+def test_unexcited_mode_writes_zero_not_negative_zero():
+    # B row 0 and f = 0: with nothing added to the zero drive, the mode must
+    # still be +0 everywhere, never a -0 that write_csv would print as "-0"
+    A = [[-1.0, 0.0, 0.0], [0.5, -1.0, 0.0], [0.0, 0.0, -1.0]]
+    sys = LinearSDE(f=np.zeros(3), A=A, B=np.diag([1.0, 1.0, 0.0]))
+    for burn_in in (0, 100):
+        spec = SimulationSpec(system=sys, n=5000, dt=0.01, seed=burn_in + 3, burn_in=burn_in)
+        panel = euler_maruyama(spec)
+        assert not np.signbit(panel.values[2]).any()
+        buf = io.StringIO()
+        write_csv(panel, buf)
+        assert {row.split(",")[3] for row in buf.getvalue().splitlines()[1:]} == {"0"}
 
 
 @pytest.mark.parametrize("growth, block", [(30.0, _SCAN_BLOCK), (100.0, 6), (1e7, 1)])

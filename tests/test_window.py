@@ -45,18 +45,39 @@ def test_degenerate_single_window_equals_plain_estimate():
 
 
 
-@pytest.mark.parametrize("window_length, step", [(150, 150), (150, 400), (500, 600)])
+@pytest.mark.parametrize("window_length, step", [(150, 150), (150, 400), (500, 600),
+                                                 (20_000, 20_000), (40_000, 40_000)])
 @pytest.mark.parametrize("k", [1, 2])
 def test_one_segment_windows_equal_their_sub_panels_bit_for_bit(window_length, step, k):
     # a window of n_eff <= step samples is one segment, centred once by its
-    # own mean as its sub-panel's core is, so C, G and the flows are equal
-    panel = benchmark("chain_3", None, n=3000, seed=k).panel
+    # own mean as its sub-panel's core is, so C, G and the flows are equal;
+    # also where the moment product sums over several runs of samples
+    # (covariance._SCATTER_BUDGET), which the segments share with the core
+    panel = benchmark("chain_3", None, n=3000 if window_length < 3000 else 60_000, seed=k).panel
     res = windowed_flows(panel, window_length, step, k=k)
     for w, start in enumerate(range(0, panel.n - window_length + 1, step)):
         flows = build_covariance_set(panel.window(start, window_length), k).flows
         for c, (source, target) in enumerate(res.pairs):
             j, i = panel.labels.index(source), panel.labels.index(target)
             assert res.value[w, c] == flows[i, j]
+
+
+def test_window_the_pooled_rule_refuses_is_decided_on_its_own_data():
+    # y = x + c z on a random walk x about 50: window 1's correlation
+    # determinant lies just above NEAR_SINGULAR_RTOL, where its sub-panel's
+    # core estimates, but the pooled moments round it below; decided again
+    # on its own centred data, the window reports its sub-panel's flows
+    rng = np.random.default_rng(0)
+    x = 50 + 0.1 * np.cumsum(rng.standard_normal(3000))
+    z = rng.standard_normal(3000)
+    panel = TimeSeriesPanel(("x", "y"), np.vstack([x, x + 1.6006e-6 * z]))
+    res = windowed_flows(panel, 1000, 100, k=1)
+    flows = build_covariance_set(panel.window(100, 1000), 1).flows
+    assert res.valid[1]
+    for c, (source, target) in enumerate(res.pairs):
+        j, i = panel.labels.index(source), panel.labels.index(target)
+        assert res.value[1, c] == flows[i, j]
+
 
 def test_all_pairs_by_default():
     panel = TimeSeriesPanel(("a", "b", "c"), make_rng(2).standard_normal((3, 400)))
