@@ -49,9 +49,14 @@ NEAR_SINGULAR_RTOL = 1e-12
 # detects an exact zero as ``build_covariance_set`` does.
 MOMENT_RESIDUAL_RTOL = 1e-3
 
-# Each run of samples that the moment product sums over holds at most this
-# many stack elements: 16384 samples at d = 3, 6144 at d = 8.
+# Each run of samples that the moment product sums over holds at most
+# _SCATTER_BUDGET stack elements: 16384 samples at d = 3, 6144 at d = 8.
+# Shorter runs (3072 samples at d = 16, 1536 at d = 32) were slower than
+# the plain product, so a stack whose runs would hold fewer than
+# _SCATTER_MIN_RUN samples, any stack above d = 8, gets the plain product.
 _SCATTER_BUDGET = 3 << 15
+_SCATTER_MIN_RUN = 6144
+
 
 @dataclass(frozen=True, eq=False)
 class CovarianceSet:
@@ -130,8 +135,10 @@ def _scatter(Zc: np.ndarray, d: int) -> np.ndarray:
     """Xc [Xc; dXc]' (d x 2d) of a centred stack Zc = [Xc; dXc] (2d x n),
     or of each in a stack of them on leading axes: the products over runs
     of at most ``_SCATTER_BUDGET`` elements, summed in order. A stack of one
-    run gets the plain product."""
-    run = max(1, _SCATTER_BUDGET // Zc.shape[-2])
+    run, or of more than 16 rows, gets the plain product."""
+    run = _SCATTER_BUDGET // Zc.shape[-2]
+    if run < _SCATTER_MIN_RUN:
+        run = Zc.shape[-1]
     scatter = Zc[..., :d, :run] @ Zc[..., :run].swapaxes(-1, -2)
     for start in range(run, Zc.shape[-1], run):
         part = Zc[..., start : start + run]
@@ -316,11 +323,15 @@ def window_cores(panel: TimeSeriesPanel, k: int, window_length: int, step: int,
     centres a window twice, so its constant-series floor adds the
     magnitudes of both means. A window that is one segment is centred once,
     by its own mean, exactly as ``build_covariance_set`` centres its
-    sub-panel, so its C and G are the sub-panel's bit for bit. A pooled
-    window that fails the rule is decided again on its own data, centred
-    as its sub-panel is, and if it passes there it reports its
-    sub-panel's C and G, since round-off in the pooled moments can carry a
-    correlation determinant across the ``NEAR_SINGULAR_RTOL`` line.
+    sub-panel, so its C and G are the sub-panel's bit for bit. Round-off
+    in the pooled moments can carry a window across the rule's line, so a
+    pooled window that fails the rule but passes it at half the margin,
+    with half its sub-panel's floor plus sqrt(n_eff) |m| for a mean m that
+    is centred twice, is decided again on its own data, centred as its
+    sub-panel is, and if it passes there it reports its sub-panel's C and
+    G. A plainly singular window (a constant stretch, a repeated series)
+    fails both and costs nothing more. The rule is one-sided: a pooled
+    window that passes is not checked against its sub-panel.
 
     The flows come from one batched solve over the good windows. Each
     target's residual variance is read off the moments, except where it is
@@ -340,8 +351,12 @@ def window_cores(panel: TimeSeriesPanel, k: int, window_length: int, step: int,
     moments = xz / (n_eff - 1)
     C, G = 0.5 * (moments[..., :d] + moments[..., :d].swapaxes(1, 2)), moments[..., d:]
     det_corr = _correlation_det(C, n_eff * (np.abs(offset[:d]) + np.abs(means[:, :d])))
-    if step < n_eff:  # pooled: the rule's margin can round across the line
-        for w in np.flatnonzero(_singular(det_corr)):
+    if step < n_eff:  # pooled: round-off can carry a window across the line
+        refused = np.flatnonzero(_singular(det_corr))
+        m = means[refused, :d]  # centred twice, a constant keeps about eps |m| of spread
+        floor = 0.5 * n_eff * np.abs(offset[:d] + m) + np.sqrt(n_eff) * np.abs(m)
+        near = _correlation_det(C[refused], floor)
+        for w in refused[np.abs(near) >= 0.5 * NEAR_SINGULAR_RTOL]:
             Zw = _stack(panel.window(step * w, window_length), k, n_eff)
             C[w], G[w], det_corr[w] = _centred_moments(Zw, d)
             dd[w] = _rowwise_dot(Zw[d:], Zw[d:])

@@ -3,13 +3,12 @@
 Simulation uses the same first-order scheme the estimator's forward
 differencing assumes, which keeps estimator bias at O(dt) for fixed step.
 The linear recursion runs as a recursive block scan, not step by step: a
-few GEMMs per level over about log_L(n) levels for blocks of L steps,
-about (L + 1) n d^2 multiply-adds in all against n d^2 step by step, which
-pays where the cost of a call outweighs its flops. Blocks are 8 steps up
-to d = 8 and 4 above, where the (L d)^2 block products grow faster than
-the calls they save. All noise comes from numpy's PCG64 generator under
-an explicit (non-negative) seed, so a given spec reproduces its panel
-bit-for-bit.
+few GEMMs per level over about log_8(n) levels for blocks of 8 steps,
+about 9 n d^2 multiply-adds in all against n d^2 step by step, which pays
+where the cost of a call outweighs its flops. Each GEMM takes at least 128
+block rows, so the calls stay few at large d too. All noise comes from
+numpy's PCG64 generator under an explicit (non-negative) seed, so a given
+spec reproduces its panel bit-for-bit.
 """
 
 from __future__ import annotations
@@ -30,13 +29,10 @@ EXPLOSION_LIMIT = 1e12
 
 DEFAULT_BURN_IN = 10_000
 
-# Each level of the affine scan accumulates blocks of _SCAN_BLOCK steps, or
-# _SCAN_BLOCK_LARGE_D above d = _SCAN_LARGE_D, by GEMMs of at most
-# _SCAN_BUDGET elements, which bounds its temporaries, and of at least
-# _SCAN_MIN_ROWS rows, which bounds the calls at large d.
+# Each level of the affine scan accumulates blocks of _SCAN_BLOCK steps by
+# GEMMs of at most _SCAN_BUDGET elements, which bounds its temporaries, and
+# of at least _SCAN_MIN_ROWS rows, which bounds the calls at large d.
 _SCAN_BLOCK = 8
-_SCAN_BLOCK_LARGE_D = 4
-_SCAN_LARGE_D = 8
 _SCAN_BUDGET = 1 << 13
 _SCAN_MIN_ROWS = 128
 
@@ -116,9 +112,9 @@ def _affine_scan(x: np.ndarray, M: np.ndarray) -> None:
 
     Recursive block scan in about (L + 1) n d^2 multiply-adds, a few GEMMs
     on each of about log_L(n) levels, for blocks of L = ``_SCAN_BLOCK``
-    steps (``_SCAN_BLOCK_LARGE_D`` above d = ``_SCAN_LARGE_D``). A product
-    with the block upper-triangular Toeplitz T[r, t] = M^(t-r) accumulates
-    every block from a zero state; the block starts are the affine scan of the
+    steps. A product with
+    the block upper-triangular Toeplitz T[r, t] = M^(t-r) accumulates every
+    block from a zero state; the block starts are the affine scan of the
     block ends under M^L, run by this function; a product with
     [M^1 | ... | M^L] adds each block's start to its steps. The powers stop
     short of EXPLOSION_LIMIT, so an unexcited mode that M would blow up
@@ -128,7 +124,7 @@ def _affine_scan(x: np.ndarray, M: np.ndarray) -> None:
     if n <= 0:
         return
     powers = [np.eye(d), M]
-    while len(powers) <= (_SCAN_BLOCK if d <= _SCAN_LARGE_D else _SCAN_BLOCK_LARGE_D):
+    while len(powers) <= _SCAN_BLOCK:
         nxt = powers[-1] @ M
         if not np.abs(nxt).max() <= EXPLOSION_LIMIT:
             break

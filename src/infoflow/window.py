@@ -85,10 +85,14 @@ def windowed_flows(
     O(log(window/step)) merges (``covariance.window_cores``), and read off
     with the matrix's own ``read_off``. A window's surrogate p values are read from that seeded
     sub-panel matrix itself, so they are its own exactly. A window with too
-    few samples or a singular covariance is missing from ``valid`` and NaN
-    for every pair; with surrogates, so is a window whose sub-panel matrix
-    is refused as singular, which round-off can do near the
-    ``NEAR_SINGULAR_RTOL`` line where the pooled moments pass.
+    few samples, or whose covariance fails the ``NEAR_SINGULAR_RTOL`` rule,
+    is missing from ``valid`` and NaN for every pair. Near the rule's line
+    round-off can part the pooled moments from the sub-panel's, and the
+    mend is one-sided: a pooled window the rule refuses near the line is
+    decided again on its own data and, if it passes there, reports its
+    sub-panel's matrix bit for bit; a pooled window that passes where its
+    sub-panel is refused is still reported, except with surrogates, where
+    the refused sub-panel matrix leaves it missing.
     """
     starts = window_starts(panel.n, window_length, step)
     seeds = _seed_sequence(seed).spawn(len(starts)) if surrogates else None

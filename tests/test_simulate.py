@@ -17,9 +17,7 @@ from infoflow import (
 from infoflow.errors import InstabilityError, InsufficientDataError, UsageError, ValidationError
 from infoflow.simulate import (
     _SCAN_BLOCK,
-    _SCAN_BLOCK_LARGE_D,
     _SCAN_BUDGET,
-    _SCAN_LARGE_D,
     _SCAN_MIN_ROWS,
     _affine_scan,
 )
@@ -263,12 +261,11 @@ def test_scan_matches_step_loop_around_block_powers():
 
 @pytest.mark.parametrize("d", [16, 32])
 def test_scan_matches_step_loop_at_large_d(d):
-    # above d = _SCAN_LARGE_D the blocks are L = _SCAN_BLOCK_LARGE_D steps
-    # and every GEMM takes at least _SCAN_MIN_ROWS blocks: L, L^2 and L^3
-    # steps, one fewer and one more, and a run of several such GEMMs with a
-    # partial tail
-    assert d > _SCAN_LARGE_D
-    L = _SCAN_BLOCK_LARGE_D
+    # at large d every GEMM takes at least _SCAN_MIN_ROWS blocks, more than
+    # the element budget gives: L, L^2 and L^3 steps, one fewer and one
+    # more, and a run of several such GEMMs with a partial tail
+    L = _SCAN_BLOCK
+    assert _SCAN_BUDGET // (L * d) < _SCAN_MIN_ROWS
     steps = [p + e for p in (L, L**2, L**3) for e in (-1, 0, 1)] + [3 * _SCAN_MIN_ROWS * L + 5]
     rng = make_rng(300 + d)
     base = random_stable_system(rng, d, d)

@@ -6,6 +6,7 @@ import pytest
 
 from infoflow import (
     TimeSeriesPanel,
+    covariance,
     benchmark,
     build_covariance_set,
     estimate_flow_matrix,
@@ -77,6 +78,40 @@ def test_window_the_pooled_rule_refuses_is_decided_on_its_own_data():
     for c, (source, target) in enumerate(res.pairs):
         j, i = panel.labels.index(source), panel.labels.index(target)
         assert res.value[1, c] == flows[i, j]
+
+
+def test_window_under_the_pooled_floor_is_decided_on_its_own_data():
+    # b is 100 but for 1e-11 noise about 0 in window 10: the pooled floor
+    # adds the magnitudes of the panel's mean and of the window's own, so it
+    # zeroes b's tiny deviation where the sub-panel's floor does not
+    rng = np.random.default_rng(5)
+    b = np.full(3000, 100.0)
+    b[1000:2000] = 1e-11 * rng.standard_normal(1000)
+    panel = TimeSeriesPanel(("a", "b"), np.vstack([rng.standard_normal(3000), b]))
+    res = windowed_flows(panel, 1000, 100, k=1)
+    flows = build_covariance_set(panel.window(1000, 1000), 1).flows
+    assert res.valid[10]
+    for c, (source, target) in enumerate(res.pairs):
+        j, i = panel.labels.index(source), panel.labels.index(target)
+        assert res.value[10, c] == flows[i, j]
+
+
+def test_plainly_singular_windows_are_not_decided_again(monkeypatch):
+    # a constant stretch and a repeated series fail the rule far from its
+    # line: those windows cost no per-window pass over their own data
+    calls = []
+    centred_moments = covariance._centred_moments
+    monkeypatch.setattr(covariance, "_centred_moments",
+                        lambda Z, d: calls.append(1) or centred_moments(Z, d))
+    rng = make_rng(6)
+    x = rng.standard_normal(20000)
+    for c in (0.0, 0.1, -7.3, 1e6 + 0.1):
+        y = np.concatenate([np.full(15000, c), rng.standard_normal(5000)])
+        res = windowed_flows(TimeSeriesPanel(("x", "y"), np.vstack([x, y])), 1000, 10, pairs=[(1, 0)])
+        assert 0 < res.valid.sum() < res.n_windows, c
+    res = windowed_flows(TimeSeriesPanel(("x", "y"), np.vstack([x, x])), 1000, 10, pairs=[(1, 0)])
+    assert not res.valid.any()
+    assert calls == []
 
 
 def test_all_pairs_by_default():
