@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
@@ -27,7 +26,7 @@ from .errors import (
     UsageError,
 )
 from .estimator import estimate_flow_matrix
-from .graph import CORRECTIONS, export_graph, reconstruct_graph
+from .graph import CORRECTIONS, _json_list, _json_report, export_graph, reconstruct_graph
 from .panel import TimeSeriesPanel, ingest_csv, write_csv
 from .significance import SERIAL_CORRELATION_LIMIT
 from .simulate import BENCHMARK_NAMES, DEFAULT_BURN_IN, RNG_ALGORITHM, benchmark, simulate_system
@@ -218,13 +217,6 @@ def _per_step(args, dt: float) -> tuple[float, str]:
     return (dt, "nats/step") if args.per_step else (1.0, "nats/time")
 
 
-def _json_float(x):
-    if x is None:
-        return None
-    x = float(x)
-    return x if math.isfinite(x) else None
-
-
 def _flow_fields(report, at, scale: float, z: bool = False) -> list[dict]:
     """The JSON fields shared by the estimate, matrix and window reports, of
     each flow that the index ``at`` selects from the arrays of a
@@ -234,7 +226,7 @@ def _flow_fields(report, at, scale: float, z: bool = False) -> list[dict]:
                "p_asymptotic": report.p_asymptotic[at], "p_surrogate": p_surrogate[at]}
     if not z:
         del columns["z"]
-    rows = zip(*([_json_float(x) for x in a.tolist()] for a in columns.values()))
+    rows = zip(*map(_json_list, columns.values()))
     return [dict(zip(columns, row)) for row in rows]
 
 
@@ -276,21 +268,23 @@ def cmd_estimate(args) -> int:
     serial_correlation = abs(lag1) > SERIAL_CORRELATION_LIMIT
 
     if args.json:
+        normalized, self_influence = (_json_list(np.array([matrix.normalized[i, j], own])) if args.normalize
+                                      else (None, None))
         payload = {
             "schema": ESTIMATE_SCHEMA,
             "source": panel.labels[j],
             "target": panel.labels[i],
             **_flow_fields(matrix, ([i], [j]), scale, z=True)[0],
             "n_surrogates": n_surr,
-            "normalized": _json_float(matrix.normalized[i, j] if args.normalize else None),
-            "self_influence": _json_float(own if args.normalize else None),
+            "normalized": normalized,
+            "self_influence": self_influence,
             "units": units,
             "k": args.k,
             "dt": panel.dt,
             "n_eff": matrix.n_eff,
             "serial_correlation_flag": serial_correlation,
         }
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        sys.stdout.write(_json_report(payload))
         return 0
 
     lines = [
@@ -322,15 +316,15 @@ def cmd_matrix(args) -> int:
 
     if args.json:
         targets, sources = (a.tolist() for a in np.nonzero(off))
-        normalized = [None] * len(targets) if matrix.normalized is None else matrix.normalized[off].tolist()
+        normalized = [None] * len(targets) if matrix.normalized is None else _json_list(matrix.normalized[off])
         flows = [
-            {"source": labels[j], "target": labels[i], **fields, "normalized": _json_float(norm)}
+            {"source": labels[j], "target": labels[i], **fields, "normalized": norm}
             for j, i, fields, norm in zip(sources, targets, _flow_fields(matrix, off, scale), normalized)
         ]
-        diagonals = (np.diag(a).tolist() for a in (matrix.value * scale, matrix.stderr * scale, matrix.p_asymptotic))
+        diagonals = (_json_list(np.diag(a))
+                     for a in (matrix.value * scale, matrix.stderr * scale, matrix.p_asymptotic))
         selfs = [
-            {"target": label, "value": _json_float(value), "stderr": _json_float(stderr),
-             "p_asymptotic": _json_float(p)}
+            {"target": label, "value": value, "stderr": stderr, "p_asymptotic": p}
             for label, value, stderr, p in zip(labels, *diagonals)
         ]
         payload = {
@@ -343,7 +337,7 @@ def cmd_matrix(args) -> int:
             "flows": flows,
             "self_influence": selfs,
         }
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        sys.stdout.write(_json_report(payload))
         return 0
 
     width = max(10, max(len(lab) for lab in matrix.labels) + 2)
@@ -395,11 +389,11 @@ def cmd_window(args) -> int:
             "k": result.k,
             "dt": result.dt,
             "units": units,
-            "centers": [float(c) for c in result.centers],
+            "centers": list(result.centers),
             "pairs": [{"source": s, "target": t} for s, t in result.pairs],
             "series": series,
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
+        _emit(_json_report(payload), args.output)
         return 0
 
     header = ["center"]
@@ -470,7 +464,7 @@ def cmd_simulate(args) -> int:
         "true_edges": result.true_edge_strings(),
     }
     with open(_meta_path(args.output, args.meta), "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(meta, indent=2) + "\n")
+        fh.write(_json_report(meta))
     return 0
 
 

@@ -324,14 +324,16 @@ def window_cores(panel: TimeSeriesPanel, k: int, window_length: int, step: int,
     magnitudes of both means. A window that is one segment is centred once,
     by its own mean, exactly as ``build_covariance_set`` centres its
     sub-panel, so its C and G are the sub-panel's bit for bit. Round-off
-    in the pooled moments can carry a window across the rule's line, so a
-    pooled window that fails the rule but passes it at half the margin,
-    with half its sub-panel's floor plus sqrt(n_eff) |m| for a mean m that
-    is centred twice, is decided again on its own data, centred as its
-    sub-panel is, and if it passes there it reports its sub-panel's C and
-    G. A plainly singular window (a constant stretch, a repeated series)
-    fails both and costs nothing more. The rule is one-sided: a pooled
-    window that passes is not checked against its sub-panel.
+    in the pooled moments can carry a window across the rule's line either
+    way, so a pooled window near the line is decided again on its own data,
+    centred as its sub-panel is, and takes its sub-panel's C, G and
+    decision: one whose determinant is below twice the margin and, with
+    half its sub-panel's floor plus sqrt(n_eff) |m| for a mean m that is
+    centred twice, at least half the margin. That takes in every pooled
+    window that passes below twice the margin, so a window is kept exactly
+    when ``build_covariance_set`` accepts its sub-panel. A plainly singular
+    window (a constant stretch, a repeated series) fails the second test
+    and costs nothing more.
 
     The flows come from one batched solve over the good windows. Each
     target's residual variance is read off the moments, except where it is
@@ -351,12 +353,12 @@ def window_cores(panel: TimeSeriesPanel, k: int, window_length: int, step: int,
     moments = xz / (n_eff - 1)
     C, G = 0.5 * (moments[..., :d] + moments[..., :d].swapaxes(1, 2)), moments[..., d:]
     det_corr = _correlation_det(C, n_eff * (np.abs(offset[:d]) + np.abs(means[:, :d])))
-    if step < n_eff:  # pooled: round-off can carry a window across the line
-        refused = np.flatnonzero(_singular(det_corr))
-        m = means[refused, :d]  # centred twice, a constant keeps about eps |m| of spread
+    if step < n_eff:  # pooled: round-off can carry a window across the line, either way
+        close = np.flatnonzero(~(np.abs(det_corr) >= 2.0 * NEAR_SINGULAR_RTOL))
+        m = means[close, :d]  # centred twice, a constant keeps about eps |m| of spread
         floor = 0.5 * n_eff * np.abs(offset[:d] + m) + np.sqrt(n_eff) * np.abs(m)
-        near = _correlation_det(C[refused], floor)
-        for w in refused[np.abs(near) >= 0.5 * NEAR_SINGULAR_RTOL]:
+        near = _correlation_det(C[close], floor)
+        for w in close[np.abs(near) >= 0.5 * NEAR_SINGULAR_RTOL]:
             Zw = _stack(panel.window(step * w, window_length), k, n_eff)
             C[w], G[w], det_corr[w] = _centred_moments(Zw, d)
             dd[w] = _rowwise_dot(Zw[d:], Zw[d:])

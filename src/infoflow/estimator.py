@@ -26,7 +26,8 @@ from .significance import (
     _resolve_pairs,
     _seed_sequence,
     _surrogate_p_values,
-    asymptotic_inference,
+    standard_errors,
+    two_sided_p,
 )
 
 
@@ -101,10 +102,13 @@ class FlowMatrix:
 def read_off(cov: CovarianceSet, at=()) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``cov.flows`` and the stderr, z and p of ``asymptotic_inference(cov)``,
     each indexed by ``at``: the d x d arrays of one core by default, or any
-    selection of a stack of window cores. Every report reads its flows and
-    their inference through here."""
-    stderr, z, p = asymptotic_inference(cov)
-    return tuple(a[at] for a in (cov.flows, stderr, z, p))
+    selection of a stack of window cores. The p values are taken of the
+    selected z only. Every report reads its flows and their inference
+    through here."""
+    # public on purpose: a traced run times the inference under significance
+    stderr, z = standard_errors(cov)
+    z = z[at]
+    return cov.flows[at], stderr[at], z, two_sided_p(z)
 
 
 def estimate_flow_matrix(

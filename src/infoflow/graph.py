@@ -15,8 +15,21 @@ GRAPH_SCHEMA = "infoflow-graph/1"
 CORRECTIONS = ("none", "bonferroni", "benjamini_hochberg")
 
 
-def _nan_to_none(values: list) -> list:
-    return [None if x != x else x for x in values]
+def _json_report(payload) -> str:
+    """A JSON report as one compact line: ``json.dumps`` with its default
+    separators, which CPython encodes in C (an ``indent`` sends it through
+    the pure-Python encoder), and a newline. Every report is written
+    through here; ``python -m json.tool`` pretty-prints one."""
+    return json.dumps(payload) + "\n"
+
+
+def _json_list(a: np.ndarray) -> list:
+    """``a.tolist()`` of a 1-D float array, with None (JSON null) at each
+    entry that is not finite."""
+    values = a.tolist()
+    for m in np.flatnonzero(~np.isfinite(a)).tolist():
+        values[m] = None
+    return values
 
 
 @dataclass(frozen=True)
@@ -105,7 +118,7 @@ def reconstruct_graph(
         c = np.isnan(ps).argmax()  # the first flow without one
         raise UsageError(f"flow {sources[c]}->{targets[c]} carries no p value; attach significance first")
     corrected = _corrected(ps, correction).tolist()
-    normalized = [None] * len(ps) if matrix.normalized is None else _nan_to_none(matrix.normalized[off].tolist())
+    normalized = [None] * len(ps) if matrix.normalized is None else _json_list(matrix.normalized[off])
 
     edges = [
         GraphEdge(source=labels[j], target=labels[i], flow=flow, normalized=norm, p=p)
@@ -116,7 +129,7 @@ def reconstruct_graph(
     self_loops = [
         SelfLoop(node=node, value=value, p=p, included=value != 0.0 and p is not None and p <= alpha)
         for node, value, p in zip(labels, np.diag(matrix.value).tolist(),
-                                  _nan_to_none(np.diag(matrix.p_asymptotic).tolist()))
+                                  _json_list(np.diag(matrix.p_asymptotic)))
     ]
     self_loops.sort(key=lambda s: s.node)
 
@@ -147,8 +160,9 @@ def export_graph(graph: CausalGraph, format: str = "dot") -> str:
 
     DOT edges carry the flow as label (4 significant digits) and a penwidth
     proportional to |normalized weight|; self loops render as node-to-self
-    edges. JSON follows the infoflow-graph/1 schema and round-trips through
-    ``import_graph`` unchanged.
+    edges. JSON follows the infoflow-graph/1 schema, is one compact line
+    (``_json_report``) and round-trips through ``import_graph`` unchanged;
+    ``import_graph`` reads any layout of the same JSON.
     """
     if format == "dot":
         lines = ["digraph G {"]
@@ -175,7 +189,7 @@ def export_graph(graph: CausalGraph, format: str = "dot") -> str:
             "self_loops": [vars(s) for s in graph.self_loops],
             "meta": {name: getattr(graph, name) for name in ("alpha", "correction", "k", "dt", "n_eff")},
         }
-        return json.dumps(payload, indent=2) + "\n"
+        return _json_report(payload)
     raise UsageError(f"unknown graph format {format!r}; choose dot or json")
 
 

@@ -42,6 +42,9 @@ CSV_FLOAT_DIGITS = 17
 # them around a number as whitespace where float() does not.
 _FAST_PATH_EXCLUDED = b"\x1c\x1d\x1e\x1f"
 
+# Bytes per slice that the UTF-8 check decodes, and so about the most it holds.
+_UTF8_SLICE = 1 << 16
+
 # One line of a file and its ending, as the csv reader and loadtxt split them.
 _LINE = re.compile(rb"[^\r\n]*(?:\r\n|\r|\n)?")
 
@@ -178,10 +181,7 @@ def ingest_csv(
     except OSError as exc:
         raise DataError(f"cannot read input: {exc}") from exc
     if not raw.isascii():
-        try:  # whole: the reader below would place a bad byte within its 8 KB chunk
-            raw.decode("utf-8-sig")
-        except UnicodeDecodeError as exc:
-            raise DataError(f"cannot read input: {exc}") from exc
+        _require_utf8(raw)
     reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline=""),
                         delimiter=delimiter)
     rows = filter(None, reader)
@@ -241,6 +241,23 @@ def ingest_csv(
         labels = tuple(labels[i] for i in keep)
     values = parsed.T[keep]  # (series, samples), C-contiguous: the panel's one copy
     return TimeSeriesPanel(labels=labels, values=values, dt=dt)
+
+
+def _require_utf8(raw: bytes) -> None:
+    """A DataError unless ``raw``, after any UTF-8 byte-order mark, is
+    UTF-8; its message is the decoder's, placed at the file offset of the
+    bad bytes. Decoded ``_UTF8_SLICE`` bytes at a time, each slice from
+    where the one before stopped, so that a sequence cut by the slice
+    boundary is decoded whole, with no decoded copy of the file."""
+    start = len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0
+    with memoryview(raw) as view:
+        while start < len(raw):
+            stop = start + _UTF8_SLICE
+            try:
+                start += codecs.utf_8_decode(view[start:stop], "strict", stop >= len(raw))[1]
+            except UnicodeDecodeError as exc:
+                bad = UnicodeDecodeError(exc.encoding, raw, start + exc.start, start + exc.end, exc.reason)
+                raise DataError(f"cannot read input: {bad}") from None
 
 
 def _stamp(st: os.stat_result) -> tuple:

@@ -60,7 +60,14 @@ def asymptotic_inference(cov: CovarianceSet) -> tuple[np.ndarray, np.ndarray, np
     """Delta-method standard errors, z scores and two-sided p values of every
     entry of ``cov.flows``, as d x d arrays in its [target, source] layout;
     for a stack of window cores (``covariance.window_cores``), as W x d x d
-    arrays.
+    arrays: ``standard_errors(cov)`` and the ``two_sided_p`` of its z.
+    """
+    stderr, z = standard_errors(cov)
+    return stderr, z, two_sided_p(z)
+
+
+def standard_errors(cov: CovarianceSet) -> tuple[np.ndarray, np.ndarray]:
+    """The standard errors and z scores of ``asymptotic_inference``.
 
     stderr[i, j] = |C_ij / C_ii| * sqrt(residual_variance_i * [C^-1]_jj / (n_eff - 1)),
     the inverse-information variance of coefficient j of target i's fit
@@ -83,7 +90,7 @@ def asymptotic_inference(cov: CovarianceSet) -> tuple[np.ndarray, np.ndarray, np
             stacklevel=_outside_stacklevel(),
         )
         z[perfect] = np.where(values[perfect] == 0.0, 0.0, math.inf)
-    return stderr, z, two_sided_p(z)
+    return stderr, z
 
 
 def _outside_stacklevel() -> int:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import window_cores
-from .errors import InsufficientDataError, SingularCovarianceError, UsageError
+from .errors import InsufficientDataError, UsageError
 from .estimator import _estimates, estimate_flow_matrix, read_off
 from .panel import TimeSeriesPanel
 from .significance import _require_surrogates, _resolve_pairs, _seed_sequence
@@ -87,12 +87,11 @@ def windowed_flows(
     sub-panel matrix itself, so they are its own exactly. A window with too
     few samples, or whose covariance fails the ``NEAR_SINGULAR_RTOL`` rule,
     is missing from ``valid`` and NaN for every pair. Near the rule's line
-    round-off can part the pooled moments from the sub-panel's, and the
-    mend is one-sided: a pooled window the rule refuses near the line is
-    decided again on its own data and, if it passes there, reports its
-    sub-panel's matrix bit for bit; a pooled window that passes where its
-    sub-panel is refused is still reported, except with surrogates, where
-    the refused sub-panel matrix leaves it missing.
+    round-off can part the pooled moments from the sub-panel's, so a
+    pooled window near the line, on either side, is decided again on its
+    own data and takes its sub-panel's decision (and, if kept, its
+    sub-panel's matrix bit for bit): a window is valid exactly when its
+    sub-panel has a matrix, with or without surrogates.
     """
     starts = window_starts(panel.n, window_length, step)
     seeds = _seed_sequence(seed).spawn(len(starts)) if surrogates else None
@@ -114,12 +113,8 @@ def windowed_flows(
         arrays[:4, cores.windows] = read_off(cores, (slice(None), targets, sources))
         if surrogates:
             for w in cores.windows.tolist():
-                try:
-                    sub = estimate_flow_matrix(panel.window(starts[w], window_length), k, pairs=resolved,
-                                               surrogates=surrogates, seed=seeds[w])
-                except SingularCovarianceError:  # a window is its sub-panel's matrix
-                    valid[w], arrays[:, w] = False, np.nan
-                    continue
+                sub = estimate_flow_matrix(panel.window(starts[w], window_length), k, pairs=resolved,
+                                           surrogates=surrogates, seed=seeds[w])
                 arrays[4, w] = sub.p_surrogate[targets, sources]
 
     return WindowedFlowSeries(

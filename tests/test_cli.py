@@ -287,6 +287,25 @@ def test_window_json_validates(capsys, one_way_csv):
     assert len(payload["pairs"]) == 2
 
 
+@pytest.mark.parametrize("command,name", [
+    (["estimate", "--source", "1", "--target", "2", "--normalize", "--surrogates", "19", "--json"], "estimate"),
+    (["matrix", "--normalize", "--json"], "matrix"),
+    (["window", "--window", "200", "--step", "50", "--surrogates", "19", "--json"], "window"),
+    (["graph", "--format", "json"], "graph"),
+    (["simulate", "--benchmark", "chain_3", "--n", "400"], "sim-meta"),
+])
+def test_json_report_is_one_compact_line(capsys, tmp_path, short_chain_csv, command, name):
+    if command[0] == "simulate":
+        assert main([*command, "--seed", "1", "-o", str(tmp_path / "s.csv")]) == 0
+        out = (tmp_path / "s.meta.json").read_text(encoding="utf-8")
+    else:
+        code, out, _ = run_cli(capsys, command[0], str(short_chain_csv), *command[1:], "--seed", "1")
+        assert code == 0
+    payload = json.loads(out)
+    assert out == json.dumps(payload) + "\n"
+    jsonschema.validate(payload, schema(f"{name}.schema.json"))
+
+
 def test_window_too_long_exit_2(capsys, tmp_path):
     data = tmp_path / "short.csv"
     assert main(["simulate", "--benchmark", "one_way_2d", "--n", "100", "--seed", "4", "-o", str(data)]) == 0

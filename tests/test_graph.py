@@ -72,6 +72,15 @@ def test_json_round_trip_identity():
     assert back == g
 
 
+def test_import_reads_compact_and_indented_exports_alike():
+    g = reconstruct_graph(toy_matrix({(0, 1): 0.01, (1, 0): 0.2}), alpha=0.05)
+    assert g.edges and g.self_loops
+    compact = export_graph(g, "json")
+    assert compact == json.dumps(json.loads(compact)) + "\n"
+    indented = json.dumps(json.loads(compact), indent=2) + "\n"
+    assert import_graph(compact) == import_graph(indented) == g
+
+
 @pytest.mark.parametrize("mangle", [
     lambda payload: [],
     lambda payload: {key: value for key, value in payload.items() if key != "meta"},

@@ -146,10 +146,14 @@ def test_singular_window_reported_absent_not_error():
 
 def test_window_its_sub_panel_refuses_is_missing_with_surrogates():
     # y = x + c z is near-collinear with x: near the NEAR_SINGULAR_RTOL line the
-    # pooled moments of a window can pass where its sub-panel's refit refuses
+    # pooled moments of a window can pass where its sub-panel's refit refuses.
+    # Such a window is decided on its own data, so it is missing with and
+    # without surrogates, and every window is valid exactly when its
+    # sub-panel has a matrix
     rng = np.random.default_rng(0)
     x = 50 + 0.1 * np.cumsum(rng.standard_normal(3000))
     z = rng.standard_normal(3000)
+    starts = range(0, 2001, 100)
 
     def panel_at(c):
         return TimeSeriesPanel(("x", "y"), np.vstack([x, x + c * z]))
@@ -162,25 +166,47 @@ def test_window_its_sub_panel_refuses_is_missing_with_surrogates():
         return False
 
     # the line's c per window depends on BLAS round-off: bisect it, refused at lo
-    for w, start in enumerate(range(0, 2001, 100)):
+    for w, start in enumerate(starts):
         lo, hi = 1e-8, 1e-4
         assert refused(lo, start) and not refused(hi, start)
         for _ in range(60):
             mid = np.sqrt(lo * hi)
             lo, hi = (mid, hi) if refused(mid, start) else (lo, mid)
         plain = windowed_flows(panel_at(lo), 1000, 100)
-        if plain.valid[w]:
-            break
-    else:
-        pytest.fail("no window kept by its pooled moments beside a refused sub-panel")
-    res = windowed_flows(panel_at(lo), 1000, 100, surrogates=19, seed=1)
-    assert not res.valid[w]
-    assert np.isnan(res.p_surrogate[w]).all()
-    others = np.arange(res.n_windows) != w
-    assert res.valid[others].tolist() == plain.valid[others].tolist()
-    for name in ("value", "stderr", "z", "p_asymptotic"):
-        assert np.isnan(getattr(res, name)[w]).all(), name
-        assert np.array_equal(getattr(res, name)[others], getattr(plain, name)[others], equal_nan=True), name
+        res = windowed_flows(panel_at(lo), 1000, 100, surrogates=19, seed=1)
+        assert plain.valid.tolist() == [not refused(lo, s) for s in starts], w
+        assert res.valid.tolist() == plain.valid.tolist(), w
+        assert np.isnan(res.p_surrogate[w]).all()
+        assert not np.isnan(res.p_surrogate[res.valid]).any()
+        for name in ("value", "stderr", "z", "p_asymptotic"):
+            assert np.isnan(getattr(res, name)[w]).all(), name
+            assert np.array_equal(getattr(res, name), getattr(plain, name), equal_nan=True), name
+
+
+def test_window_the_pooled_rule_passes_is_decided_on_its_own_data(monkeypatch):
+    # pooled and sub-panel determinants differ in their last bits; with the
+    # rule's line between them, the pooled moments pass a window that its
+    # sub-panel refuses, so the window must be decided on its own data
+    panel, _ = regime_switch_panel(20_000, 10_000, coupling=2.0, dt=0.01, seed=3)
+    starts = range(0, 20_000 - 4000 + 1, 100)
+    pooled = covariance.window_cores(panel, 1, 4000, 100, len(starts)).det_corr
+    sub = np.array([build_covariance_set(panel.window(s, 4000), 1).det_corr for s in starts])
+    w = int(np.argmax(pooled - sub))
+    line = sub[w] + (pooled[w] - sub[w]) / 2
+    assert sub[w] < line <= pooled[w]
+    monkeypatch.setattr(covariance, "NEAR_SINGULAR_RTOL", line)
+
+    def accepted(start):
+        try:
+            build_covariance_set(panel.window(start, 4000), 1)
+        except SingularCovarianceError:
+            return False
+        return True
+
+    plain = windowed_flows(panel, 4000, 100, pairs=[(1, 0)])
+    drawn = windowed_flows(panel, 4000, 100, pairs=[(1, 0)], surrogates=19, seed=1)
+    assert not plain.valid[w]
+    assert plain.valid.tolist() == drawn.valid.tolist() == [accepted(s) for s in starts]
 
 
 def test_windows_with_surrogates_are_seeded():

@@ -33,14 +33,16 @@ command. Two source trees give byte-identical outputs exactly when
 ``diff`` of their listings is empty.
 
 ``--compare`` runs the commands against OLD and then NEW in one process
-and prints a line for each output that differs: whether only its
+and prints a line for each output that differs: whether both parse as
+JSON to the same value (the same types, numbers and strings, with keys in
+the same order), so that only the layout differs; else whether only its
 whitespace differs (the two are equal once all whitespace is removed, so
-a space put between two cells that ran together counts), or else whether
+a space put between two cells that ran together counts); or else whether
 only its numeric tokens differ and, if so, their largest relative
 difference; whether the exit codes match; for ``graph``, whether the edge
 sets (self loops included) match; for ``window``, whether the same
 windows are null. A summary follows. It exits 1 when any output differs
-in more than its whitespace or numbers or in any of these, else 0.
+in more than its layout, whitespace or numbers or in any of these, else 0.
 """
 
 from __future__ import annotations
@@ -182,6 +184,16 @@ def main_digest(src: Path) -> int:
     return 0
 
 
+def _same_json_value(old: str, new: str) -> bool:
+    """Whether both outputs parse as JSON to the same value: equal once
+    each is written again by ``json.dumps``, so that a type (``1`` against
+    ``1.0`` or ``true``), a string's spaces and the order of keys count."""
+    try:
+        return json.dumps(json.loads(old)) == json.dumps(json.loads(new))
+    except ValueError:
+        return False
+
+
 def _max_relative_difference(old: str, new: str) -> float | None:
     """The largest |a - b| / max(|a|, |b|) over the numeric tokens of two
     outputs, or None when they differ in anything else."""
@@ -215,7 +227,7 @@ def _structure(argv: list[str], text: str):
 
 def main_compare(old: Path, new: Path) -> int:
     runs = [list(_outputs(_import_cli(src))) for src in (old, new)]
-    identical = spacing = numeric = other = 0
+    identical = same_json = spacing = numeric = other = 0
     worst = 0.0
     counts = {"exit codes": [0, 0], "graph edge sets": [0, 0], "window nulls": [0, 0]}  # [same, compared]
     for (argv, old_code, old_out), (_, new_code, new_out) in zip(*runs):
@@ -233,7 +245,10 @@ def main_compare(old: Path, new: Path) -> int:
             identical += 1
             continue
         relative = _max_relative_difference(old_text, new_text)
-        if "".join(old_text.split()) == "".join(new_text.split()):
+        if _same_json_value(old_text, new_text):
+            same_json += 1
+            what = "same JSON value"
+        elif "".join(old_text.split()) == "".join(new_text.split()):
             spacing += 1
             what = "whitespace only"
         elif relative is None:
@@ -247,7 +262,8 @@ def main_compare(old: Path, new: Path) -> int:
         if shape is not None:
             notes.append(("edges" if argv[0] == "graph" else "nulls") + (" same" if shape else " DIFFER"))
         print(f"{'; '.join(notes)}  {' '.join(argv)}")
-    print(f"# {len(runs[0])} outputs: {identical} identical, {spacing} differ only in whitespace,"
+    print(f"# {len(runs[0])} outputs: {identical} identical, {same_json} the same JSON value,"
+          f" {spacing} differ only in whitespace,"
           f" {numeric} differ only in numbers (max rel {worst:.2g}), {other} differ otherwise")
     print("# " + "; ".join(f"{name} identical {same}/{total}" for name, (same, total) in counts.items()))
     agree = other == 0 and all(same == total for same, total in counts.values())
