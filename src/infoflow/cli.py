@@ -10,7 +10,9 @@ seed mandatory.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
+import io
 import math
 import os
 import sys
@@ -406,13 +408,14 @@ def cmd_window(args) -> int:
     if n_surr:
         columns.append((result.p_surrogate, ".6g"))
     columns = [(a.tolist(), spec) for a, spec in columns]
-    rows = [",".join(header)]
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow(header)  # a label may hold a comma, quote or line end
     for w, center in enumerate(result.centers):
         row = [f"{center:.10g}"]
         for c in range(len(result.pairs)):
             row.extend(format(a[w][c], spec) if valid[w] else "" for a, spec in columns)
-        rows.append(",".join(row))
-    _emit("\n".join(rows) + "\n", args.output)
+        out.write(",".join(row) + "\n")
+    _emit(out.getvalue(), args.output)
     return 0
 
 

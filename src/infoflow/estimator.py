@@ -21,14 +21,7 @@ import numpy as np
 
 from .covariance import CovarianceSet, build_covariance_set
 from .panel import TimeSeriesPanel
-from .significance import (
-    _require_surrogates,
-    _resolve_pairs,
-    _seed_sequence,
-    _surrogate_p_values,
-    standard_errors,
-    two_sided_p,
-)
+from .significance import _surrogate_request, asymptotic_inference, surrogate_p_values
 
 
 @dataclass(frozen=True)
@@ -100,15 +93,11 @@ class FlowMatrix:
 
 
 def read_off(cov: CovarianceSet, at=()) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``cov.flows`` and the stderr, z and p of ``asymptotic_inference(cov)``,
-    each indexed by ``at``: the d x d arrays of one core by default, or any
-    selection of a stack of window cores. The p values are taken of the
-    selected z only. Every report reads its flows and their inference
-    through here."""
+    """``cov.flows[at]`` and its ``asymptotic_inference(cov, at)``: the d x d
+    arrays of one core by default, or any selection of a stack of window
+    cores. Every report reads its flows and their inference through here."""
     # public on purpose: a traced run times the inference under significance
-    stderr, z = standard_errors(cov)
-    z = z[at]
-    return cov.flows[at], stderr[at], z, two_sided_p(z)
+    return cov.flows[at], *asymptotic_inference(cov, at)
 
 
 def estimate_flow_matrix(
@@ -125,8 +114,8 @@ def estimate_flow_matrix(
     Value and asymptotic inference cover every entry. With ``surrogates``
     >= 19, surrogate p values are drawn for the (source, target) index
     ``pairs``, every ordered pair by default; each pair draws from its own
-    child of ``seed`` (an int, None or a SeedSequence;
-    ``significance._surrogate_p_values``), so a pair's p value does not
+    stream of ``seed`` (an int, None or a SeedSequence), named by its entry
+    (``significance.surrogate_p_values``), so a pair's p value does not
     depend on which other pairs are listed.
     With ``normalize``, a flow is divided by |flow| + |self influence| +
     |noise intensity / (2 C_ii)| of its target. Every number is read off the
@@ -134,16 +123,13 @@ def estimate_flow_matrix(
     inference to a flow.
     """
     d = panel.d
-    pairs = _resolve_pairs(pairs, d)
-    if surrogates:
-        _require_surrogates(surrogates)
-        seed = _seed_sequence(seed)  # refuses a negative seed before the moment pass
+    pairs, seed = _surrogate_request(pairs, d, surrogates, seed)
     cov = build_covariance_set(panel, k)  # refuses a singular or too-short panel before any surrogate
     value, stderr, z, p = read_off(cov)
     p_surrogate = None
     if surrogates:
         p_surrogate = np.full((d, d), np.nan)
-        p_surrogate[[i for _, i in pairs], [j for j, _ in pairs]] = _surrogate_p_values(
+        p_surrogate[[i for _, i in pairs], [j for j, _ in pairs]] = surrogate_p_values(
             cov, pairs, n_surrogates=surrogates, seed=seed)
     normalized = None
     if normalize:

@@ -1,5 +1,11 @@
 """Uncertainty for flow estimates: asymptotic standard errors and surrogates.
 
+This module states every inference rule once: the asymptotic read-off at
+an index (``asymptotic_inference``), the checks a surrogate request makes
+before the moment pass (``_surrogate_request``), the stream each pair or
+window draws from, named by its spawn key (``_child``), and the surrogate
+p values (``surrogate_p_values``).
+
 Both routes read the one moment core, a ``CovarianceSet``. The asymptotic
 route takes the coefficient variance from the inverse observed information
 of the linear-Gaussian fit (equivalently the classical least-squares
@@ -56,18 +62,12 @@ def two_sided_p(z) -> np.ndarray:
     return np.fromiter(map(math.erfc, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
 
 
-def asymptotic_inference(cov: CovarianceSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Delta-method standard errors, z scores and two-sided p values of every
-    entry of ``cov.flows``, as d x d arrays in its [target, source] layout;
-    for a stack of window cores (``covariance.window_cores``), as W x d x d
-    arrays: ``standard_errors(cov)`` and the ``two_sided_p`` of its z.
-    """
-    stderr, z = standard_errors(cov)
-    return stderr, z, two_sided_p(z)
-
-
-def standard_errors(cov: CovarianceSet) -> tuple[np.ndarray, np.ndarray]:
-    """The standard errors and z scores of ``asymptotic_inference``.
+def asymptotic_inference(cov: CovarianceSet, at=()) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Delta-method standard errors, z scores and two-sided p values of the
+    entries of ``cov.flows`` that the index ``at`` selects: every entry by
+    default, as d x d arrays in its [target, source] layout, or as W x d x d
+    arrays for a stack of window cores (``covariance.window_cores``). The p
+    values are taken of the selected z only.
 
     stderr[i, j] = |C_ij / C_ii| * sqrt(residual_variance_i * [C^-1]_jj / (n_eff - 1)),
     the inverse-information variance of coefficient j of target i's fit
@@ -90,7 +90,8 @@ def standard_errors(cov: CovarianceSet) -> tuple[np.ndarray, np.ndarray]:
             stacklevel=_outside_stacklevel(),
         )
         z[perfect] = np.where(values[perfect] == 0.0, 0.0, math.inf)
-    return stderr, z
+    z = z[at]
+    return stderr[at], z, two_sided_p(z)
 
 
 def _outside_stacklevel() -> int:
@@ -100,14 +101,6 @@ def _outside_stacklevel() -> int:
     while frame.f_globals.get("__name__", "").partition(".")[0] == __package__:
         frame, level = frame.f_back, level + 1
     return level
-
-
-def _require_surrogates(n_surrogates: int) -> None:
-    if n_surrogates < MIN_SURROGATES:
-        raise ResolutionError(
-            f"need at least {MIN_SURROGATES} surrogates for a usable p value,"
-            f" got {n_surrogates}"
-        )
 
 
 def _resolve_pairs(pairs, d: int) -> list[tuple[int, int]]:
@@ -122,17 +115,34 @@ def _resolve_pairs(pairs, d: int) -> list[tuple[int, int]]:
     return resolved
 
 
-def _seed_sequence(seed) -> np.random.SeedSequence:
-    """``seed`` (an int, None or a SeedSequence) as a SeedSequence.
-
-    ``spawn`` advances the sequence it is called on, so a SeedSequence is
-    rebuilt: the same object passed twice gives the same children.
-    """
+def _child(seed, *key) -> np.random.SeedSequence:
+    """The stream of ``seed`` (an int, None or a SeedSequence) named by the
+    spawn key ``key``: exactly the sequence that ``spawn`` gives at index
+    key[0], then that child's at key[1], and so on. Nothing is spawned, so
+    ``seed`` is left as it was and the same object gives the same streams
+    each time. With no key, ``seed`` itself as a SeedSequence."""
     if isinstance(seed, np.random.SeedSequence):
-        return np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size)
+        return np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key + key,
+                                      pool_size=seed.pool_size) if key else seed
     if isinstance(seed, (int, np.integer)) and seed < 0:
         raise UsageError(f"seed must be non-negative, got {seed}")
-    return np.random.SeedSequence(seed)
+    return np.random.SeedSequence(seed, spawn_key=key)
+
+
+def _surrogate_request(pairs, d: int, surrogates: int, seed) -> tuple[list, np.random.SeedSequence | None]:
+    """The checks a flow report makes before its moment pass, in order:
+    ``pairs`` resolved (``_resolve_pairs``) and, when ``surrogates`` are
+    asked for, their count and ``seed`` as a SeedSequence (``_child``).
+    Returns the resolved pairs and that SeedSequence, None without
+    surrogates."""
+    pairs = _resolve_pairs(pairs, d)
+    if not surrogates:
+        return pairs, None
+    if surrogates < MIN_SURROGATES:
+        raise ResolutionError(
+            f"need at least {MIN_SURROGATES} surrogates for a usable p value, got {surrogates}"
+        )
+    return pairs, _child(seed)
 
 
 def _fft_length(m: int) -> int:
@@ -178,7 +188,7 @@ def _surrogate_flows(cov: CovarianceSet, pairs, n_surrogates: int, seeds) -> np.
     lo = max(1, math.ceil(n / 10))
     samples = np.empty((len(pairs), n_surrogates))
     for row, ((j, i), seed) in enumerate(zip(pairs, seeds)):
-        rng = np.random.Generator(np.random.PCG64(_seed_sequence(seed)))
+        rng = np.random.Generator(np.random.PCG64(seed))
         shifts = rng.integers(lo, n - lo, size=n_surrogates, endpoint=True)
         # lags[t] = sum_u w_j[u + t] r_ij[u] for |t| < n (t < 0 from the end);
         # roll(r, s) pairs w[u + s] with r[u] at lag s and, past the wrap, at s - n
@@ -209,18 +219,16 @@ def surrogate_flow_samples(
     shifts in one call, ``integers(lo, n - lo, size=n_surrogates,
     endpoint=True)`` with n = n_eff and lo = max(1, ceil(n / 10)).
     """
-    return _surrogate_flows(cov, _resolve_pairs([(source, target)], cov.d), n_surrogates, [seed])[0]
+    return _surrogate_flows(cov, _resolve_pairs([(source, target)], cov.d), n_surrogates, [_child(seed)])[0]
 
 
-def _surrogate_p_values(cov: CovarianceSet, pairs, *, n_surrogates: int, seed) -> np.ndarray:
+def surrogate_p_values(cov: CovarianceSet, pairs, *, n_surrogates: int, seed) -> np.ndarray:
     """Surrogate p values of each resolved (source, target) in ``pairs``,
     p = (1 + #{|T_surr| >= |T|}) / (n_surrogates + 1) against the observed
     flow T of ``cov.flows``, so the attainable resolution is exactly
-    1/(n_surrogates + 1). Pair j -> i draws the child of ``seed`` at the
-    flat index of its [target, source] entry."""
-    d = cov.d
-    children = _seed_sequence(seed).spawn(d * d)
-    samples = _surrogate_flows(cov, pairs, n_surrogates, [children[i * d + j] for j, i in pairs])
+    1/(n_surrogates + 1). Pair j -> i draws the stream of ``seed`` keyed by
+    the flat index i * d + j of its [target, source] entry (``_child``)."""
+    samples = _surrogate_flows(cov, pairs, n_surrogates, [_child(seed, i * cov.d + j) for j, i in pairs])
     observed = np.abs(cov.flows[[i for _, i in pairs], [j for j, _ in pairs]])
     exceed = np.sum(np.abs(samples) >= observed[:, None], axis=1)
     return (1 + exceed) / (n_surrogates + 1)

@@ -10,7 +10,7 @@ from .covariance import window_cores
 from .errors import InsufficientDataError, UsageError
 from .estimator import _estimates, estimate_flow_matrix, read_off
 from .panel import TimeSeriesPanel
-from .significance import _require_surrogates, _resolve_pairs, _seed_sequence
+from .significance import _child, _surrogate_request
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,25 +79,23 @@ def windowed_flows(
     ``pairs`` are (source, target) index pairs; all ordered pairs by default.
     Window centers are reported in time units. Window w gives the flows at
     ``pairs`` of the ``estimate_flow_matrix`` of its sub-panel, drawing
-    surrogates for ``pairs`` from child w of ``seed``, up to round-off (bit
-    for bit where window_length - k <= step): every window's core is pooled
-    from the moments of its head and of runs of 2^l whole steps in
-    O(log(window/step)) merges (``covariance.window_cores``), and read off
-    with the matrix's own ``read_off``. A window's surrogate p values are read from that seeded
-    sub-panel matrix itself, so they are its own exactly. A window with too
-    few samples, or whose covariance fails the ``NEAR_SINGULAR_RTOL`` rule,
-    is missing from ``valid`` and NaN for every pair. Near the rule's line
-    round-off can part the pooled moments from the sub-panel's, so a
-    pooled window near the line, on either side, is decided again on its
-    own data and takes its sub-panel's decision (and, if kept, its
-    sub-panel's matrix bit for bit): a window is valid exactly when its
-    sub-panel has a matrix, with or without surrogates.
+    surrogates for ``pairs`` from the stream of ``seed`` keyed (w,), up to
+    round-off (bit for bit where window_length - k <= step): every window's
+    core is pooled from the moments of its head and of runs of 2^l whole
+    steps in O(log(window/step)) merges (``covariance.window_cores``), and
+    read off with the matrix's own ``read_off``. A window's surrogate p
+    values are read from that seeded sub-panel matrix itself, so they are
+    its own exactly. A window with too few samples, or whose covariance
+    fails the ``NEAR_SINGULAR_RTOL`` rule, is missing from ``valid`` and
+    NaN for every pair. Near the rule's line round-off can part the pooled
+    moments from the sub-panel's, so a pooled window near the line, on
+    either side, is decided again on its own data and takes its
+    sub-panel's decision (and, if kept, its sub-panel's matrix bit for
+    bit): a window is valid exactly when its sub-panel has a matrix, with
+    or without surrogates.
     """
     starts = window_starts(panel.n, window_length, step)
-    seeds = _seed_sequence(seed).spawn(len(starts)) if surrogates else None
-    resolved = _resolve_pairs(pairs, panel.d)
-    if surrogates:
-        _require_surrogates(surrogates)
+    resolved, seed = _surrogate_request(pairs, panel.d, surrogates, seed)
 
     # value, stderr, z, p_asymptotic and, with surrogates, p_surrogate
     arrays = np.full((5 if surrogates else 4, len(starts), len(resolved)), np.nan)
@@ -114,7 +112,7 @@ def windowed_flows(
         if surrogates:
             for w in cores.windows.tolist():
                 sub = estimate_flow_matrix(panel.window(starts[w], window_length), k, pairs=resolved,
-                                           surrogates=surrogates, seed=seeds[w])
+                                           surrogates=surrogates, seed=_child(seed, w))
                 arrays[4, w] = sub.p_surrogate[targets, sources]
 
     return WindowedFlowSeries(

@@ -1,4 +1,6 @@
 import argparse
+import csv
+import io
 import json
 import re
 import subprocess
@@ -263,6 +265,24 @@ def test_window_csv_row_count(capsys, tmp_path):
     lines = out.strip().splitlines()
     assert lines[0] == "center,flow[y->x],stderr[y->x],p[y->x]"
     assert len(lines) == 1 + 9
+
+
+@pytest.mark.parametrize("header, labels", [('t,"x,1",y', ("x,1", "y")),
+                                            ('t,"x ""q""",y', ('x "q"', "y")),
+                                            ('t,"x\ny",z', ("x\ny", "z"))],
+                         ids=["delimiter", "quote", "line-end"])
+def test_window_csv_header_holds_labels_with_delimiter_quote_or_line_end(capsys, tmp_path, header, labels):
+    data = tmp_path / "win.csv"
+    assert main(["simulate", "--benchmark", "one_way_2d", "--n", "1000", "--seed", "4", "-o", str(data)]) == 0
+    data.write_text(header + "\n" + data.read_text().split("\n", 1)[1])
+    code, out, _ = run_cli(capsys, "window", str(data), "--window", "200", "--step", "100",
+                           "--surrogates", "19", "--seed", "1")
+    assert code == 0
+    head, *rows = csv.reader(io.StringIO(out))
+    assert len(rows) == 9 and all(len(row) == len(head) for row in rows)
+    a, b = labels
+    assert head == ["center"] + [f"{field}[{s}->{t}]" for s, t in ((b, a), (a, b))
+                                 for field in ("flow", "stderr", "p", "p_surr")]
 
 
 def test_window_single_window_matches_estimate(capsys, one_way_csv):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from infoflow import (
     build_covariance_set,
     estimate_flow_matrix,
     euler_maruyama,
+    reconstruct_graph,
     surrogate_flow_samples,
     windowed_flows,
 )
@@ -313,6 +315,23 @@ def test_constant_target_refused_as_singular():
                 estimate_flow_matrix(panel, pairs=[(0, 1)])
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_column_order_permutes_matrix_and_keeps_graph(k):
+    # value, stderr and p move with their labels; the graph names its edges by label
+    for name, seed in itertools.product(("chain_3", "confounder_3"), range(1, 21)):
+        panel = benchmark(name, None, n=10_000, seed=seed).panel
+        matrix = estimate_flow_matrix(panel, k)
+        edges = {(e.source, e.target) for e in reconstruct_graph(matrix).edges}
+        for order in list(itertools.permutations(range(3)))[1:]:
+            order = list(order)
+            moved = estimate_flow_matrix(TimeSeriesPanel(tuple(panel.labels[c] for c in order),
+                                                         panel.values[order], panel.dt), k)
+            for field in ("value", "stderr", "p_asymptotic"):
+                np.testing.assert_allclose(getattr(moved, field), getattr(matrix, field)[np.ix_(order, order)],
+                                           rtol=1e-11, atol=0, err_msg=f"{name} seed {seed} {order} {field}")
+            assert {(e.source, e.target) for e in reconstruct_graph(moved).edges} == edges
+
+
 def test_same_seed_sequence_twice_gives_same_surrogates():
     panel = benchmark("chain_3", None, n=3000, seed=1).panel
     seed = np.random.SeedSequence(5)
@@ -324,6 +343,9 @@ def test_same_seed_sequence_twice_gives_same_surrogates():
     samples = [surrogate_flow_samples(cov, 0, 1, n_surrogates=19, seed=s)
                for s in (seed, seed, np.random.SeedSequence(5))]
     assert np.array_equal(samples[0], samples[1]) and np.array_equal(samples[0], samples[2])
+    windows = [windowed_flows(panel, 1000, 1000, surrogates=19, seed=s).p_surrogate for s in (seed, seed)]
+    assert np.array_equal(windows[0], windows[1], equal_nan=True)
+    assert seed.n_children_spawned == 0  # every stream is named by its key, none spawned
 
 
 def test_too_short_panel_refused_before_any_surrogate(monkeypatch):
@@ -331,7 +353,7 @@ def test_too_short_panel_refused_before_any_surrogate(monkeypatch):
     def drawn(*args, **kwargs):
         pytest.fail("surrogates drawn for a panel that inference refuses")
 
-    monkeypatch.setattr("infoflow.estimator._surrogate_p_values", drawn)
+    monkeypatch.setattr("infoflow.estimator.surrogate_p_values", drawn)
     panel = TimeSeriesPanel(("a", "b"), make_rng(8).standard_normal((2, 5)))
     with pytest.raises(InsufficientDataError):
         estimate_flow_matrix(panel, surrogates=19, seed=0)

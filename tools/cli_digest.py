@@ -14,7 +14,8 @@ in an output depends on where it ran:
   ``matrix`` and ``estimate`` (text and JSON), ``graph`` (DOT and JSON) and
   ``window`` (CSV and JSON) at 2000/1000, where each window is one step
   and a head, and at 2000/100, where it pools a head with runs of 1, 2
-  and 16 steps;
+  and 16 steps, and ``window --json`` at 2000/100 of the one pair 1 -> 3,
+  which reads a subset of each window's flows;
 - refusals: ``estimate`` on a two-series panel with b = 2a (singular),
   ``matrix`` on a chain_3 panel of n = 6 at k = 1 (n - k = d + 2 samples)
   and ``simulate --n 1``;
@@ -26,23 +27,24 @@ in an output depends on where it ran:
   with CRLF line ends and with every cell quoted, and the refusal of
   ``matrix`` on the file without one row, a gap in its time column.
 
-That is 259 outputs. Each line is the sha256 of one output (the command's
+That is 283 outputs. Each line is the sha256 of one output (the command's
 stdout, or a file that ``simulate`` wrote, followed by its stderr when it
 exits nonzero, so that a changed message counts), its exit code and the
 command. Two source trees give byte-identical outputs exactly when
 ``diff`` of their listings is empty.
 
 ``--compare`` runs the commands against OLD and then NEW in one process
-and prints a line for each output that differs: whether both parse as
-JSON to the same value (the same types, numbers and strings, with keys in
-the same order), so that only the layout differs; else whether only its
-whitespace differs (the two are equal once all whitespace is removed, so
-a space put between two cells that ran together counts); or else whether
-only its numeric tokens differ and, if so, their largest relative
-difference; whether the exit codes match; for ``graph``, whether the edge
-sets (self loops included) match; for ``window``, whether the same
-windows are null. A summary follows. It exits 1 when any output differs
-in more than its layout, whitespace or numbers or in any of these, else 0.
+and prints a line for each output that differs (``classify``): whether
+both parse as JSON to the same value (the same types, numbers and
+strings, with keys in the same order), so that only the layout differs;
+else whether only its whitespace differs (the two split on whitespace
+into the same tokens, so ``x  y`` against ``x y`` counts but ``a b``
+against ``ab`` does not); or else whether only its numeric tokens differ
+and, if so, their largest relative difference; whether the exit codes
+match; for ``graph``, whether the edge sets (self loops included) match;
+for ``window``, whether the same windows are null. A summary follows. It
+exits 1 when any output differs in more than its layout, whitespace or
+numbers or in any of these, else 0.
 """
 
 from __future__ import annotations
@@ -72,6 +74,7 @@ COMMANDS = (
     ("window", "--window", "2000", "--step", "1000", "--json"),
     ("window", "--window", "2000", "--step", "100"),
     ("window", "--window", "2000", "--step", "100", "--json"),
+    ("window", "--window", "2000", "--step", "100", "--source", "1", "--target", "3", "--json"),
 )
 
 
@@ -206,6 +209,20 @@ def _max_relative_difference(old: str, new: str) -> float | None:
     return worst
 
 
+def classify(old: str, new: str) -> tuple[str, float | None]:
+    """How two outputs that are not byte-identical differ, with the largest
+    relative difference of their numbers where only numbers differ:
+    "same JSON value" (``_same_json_value``), "whitespace only" (the same
+    whitespace-split tokens), "numbers only" (``_max_relative_difference``)
+    or "differs beyond numbers"; the first that holds."""
+    if _same_json_value(old, new):
+        return "same JSON value", None
+    if old.split() == new.split():
+        return "whitespace only", None
+    relative = _max_relative_difference(old, new)
+    return ("differs beyond numbers", None) if relative is None else ("numbers only", relative)
+
+
 def _structure(argv: list[str], text: str):
     """What must not move with round-off: the edge set of a ``graph``
     output and the null windows of a ``window`` output; None for others."""
@@ -227,7 +244,8 @@ def _structure(argv: list[str], text: str):
 
 def main_compare(old: Path, new: Path) -> int:
     runs = [list(_outputs(_import_cli(src))) for src in (old, new)]
-    identical = same_json = spacing = numeric = other = 0
+    identical = 0
+    kinds = dict.fromkeys(("same JSON value", "whitespace only", "numbers only", "differs beyond numbers"), 0)
     worst = 0.0
     counts = {"exit codes": [0, 0], "graph edge sets": [0, 0], "window nulls": [0, 0]}  # [same, compared]
     for (argv, old_code, old_out), (_, new_code, new_out) in zip(*runs):
@@ -244,29 +262,21 @@ def main_compare(old: Path, new: Path) -> int:
         if same_code and old_out == new_out:
             identical += 1
             continue
-        relative = _max_relative_difference(old_text, new_text)
-        if _same_json_value(old_text, new_text):
-            same_json += 1
-            what = "same JSON value"
-        elif "".join(old_text.split()) == "".join(new_text.split()):
-            spacing += 1
-            what = "whitespace only"
-        elif relative is None:
-            other += 1
-            what = "differs beyond numbers"
-        else:
-            numeric += 1
+        what, relative = classify(old_text, new_text)
+        kinds[what] += 1
+        if relative is not None:
             worst = max(worst, relative)
-            what = f"numbers only, max rel {relative:.2g}"
+            what = f"{what}, max rel {relative:.2g}"
         notes = [what, "exit codes same" if same_code else f"exit codes {old_code} -> {new_code}"]
         if shape is not None:
             notes.append(("edges" if argv[0] == "graph" else "nulls") + (" same" if shape else " DIFFER"))
         print(f"{'; '.join(notes)}  {' '.join(argv)}")
-    print(f"# {len(runs[0])} outputs: {identical} identical, {same_json} the same JSON value,"
-          f" {spacing} differ only in whitespace,"
-          f" {numeric} differ only in numbers (max rel {worst:.2g}), {other} differ otherwise")
+    print(f"# {len(runs[0])} outputs: {identical} identical, {kinds['same JSON value']} the same JSON value,"
+          f" {kinds['whitespace only']} differ only in whitespace,"
+          f" {kinds['numbers only']} differ only in numbers (max rel {worst:.2g}),"
+          f" {kinds['differs beyond numbers']} differ otherwise")
     print("# " + "; ".join(f"{name} identical {same}/{total}" for name, (same, total) in counts.items()))
-    agree = other == 0 and all(same == total for same, total in counts.values())
+    agree = kinds["differs beyond numbers"] == 0 and all(same == total for same, total in counts.values())
     return 0 if agree else 1
 
 
