@@ -13,6 +13,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import math
 import os
 import sys
@@ -370,6 +371,15 @@ def cmd_window(args) -> int:
     if (args.source is None) != (args.target is None):
         raise UsageError("pass both --source and --target, or neither for all pairs")
     pairs = None if args.source is None else [_pair(args, panel)]
+    if args.json and pairs is None:  # the schema keys series by "source->target", which two pairs can share
+        keys = {}
+        for s, t in itertools.permutations(panel.labels, 2):
+            key = f"{s}->{t}"
+            first = keys.setdefault(key, (s, t))
+            if first != (s, t):
+                raise UsageError(f"window --json: pairs {first[0]!r} -> {first[1]!r} and {s!r} -> {t!r} share the"
+                                 f" series key {key!r}; the CSV output (without --json) keeps each pair in its"
+                                 " own columns")
     plan = _surrogate_plan(args)
     step = args.step if args.step is not None else args.window
     result = windowed_flows(panel, args.window, step, pairs=pairs, k=args.k, **plan)

@@ -146,16 +146,19 @@ def _scatter(Zc: np.ndarray, d: int) -> np.ndarray:
     return scatter
 
 
-def _centred_moments(Z: np.ndarray, d: int):
-    """Centres a stack Z = [X; dX] (2d x n) in place by its own mean, and
-    gives its C and G with the 1/(n - 1) normalization and the correlation
-    determinant that the ``NEAR_SINGULAR_RTOL`` rule tests."""
-    n = Z.shape[1]
+def _centred_stack(panel: TimeSeriesPanel, k: int):
+    """[X; dX] (2d x n_eff, ``_window``, ``_stack``) of ``panel`` at stride
+    ``k``, centred in place by its own mean, with its C and G (1/(n_eff - 1)
+    normalization) and the correlation determinant the ``NEAR_SINGULAR_RTOL``
+    rule tests: the one way back to a panel's or a window's own data."""
+    d = panel.d
+    n_eff = _window(panel.n, k, d)
+    Z = _stack(panel, k, n_eff)
     mean = Z.mean(axis=1)
     Z -= mean[:, None]
-    moments = _scatter(Z, d) / (n - 1)
+    moments = _scatter(Z, d) / (n_eff - 1)
     C = 0.5 * (moments[:, :d] + moments[:, :d].T)
-    return C, moments[:, d:], float(_correlation_det(C, n * np.abs(mean[:d])))
+    return Z, C, moments[:, d:], float(_correlation_det(C, n_eff * np.abs(mean[:d])))
 
 
 def _correlation_det(C: np.ndarray, floor):
@@ -213,18 +216,16 @@ def build_covariance_set(panel: TimeSeriesPanel, k: int = 1) -> CovarianceSet:
     """One moment pass shared by every estimator touching this panel, and
     the one place that decides whether the panel has a fit.
 
-    Centres the stack [X; dX] (2d x n_eff, dX the ``forward_difference`` of
-    every series) in place and takes [C | G] from one moment product
-    (``_scatter``). The residuals of all targets (``_residuals``) come from
-    one more product and replace the dX rows of that stack, which the set
-    keeps for the surrogates. Raises
+    Starts from the panel's centred stack [X; dX] (2d x n_eff, dX the
+    ``forward_difference`` of every series) and its C and G, taken from one
+    moment product (``_centred_stack``). The residuals of all targets
+    (``_residuals``) come from one more product and replace the dX rows of
+    that stack, which the set keeps for the surrogates. Raises
     ``InsufficientDataError`` when n - k <= d + 2 and
     ``SingularCovarianceError`` when C fails the ``NEAR_SINGULAR_RTOL`` rule.
     """
-    d = panel.d
-    n_eff = _window(panel.n, k, d)
-    Z = _stack(panel, k, n_eff)
-    C, G, det_corr = _centred_moments(Z, d)
+    Z, C, G, det_corr = _centred_stack(panel, k)
+    d, n_eff = panel.d, Z.shape[1]
     if _singular(det_corr):
         raise SingularCovarianceError(
             "covariance matrix is singular or near-singular"
@@ -325,8 +326,8 @@ def window_cores(panel: TimeSeriesPanel, k: int, window_length: int, step: int,
     by its own mean, exactly as ``build_covariance_set`` centres its
     sub-panel, so its C and G are the sub-panel's bit for bit. Round-off
     in the pooled moments can carry a window across the rule's line either
-    way, so a pooled window near the line is decided again on its own data,
-    centred as its sub-panel is, and takes its sub-panel's C, G and
+    way, so a pooled window near the line is decided again on its
+    sub-panel's ``_centred_stack`` and takes its sub-panel's C, G and
     decision: one whose determinant is below twice the margin and, with
     half its sub-panel's floor plus sqrt(n_eff) |m| for a mean m that is
     centred twice, at least half the margin. That takes in every pooled
@@ -338,7 +339,8 @@ def window_cores(panel: TimeSeriesPanel, k: int, window_length: int, step: int,
     The flows come from one batched solve over the good windows. Each
     target's residual variance is read off the moments, except where it is
     below ``MOMENT_RESIDUAL_RTOL`` var(dX): there that window's residuals
-    are recomputed from the data as in ``build_covariance_set``. Windows
+    are recomputed from the same ``_centred_stack``, as
+    ``build_covariance_set`` computes them. Windows
     with n_eff = window_length - k <= d + 2 samples raise
     ``InsufficientDataError``, as that function does.
     """
@@ -359,8 +361,7 @@ def window_cores(panel: TimeSeriesPanel, k: int, window_length: int, step: int,
         floor = 0.5 * n_eff * np.abs(offset[:d] + m) + np.sqrt(n_eff) * np.abs(m)
         near = _correlation_det(C[close], floor)
         for w in close[np.abs(near) >= 0.5 * NEAR_SINGULAR_RTOL]:
-            Zw = _stack(panel.window(step * w, window_length), k, n_eff)
-            C[w], G[w], det_corr[w] = _centred_moments(Zw, d)
+            Zw, C[w], G[w], det_corr[w] = _centred_stack(panel.window(step * w, window_length), k)
             dd[w] = _rowwise_dot(Zw[d:], Zw[d:])
     windows = np.flatnonzero(~_singular(det_corr))
     C, G, dd = C[windows], G[windows], dd[windows]
@@ -368,9 +369,7 @@ def window_cores(panel: TimeSeriesPanel, k: int, window_length: int, step: int,
     # E'E = S_dXdX - B' S_XdX per target
     residual_variance = (dd - (n_eff - 1) * np.einsum("wji,wji->wi", G, B)) / n_eff
     for g in np.flatnonzero((residual_variance <= MOMENT_RESIDUAL_RTOL * dd / n_eff).any(axis=1)):
-        start = step * windows[g]
-        Zw = Z[:, start:start + n_eff].copy()
-        Zw -= Zw.mean(axis=1)[:, None]
+        Zw = _centred_stack(panel.window(step * windows[g], window_length), k)[0]
         residual_variance[g] = _residuals(Zw, B[g])[2]
     return CovarianceSet(matrix=C, deriv=G, det_corr=det_corr[windows], n_eff=n_eff, inverse=inverse,
                          coefficients=B, residual_variance=residual_variance, flows=flows, windows=windows)

@@ -206,13 +206,17 @@ def _count(x) -> bool:
 
 
 def _check_values(graph: CausalGraph) -> CausalGraph:
-    """``graph`` if every value obeys the rules of schemas/graph.schema.json;
-    a UsageError naming the first that does not otherwise."""
-    rules = [("nodes", graph.nodes and all(isinstance(node, str) for node in graph.nodes))]
-    rules += [(f"edge {e}", isinstance(e.source, str) and isinstance(e.target, str) and _real(e.flow)
+    """``graph`` if every value obeys the rules of schemas/graph.schema.json,
+    among them that the nodes are distinct and that each edge joins two of
+    them and each self loop is on one; a UsageError naming the first that
+    does not otherwise."""
+    nodes = {node for node in graph.nodes if isinstance(node, str)}
+    rules = [("nodes", graph.nodes and len(nodes) == len(graph.nodes))]
+    rules += [(f"edge {e}", isinstance(e.source, str) and isinstance(e.target, str)
+               and e.source != e.target and e.source in nodes and e.target in nodes and _real(e.flow)
                and (e.normalized is None or _real(e.normalized) and -1.0 <= e.normalized <= 1.0)
                and _probability(e.p)) for e in graph.edges]
-    rules += [(f"self loop {s}", isinstance(s.node, str) and _real(s.value)
+    rules += [(f"self loop {s}", isinstance(s.node, str) and s.node in nodes and _real(s.value)
                and (s.p is None or _probability(s.p)) and isinstance(s.included, bool))
               for s in graph.self_loops]
     rules += [(f"alpha {graph.alpha!r}", _probability(graph.alpha)),

@@ -6,11 +6,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import window_cores
+from .covariance import build_covariance_set, window_cores
 from .errors import InsufficientDataError, UsageError
-from .estimator import _estimates, estimate_flow_matrix, read_off
+from .estimator import _estimates, read_off
 from .panel import TimeSeriesPanel
-from .significance import _child, _surrogate_request
+from .significance import _child, _surrogate_request, surrogate_p_values
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,15 +84,16 @@ def windowed_flows(
     core is pooled from the moments of its head and of runs of 2^l whole
     steps in O(log(window/step)) merges (``covariance.window_cores``), and
     read off with the matrix's own ``read_off``. A window's surrogate p
-    values are read from that seeded sub-panel matrix itself, so they are
-    its own exactly. A window with too few samples, or whose covariance
-    fails the ``NEAR_SINGULAR_RTOL`` rule, is missing from ``valid`` and
-    NaN for every pair. Near the rule's line round-off can part the pooled
-    moments from the sub-panel's, so a pooled window near the line, on
-    either side, is decided again on its own data and takes its
-    sub-panel's decision (and, if kept, its sub-panel's matrix bit for
-    bit): a window is valid exactly when its sub-panel has a matrix, with
-    or without surrogates.
+    values are ``surrogate_p_values`` of its sub-panel's core
+    (``build_covariance_set``), so they are its sub-panel matrix's exactly,
+    and only that one read-off warns of a perfect fit. A window with too
+    few samples, or whose covariance fails the ``NEAR_SINGULAR_RTOL`` rule,
+    is missing from ``valid`` and NaN for every pair. Near the rule's line
+    round-off can part the pooled moments from the sub-panel's, so a pooled
+    window near the line, on either side, is decided again on its own data
+    and takes its sub-panel's decision (and, if kept, its sub-panel's matrix
+    bit for bit): a window is valid exactly when its sub-panel has a
+    matrix, with or without surrogates.
     """
     starts = window_starts(panel.n, window_length, step)
     resolved, seed = _surrogate_request(pairs, panel.d, surrogates, seed)
@@ -111,9 +112,8 @@ def windowed_flows(
         arrays[:4, cores.windows] = read_off(cores, (slice(None), targets, sources))
         if surrogates:
             for w in cores.windows.tolist():
-                sub = estimate_flow_matrix(panel.window(starts[w], window_length), k, pairs=resolved,
-                                           surrogates=surrogates, seed=_child(seed, w))
-                arrays[4, w] = sub.p_surrogate[targets, sources]
+                sub = build_covariance_set(panel.window(starts[w], window_length), k)
+                arrays[4, w] = surrogate_p_values(sub, resolved, n_surrogates=surrogates, seed=_child(seed, w))
 
     return WindowedFlowSeries(
         window_length=int(window_length),

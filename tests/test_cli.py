@@ -285,6 +285,20 @@ def test_window_csv_header_holds_labels_with_delimiter_quote_or_line_end(capsys,
                                  for field in ("flow", "stderr", "p", "p_surr")]
 
 
+def test_window_json_refuses_labels_whose_pairs_share_a_series_key(capsys, tmp_path, monkeypatch):
+    # (a->b -> c) and (a -> b->c) would both be the series "a->b->c"
+    data = tmp_path / "arrows.csv"
+    rows = make_rng(30).standard_normal((200, 4))
+    data.write_text("t,a->b,c,a,b->c\n" + "".join(f"{m},{','.join(map(repr, row.tolist()))}\n"
+                                                 for m, row in enumerate(rows)))
+    code, out, _ = run_cli(capsys, "window", str(data), "--window", "100", "--step", "50")
+    assert code == 0 and len(out.splitlines()[0].split(",")) == 1 + 12 * 3
+    monkeypatch.setattr("infoflow.cli.windowed_flows", lambda *a, **kw: pytest.fail("window pass ran"))
+    code, out, err = run_cli(capsys, "window", str(data), "--window", "100", "--step", "50", "--json")
+    assert code == 2 and out == ""
+    assert "'a->b' -> 'c'" in err and "'a' -> 'b->c'" in err and "'a->b->c'" in err and "CSV" in err
+
+
 def test_window_single_window_matches_estimate(capsys, one_way_csv):
     code, out, _ = run_cli(
         capsys, "window", str(one_way_csv), "--window", "200000",

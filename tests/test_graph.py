@@ -92,8 +92,13 @@ def test_import_reads_compact_and_indented_exports_alike():
     lambda payload: {**payload, "meta": {**payload["meta"], "correction": "holm"}},
     lambda payload: {**payload, "meta": {**payload["meta"], "k": -1}},
     lambda payload: {**payload, "meta": {**payload["meta"], "dt": 0}},
+    lambda payload: {**payload, "nodes": payload["nodes"] + payload["nodes"][:1]},
+    lambda payload: {**payload, "edges": [{**payload["edges"][0], "source": "elsewhere"}]},
+    lambda payload: {**payload, "self_loops": [{**payload["self_loops"][0], "node": "elsewhere"}]},
+    lambda payload: {**payload, "edges": [{**payload["edges"][0], "target": payload["edges"][0]["source"]}]},
 ], ids=["list", "no-meta", "empty-edge", "int-source", "string-flow", "p-7", "alpha-2",
-        "unknown-correction", "negative-k", "zero-dt"])
+        "unknown-correction", "negative-k", "zero-dt", "duplicate-node", "undeclared-edge-node",
+        "undeclared-self-loop-node", "edge-to-itself"])
 def test_import_refuses_json_that_is_not_a_graph(mangle):
     payload = json.loads(export_graph(reconstruct_graph(toy_matrix({(0, 1): 0.01, (1, 0): 0.2})), "json"))
     with pytest.raises(UsageError, match="invalid graph JSON"):

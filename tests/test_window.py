@@ -100,9 +100,9 @@ def test_plainly_singular_windows_are_not_decided_again(monkeypatch):
     # a constant stretch and a repeated series fail the rule far from its
     # line: those windows cost no per-window pass over their own data
     calls = []
-    centred_moments = covariance._centred_moments
-    monkeypatch.setattr(covariance, "_centred_moments",
-                        lambda Z, d: calls.append(1) or centred_moments(Z, d))
+    centred_stack = covariance._centred_stack
+    monkeypatch.setattr(covariance, "_centred_stack",
+                        lambda panel, k: calls.append(1) or centred_stack(panel, k))
     rng = make_rng(6)
     x = rng.standard_normal(20000)
     for c in (0.0, 0.1, -7.3, 1e6 + 0.1):
@@ -369,8 +369,8 @@ def test_singular_windows_are_none_among_good_ones():
     assert missing == [start + 100 <= 251 for start in range(0, 501, 30)]
 
 
-def test_perfect_fit_window_warns_and_matches_its_sub_panel():
-    # x1 follows x2 without noise for its first 300 samples, with noise after
+def perfect_fit_panel():
+    """x1 follows x2 without noise for its first 300 samples, with noise after."""
     rng = make_rng(15)
     n, dt = 600, 0.01
     x2 = rng.standard_normal(n)
@@ -378,7 +378,11 @@ def test_perfect_fit_window_warns_and_matches_its_sub_panel():
     x1[0] = 0.1
     for m in range(n - 1):
         x1[m + 1] = x1[m] + dt * (2.0 * x1[m] - x2[m]) + (0.1 * rng.standard_normal() if m >= 300 else 0.0)
-    panel = TimeSeriesPanel(("x1", "x2"), np.vstack([x1, x2]), dt=dt)
+    return TimeSeriesPanel(("x1", "x2"), np.vstack([x1, x2]), dt=dt)
+
+
+def test_perfect_fit_window_warns_and_matches_its_sub_panel():
+    panel = perfect_fit_panel()
     with pytest.warns(DegenerateInferenceWarning) as caught:
         line = inspect.currentframe().f_lineno + 1
         res = windowed_flows(panel, 100, 50, pairs=[(1, 0)])
@@ -395,6 +399,22 @@ def test_perfect_fit_window_warns_and_matches_its_sub_panel():
         else:
             assert_flow_parity(res, w, 0, sub, 1, 0, window)
     assert perfect == 5  # the windows that end before sample 301
+
+
+def test_perfect_fit_windows_warn_once_and_draw_their_sub_panels_surrogates():
+    # the surrogates read each window's core, which does not warn; only the
+    # one read-off over every window does
+    panel = perfect_fit_panel()
+    with pytest.warns(DegenerateInferenceWarning) as caught:
+        line = inspect.currentframe().f_lineno + 1
+        res = windowed_flows(panel, 100, 50, pairs=[(1, 0)], surrogates=19, seed=1)
+    assert [(w.category, w.filename, w.lineno) for w in caught] == [(DegenerateInferenceWarning, __file__, line)]
+    assert res.valid.all()
+    seeds = np.random.SeedSequence(1).spawn(res.n_windows)
+    with pytest.warns(DegenerateInferenceWarning):
+        for w, seed in enumerate(seeds):
+            sub = estimate_flow_matrix(panel.window(50 * w, 100), pairs=[(1, 0)], surrogates=19, seed=seed)
+            assert res.p_surrogate[w, 0] == sub.p_surrogate[0, 1], w
 
 
 PEAK_STEP_1_BYTES = 8_000_000

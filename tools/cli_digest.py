@@ -25,9 +25,13 @@ in an output depends on where it ran:
 - ingest, on copies of the chain_3 seed-1 file: ``matrix --json`` with
   the first series labelled ``Niño3.4``, after a UTF-8 byte-order mark,
   with CRLF line ends and with every cell quoted, and the refusal of
-  ``matrix`` on the file without one row, a gap in its time column.
+  ``matrix`` on the file without one row, a gap in its time column;
+- near-perfect fits: ``window --json`` at 100/50, without and with 19
+  surrogates, of a panel whose x1 follows x2 without noise for its first
+  300 samples and sits about 50 (``perfect.csv``), so that its early
+  windows' residuals are recomputed from their own data.
 
-That is 283 outputs. Each line is the sha256 of one output (the command's
+That is 285 outputs. Each line is the sha256 of one output (the command's
 stdout, or a file that ``simulate`` wrote, followed by its stderr when it
 exits nonzero, so that a changed message counts), its exit code and the
 command. Two source trees give byte-identical outputs exactly when
@@ -58,6 +62,8 @@ import re
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 PANELS = [(name, seed) for name in ("chain_3", "confounder_3") for seed in (1, 2)]
 N = 10_000
@@ -150,6 +156,24 @@ def _ingest_variants(main):
         yield (argv, *_run(main, argv))
 
 
+def _perfect_fit(main):
+    """(command, exit code, output) of each ``window`` command on
+    ``perfect.csv``: x2 white noise, x1[m + 1] = x1[m] + dt (2 x1[m] - x2[m]),
+    plus 0.1 N(0, 1) from m = 300 on, then raised by 50 (n = 600, dt = 0.01)."""
+    rng = np.random.default_rng(15)
+    n, dt = 600, 0.01
+    x2 = rng.standard_normal(n)
+    x1 = [0.1]
+    for m in range(n - 1):
+        x1.append(x1[m] + dt * (2.0 * x1[m] - x2[m]) + (0.1 * rng.standard_normal() if m >= 300 else 0.0))
+    rows = enumerate(zip((np.array(x1) + 50.0).tolist(), x2.tolist()))
+    Path("perfect.csv").write_text("t,x1,x2\n" + "".join(f"{m * dt!r},{a!r},{b!r}\n" for m, (a, b) in rows),
+                                   encoding="utf-8")
+    for extra in ([], ["--surrogates", "19", "--seed", "1"]):
+        argv = ["window", "perfect.csv", "--window", "100", "--step", "50", "--json", *extra]
+        yield (argv, *_run(main, argv))
+
+
 def _line(data: bytes, code: int, argv: list[str]) -> str:
     return f"{hashlib.sha256(data).hexdigest()}  {code}  {' '.join(argv)}"
 
@@ -177,6 +201,7 @@ def _outputs(main):
             yield from _refusals(main)
             yield from _time_columns(main)
             yield from _ingest_variants(main)
+            yield from _perfect_fit(main)
         finally:
             os.chdir(cwd)
 
