@@ -58,7 +58,7 @@ from .panel import (
 )
 from .significance import (
     asymptotic_inference,
-    surrogate_flow_samples,
+    surrogate_p_values,
 )
 from .simulate import (
     BenchmarkResult,
@@ -117,7 +117,7 @@ __all__ = [
     "regime_switch_panel",
     "simulate_system",
     "stationary_covariance",
-    "surrogate_flow_samples",
+    "surrogate_p_values",
     "transform_other_components",
     "windowed_flows",
     "write_csv",

@@ -257,14 +257,13 @@ def _pair(args, panel: TimeSeriesPanel) -> tuple[int, int]:
 def cmd_estimate(args) -> int:
     panel = _load_panel(args)
     j, i = _pair(args, panel)
-    plan = _surrogate_plan(args)
-    matrix = estimate_flow_matrix(panel, args.k, pairs=[(j, i)], normalize=args.normalize, **plan)
+    matrix = estimate_flow_matrix(panel, args.k, pairs=[(j, i)], normalize=args.normalize, **_surrogate_plan(args))
     if args.normalize and math.isnan(matrix.normalized[i, j]):
         raise DegenerateNormalizerError(
             f"cannot normalize {panel.labels[j]} -> {panel.labels[i]}:"
             " flow, self influence and noise contributions are all zero"
         )
-    n_surr = plan["surrogates"]
+    n_surr = matrix.n_surrogates
     scale, units = _per_step(args, panel.dt)
     own = matrix.value[i, i] * scale
     lag1 = matrix.lag1_residual_autocorr[i].item()  # the target's fit, shared by every flow into it

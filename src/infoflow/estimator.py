@@ -53,8 +53,9 @@ class FlowMatrix:
     [target, source] layout of ``CovarianceSet.flows``: entry [i, j] is the
     flow j -> i and [i, i] the self influence of target i. Every entry is
     estimated. ``p_surrogate`` is NaN on the diagonal and for the pairs that
-    drew no surrogates, and None when none were drawn; ``normalized`` is NaN
-    where the normalizer is 0, and None unless asked for.
+    drew no surrogates, and None when none were drawn; ``n_surrogates`` is
+    the count each drew, 0 without. ``normalized`` is NaN where the
+    normalizer is 0, and None unless asked for.
     ``lag1_residual_autocorr[i]`` describes the residuals of target i's fit,
     which every flow into i shares.
     """
@@ -69,6 +70,7 @@ class FlowMatrix:
     dt: float
     n_eff: int
     p_surrogate: np.ndarray | None = None
+    n_surrogates: int = 0
     normalized: np.ndarray | None = None
 
     @property
@@ -138,4 +140,5 @@ def estimate_flow_matrix(
         normalized = np.divide(cov.flows, total, out=np.full((d, d), np.nan), where=total != 0.0)
     return FlowMatrix(labels=panel.labels, value=value, stderr=stderr, z=z, p_asymptotic=p,
                       lag1_residual_autocorr=cov.lag1_residual_autocorr, k=int(k), dt=panel.dt,
-                      n_eff=cov.n_eff, p_surrogate=p_surrogate, normalized=normalized)
+                      n_eff=cov.n_eff, p_surrogate=p_surrogate, n_surrogates=int(surrogates or 0),
+                      normalized=normalized)

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import ResolutionError, UsageError
 from .estimator import FlowMatrix
 
 GRAPH_SCHEMA = "infoflow-graph/1"
@@ -98,7 +99,9 @@ def reconstruct_graph(
     asymptotic one otherwise; the correction spans the d(d-1) directed-pair
     family, the off-diagonal entries of the matrix, whichever pairs drew
     surrogates. Self loops are gated by their own (uncorrected) asymptotic
-    p value.
+    p value. Bonferroni over m = d(d-1) pairs is refused (``ResolutionError``)
+    when the matrix drew S surrogates and 0 < (S + 1) alpha < m: even the
+    smallest surrogate p, 1/(S + 1), would fail once corrected.
     """
     if not 0.0 <= alpha <= 1.0:
         raise UsageError(f"alpha must lie in [0, 1], got {alpha}")
@@ -108,6 +111,12 @@ def reconstruct_graph(
     arrays = (matrix.value, matrix.p_asymptotic, matrix.p_surrogate, matrix.normalized)
     if any(a is not None and np.shape(a) != (d, d) for a in arrays):
         raise UsageError("flow matrix shape does not match its labels")
+    m, surrogates = d * (d - 1), matrix.n_surrogates
+    if correction == "bonferroni" and surrogates and 0 < (surrogates + 1) * alpha < m:
+        raise ResolutionError(
+            f"Bonferroni over {m} pairs at alpha {alpha:g} needs at least {math.ceil(m / alpha) - 1}"
+            f" surrogates, got {surrogates}: no surrogate p value could pass"
+        )
 
     off = ~np.eye(d, dtype=bool)
     ps = matrix.p_asymptotic[off]

@@ -2,9 +2,9 @@
 
 This module states every inference rule once: the asymptotic read-off at
 an index (``asymptotic_inference``), the checks a surrogate request makes
-before the moment pass (``_surrogate_request``), the stream each pair or
-window draws from, named by its spawn key (``_child``), and the surrogate
-p values (``surrogate_p_values``).
+(``_surrogate_request``), the stream a pair draws from, named by its spawn
+key (``_child``) in ``_surrogate_flows`` alone, and the surrogate p values
+(``surrogate_p_values``, the one public surrogate entry).
 
 Both routes read the one moment core, a ``CovarianceSet``. The asymptotic
 route takes the coefficient variance from the inverse observed information
@@ -129,14 +129,16 @@ def _child(seed, *key) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed, spawn_key=key)
 
 
-def _surrogate_request(pairs, d: int, surrogates: int, seed) -> tuple[list, np.random.SeedSequence | None]:
-    """The checks a flow report makes before its moment pass, in order:
-    ``pairs`` resolved (``_resolve_pairs``) and, when ``surrogates`` are
-    asked for, their count and ``seed`` as a SeedSequence (``_child``).
-    Returns the resolved pairs and that SeedSequence, None without
-    surrogates."""
+def _surrogate_request(pairs, d: int, surrogates: int, seed, *,
+                       optional: bool = True) -> tuple[list, np.random.SeedSequence | None]:
+    """The checks a surrogate request makes, in order: ``pairs`` resolved
+    (``_resolve_pairs``) and, when ``surrogates`` are asked for (always
+    unless ``optional``, when 0 asks for none), their count and ``seed`` as
+    a SeedSequence (``_child``). Returns the resolved pairs and that
+    SeedSequence, None without surrogates. A flow report makes them before
+    its moment pass."""
     pairs = _resolve_pairs(pairs, d)
-    if not surrogates:
+    if optional and not surrogates:
         return pairs, None
     if surrogates < MIN_SURROGATES:
         raise ResolutionError(
@@ -159,9 +161,14 @@ def _fft_length(m: int) -> int:
     return best
 
 
-def _surrogate_flows(cov: CovarianceSet, pairs, n_surrogates: int, seeds) -> np.ndarray:
-    """The surrogate flows (``surrogate_flow_samples``) of each resolved
-    (source, target) of ``pairs``, one row per pair, row p drawn on ``seeds[p]``.
+def _surrogate_flows(cov: CovarianceSet, pairs, n_surrogates: int, seed) -> np.ndarray:
+    """Flow re-estimates under the null a_ij = 0 of each resolved (source,
+    target) of ``pairs`` from ``n_surrogates`` Freedman-Lane residual shifts
+    (module docstring), one row per pair. Pair j -> i draws the stream of
+    ``seed`` (an int or a SeedSequence) keyed by the flat index i * d + j of
+    its [target, source] entry: one ``Generator(PCG64(stream))`` draws its
+    shifts in one call, ``integers(lo, n - lo, size=n_surrogates,
+    endpoint=True)`` with lo = max(1, ceil(n / 10)).
 
     With Xc the centred first n = n_eff samples of every series and E every
     target's residuals, the two halves of the core's ``stack``, coefficient
@@ -178,17 +185,17 @@ def _surrogate_flows(cov: CovarianceSet, pairs, n_surrogates: int, seeds) -> np.
     singular; ``build_covariance_set`` refuses a singular panel before any
     core exists.
     """
-    n, C, B, inverse = cov.n_eff, cov.matrix, cov.coefficients, cov.inverse
+    d, n, C, B, inverse = cov.d, cov.n_eff, cov.matrix, cov.coefficients, cov.inverse
     length = _fft_length(2 * n - 1)
-    W = inverse @ cov.stack[:cov.d]
+    W = inverse @ cov.stack[:d]
     W /= n - 1
-    FE = np.fft.rfft(cov.stack[cov.d:], length)
+    FE = np.fft.rfft(cov.stack[d:], length)
     FW = np.fft.rfft(W, length)
     del W  # it goes as soon as its spectrum is taken
     lo = max(1, math.ceil(n / 10))
     samples = np.empty((len(pairs), n_surrogates))
-    for row, ((j, i), seed) in enumerate(zip(pairs, seeds)):
-        rng = np.random.Generator(np.random.PCG64(seed))
+    for row, (j, i) in enumerate(pairs):
+        rng = np.random.Generator(np.random.PCG64(_child(seed, i * d + j)))
         shifts = rng.integers(lo, n - lo, size=n_surrogates, endpoint=True)
         # lags[t] = sum_u w_j[u + t] r_ij[u] for |t| < n (t < 0 from the end);
         # roll(r, s) pairs w[u + s] with r[u] at lag s and, past the wrap, at s - n
@@ -198,37 +205,18 @@ def _surrogate_flows(cov: CovarianceSet, pairs, n_surrogates: int, seeds) -> np.
     return samples
 
 
-def surrogate_flow_samples(
-    cov: CovarianceSet,
-    source: int,
-    target: int,
-    *,
-    n_surrogates: int,
-    seed=None,
-) -> np.ndarray:
-    """Flow re-estimates under the null a_ij = 0 from ``n_surrogates``
-    Freedman-Lane residual shifts, as a 1-D array: one pair's row of the
-    per-core pass (``_surrogate_flows``) that every surrogate p value reads.
-
-    Surrogate s fits dX_i on every series but the source j, adds that fit's
-    residual r shifted circularly by s back to the fit, and re-estimates the
-    flow on all series. The shift keeps r's autocorrelation (the MA(k - 1)
-    of a stride-k difference among it) and the fit keeps every path through
-    the other series, so this tests the conditional null a_ij = 0; its size
-    is in the module docstring. One ``Generator(PCG64(seed))`` draws the
-    shifts in one call, ``integers(lo, n - lo, size=n_surrogates,
-    endpoint=True)`` with n = n_eff and lo = max(1, ceil(n / 10)).
-    """
-    return _surrogate_flows(cov, _resolve_pairs([(source, target)], cov.d), n_surrogates, [_child(seed)])[0]
-
-
 def surrogate_p_values(cov: CovarianceSet, pairs, *, n_surrogates: int, seed) -> np.ndarray:
-    """Surrogate p values of each resolved (source, target) in ``pairs``,
-    p = (1 + #{|T_surr| >= |T|}) / (n_surrogates + 1) against the observed
-    flow T of ``cov.flows``, so the attainable resolution is exactly
-    1/(n_surrogates + 1). Pair j -> i draws the stream of ``seed`` keyed by
-    the flat index i * d + j of its [target, source] entry (``_child``)."""
-    samples = _surrogate_flows(cov, pairs, n_surrogates, [_child(seed, i * cov.d + j) for j, i in pairs])
+    """Surrogate p values of each (source, target) in ``pairs``, every
+    ordered pair when None: p = (1 + #{|T_surr| >= |T|}) / (n_surrogates + 1)
+    over ``_surrogate_flows`` against the observed flow T of ``cov.flows``,
+    so the attainable resolution is exactly 1/(n_surrogates + 1). The one
+    public surrogate entry, and the one every report draws through; it
+    checks its request as a report does (``_surrogate_request``): negative
+    indices are mapped, source = target is an ``InvalidPairError``, fewer
+    than ``MIN_SURROGATES`` a ``ResolutionError`` and a negative seed a
+    ``UsageError``. A pair's p value does not depend on the other pairs."""
+    pairs, seed = _surrogate_request(pairs, cov.d, n_surrogates, seed, optional=False)
+    samples = _surrogate_flows(cov, pairs, n_surrogates, seed)
     observed = np.abs(cov.flows[[i for _, i in pairs], [j for j, _ in pairs]])
     exceed = np.sum(np.abs(samples) >= observed[:, None], axis=1)
     return (1 + exceed) / (n_surrogates + 1)

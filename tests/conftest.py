@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from infoflow import LinearSDE, TimeSeriesPanel, surrogate_flow_samples
+from infoflow import LinearSDE, TimeSeriesPanel, surrogate_p_values
 
 
 def make_rng(seed):
@@ -66,13 +66,9 @@ def lstsq_fit(panel, target, k):
 
 
 def surrogate_p(cov, source, target, n_surrogates, seed):
-    """Reference surrogate p value of the flow source -> target of ``cov``:
-    (1 + #{|T_surr| >= |T|}) / (n_surrogates + 1) over
-    ``surrogate_flow_samples``, T the observed ``cov.flows[target, source]``.
-    """
-    samples = surrogate_flow_samples(cov, source, target, n_surrogates=n_surrogates, seed=seed)
-    exceed = int(np.sum(np.abs(samples) >= abs(cov.flows[target, source])))
-    return (1 + exceed) / (n_surrogates + 1)
+    """Surrogate p value of the flow source -> target of ``cov``, drawn as
+    every report draws it: ``surrogate_p_values`` of the one pair."""
+    return surrogate_p_values(cov, [(source, target)], n_surrogates=n_surrogates, seed=seed)[0]
 
 
 def cofactor_matrix(C):

@@ -661,6 +661,38 @@ def test_bad_step_or_burn_in_exit_2(capsys, tmp_path, command, flag, value):
     assert not out_csv.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["estimate", "--source", "zz", "--target", "x1"], "unknown series 'zz'; available: x1, x2, x3"),
+    (["estimate", "--source", "9", "--target", "x1"], "series index 9 out of range 1..3"),
+    (["window", "--window", "100", "--source", "x1"], "pass both --source and --target"),
+])
+def test_unresolvable_series_exit_2(capsys, short_chain_csv, argv, message):
+    code, out, err = run_cli(capsys, argv[0], str(short_chain_csv), *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_estimate_normalize_text_reports_normalized_and_self_influence(capsys, short_chain_csv):
+    argv = ["estimate", str(short_chain_csv), "--source", "x1", "--target", "x2", "--normalize"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, json_out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    payload = json.loads(json_out)
+    assert f"  normalized: {payload['normalized']:.6g}" in out.splitlines()
+    assert f"  self influence of x2: {payload['self_influence']:.6g} nats/time" in out.splitlines()
+
+
+def test_graph_bonferroni_refuses_surrogates_that_cannot_pass(capsys, short_chain_csv):
+    argv = ["graph", str(short_chain_csv), "--surrogates", "99", "--seed", "1", "--correction"]
+    code, out, err = run_cli(capsys, *argv, "bonferroni")
+    assert code == 2
+    assert out == ""
+    assert "needs at least 119 surrogates, got 99" in err
+    assert run_cli(capsys, *argv, "benjamini_hochberg")[0] == 0
+
+
 @pytest.mark.parametrize("count", ["-5", "5"])
 def test_window_surrogate_count_checked_before_any_window(capsys, short_chain_csv, count):
     # every 4-sample window is too short for d=3, yet the count is refused

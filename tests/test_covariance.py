@@ -13,10 +13,10 @@ from infoflow import (
     build_covariance_set,
     estimate_flow_matrix,
     forward_difference,
-    surrogate_flow_samples,
 )
-from infoflow.covariance import _SCATTER_BUDGET
+from infoflow.covariance import _SCATTER_BUDGET, _scatter
 from infoflow.errors import InsufficientDataError, SingularCovarianceError
+from infoflow.significance import _surrogate_flows
 from conftest import cofactor_matrix, lstsq_fit, make_rng, random_panel, random_spd, with_series
 
 
@@ -105,6 +105,13 @@ def test_covariance_over_several_runs_matches_two_pass_oracle(k):
     sx, sd = (np.sqrt(np.diag(two_pass_cross_covariance(Y, Y))) for Y in (X, dX))
     assert (np.abs(cov.matrix - two_pass_cross_covariance(X, X)) <= 1e-13 * np.outer(sx, sx)).all()
     assert (np.abs(cov.deriv - two_pass_cross_covariance(X, dX)) <= 1e-13 * np.outer(sx, sd)).all()
+
+
+def test_scatter_above_d_8_is_the_plain_product():
+    # 2d = 32 rows leave runs shorter than _SCATTER_MIN_RUN: one product over all samples
+    d = 16
+    Zc = make_rng(16).standard_normal((2 * d, 7000))
+    assert np.array_equal(_scatter(Zc, d), Zc[:d] @ Zc.T)
 
 
 _CORE_DIGEST = """
@@ -331,6 +338,6 @@ def test_flows_are_scale_invariant_down_to_tiny_series():
             assert g == pytest.approx(want, rel=1e-12, abs=0)
         for g, want in zip(got.p_asymptotic[off], base.p_asymptotic[off]):
             assert g == pytest.approx(want, rel=1e-9)
-        samples = surrogate_flow_samples(build_covariance_set(tiny, 1), 1, 0, n_surrogates=19, seed=2)
-        expected = surrogate_flow_samples(build_covariance_set(panel, 1), 1, 0, n_surrogates=19, seed=2)
+        samples = _surrogate_flows(build_covariance_set(tiny, 1), [(1, 0)], 19, 2)[0]
+        expected = _surrogate_flows(build_covariance_set(panel, 1), [(1, 0)], 19, 2)[0]
         assert np.allclose(samples, expected, rtol=0, atol=1e-12 * np.abs(expected).max())

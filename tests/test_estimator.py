@@ -14,7 +14,7 @@ from infoflow import (
     estimate_flow_matrix,
     euler_maruyama,
     reconstruct_graph,
-    surrogate_flow_samples,
+    surrogate_p_values,
     windowed_flows,
 )
 from infoflow.errors import (
@@ -24,6 +24,7 @@ from infoflow.errors import (
     SingularCovarianceError,
     UsageError,
 )
+from infoflow.significance import _surrogate_flows
 from conftest import lstsq_fit, make_rng, random_panel, with_series
 
 
@@ -340,7 +341,7 @@ def test_same_seed_sequence_twice_gives_same_surrogates():
     p_values = [m.p_surrogate[~np.eye(3, dtype=bool)].tolist() for m in runs]
     assert p_values[0] == p_values[1] == p_values[2]
     cov = build_covariance_set(panel, 1)
-    samples = [surrogate_flow_samples(cov, 0, 1, n_surrogates=19, seed=s)
+    samples = [_surrogate_flows(cov, [(0, 1)], 19, s)[0]
                for s in (seed, seed, np.random.SeedSequence(5))]
     assert np.array_equal(samples[0], samples[1]) and np.array_equal(samples[0], samples[2])
     windows = [windowed_flows(panel, 1000, 1000, surrogates=19, seed=s).p_surrogate for s in (seed, seed)]
@@ -364,7 +365,7 @@ def test_negative_seed_refused_by_every_surrogate_route():
     cov = build_covariance_set(panel, 1)
     calls = (
         lambda s: estimate_flow_matrix(panel, surrogates=19, seed=s),
-        lambda s: surrogate_flow_samples(cov, 0, 1, n_surrogates=19, seed=s),
+        lambda s: surrogate_p_values(cov, [(0, 1)], n_surrogates=19, seed=s),
         lambda s: windowed_flows(panel, 200, 100, surrogates=19, seed=s),
     )
     for call in calls:

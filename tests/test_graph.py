@@ -12,7 +12,7 @@ from infoflow import (
     import_graph,
     reconstruct_graph,
 )
-from infoflow.errors import UsageError
+from infoflow.errors import ResolutionError, UsageError
 from infoflow.graph import _bh_adjust
 
 
@@ -150,6 +150,18 @@ def test_bonferroni_scales_p_values():
     assert g.edges[0].p == pytest.approx(0.04)
     # at alpha = 0.03 the corrected value fails
     assert reconstruct_graph(m, alpha=0.03, correction="bonferroni").edges == ()
+
+
+def test_bonferroni_refuses_too_few_surrogates_to_pass():
+    # 2 pairs at alpha 0.05: the smallest surrogate p, 1/(S + 1), passes
+    # corrected only from S = 39 on
+    m = toy_matrix({(0, 1): 0.001, (1, 0): 0.4})
+    with pytest.raises(ResolutionError, match="needs at least 39 surrogates, got 19"):
+        reconstruct_graph(dataclasses.replace(m, n_surrogates=19), alpha=0.05, correction="bonferroni")
+    for surrogates, alpha, correction in ((39, 0.05, "bonferroni"), (19, 0.0, "bonferroni"),
+                                          (19, 0.05, "benjamini_hochberg"), (0, 0.05, "bonferroni")):
+        got = reconstruct_graph(dataclasses.replace(m, n_surrogates=surrogates), alpha=alpha, correction=correction)
+        assert got == reconstruct_graph(m, alpha=alpha, correction=correction)
 
 
 def test_benjamini_hochberg_hand_example():

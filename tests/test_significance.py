@@ -12,7 +12,7 @@ from infoflow import (
     build_covariance_set,
     estimate_flow_matrix,
     euler_maruyama,
-    surrogate_flow_samples,
+    surrogate_p_values,
 )
 from infoflow.errors import (
     DegenerateInferenceWarning,
@@ -20,7 +20,7 @@ from infoflow.errors import (
     ResolutionError,
     SingularCovarianceError,
 )
-from infoflow.significance import SERIAL_CORRELATION_LIMIT, _fft_length
+from infoflow.significance import SERIAL_CORRELATION_LIMIT, _fft_length, _resolve_pairs, _surrogate_flows
 from conftest import make_rng, surrogate_p, with_series
 from test_estimator import orthogonal_pair_panel
 
@@ -152,17 +152,15 @@ def test_surrogate_p_resolution_and_reproducibility():
 def test_surrogate_same_seed_repeats():
     b = benchmark("one_way_2d", None, n=4000, seed=3)
     cov = build_covariance_set(b.panel, 1)
-    first = surrogate_flow_samples(cov, 1, 0, n_surrogates=49, seed=9)
-    again = surrogate_flow_samples(cov, 1, 0, n_surrogates=49, seed=9)
+    first = _surrogate_flows(cov, [(1, 0)], 49, 9)
+    again = _surrogate_flows(cov, [(1, 0)], 49, 9)
     assert np.array_equal(first, again)
 
 
 def test_surrogate_monotone_in_observed_magnitude():
     # against a fixed surrogate sample, a larger |T| can only lower the count
     b = benchmark("one_way_2d", None, n=4000, seed=4)
-    samples = np.abs(
-        surrogate_flow_samples(build_covariance_set(b.panel, 1), 1, 0, n_surrogates=99, seed=11)
-    )
+    samples = np.abs(_surrogate_flows(build_covariance_set(b.panel, 1), [(1, 0)], 99, 11)[0])
     observed = abs(build_covariance_set(b.panel, 1).flows[0, 1])
     p_at = lambda t: (1 + int(np.sum(samples >= t))) / 100
     assert p_at(observed) <= p_at(observed / 2) <= p_at(observed / 10)
@@ -219,22 +217,36 @@ def test_self_influence_carries_its_targets_inference(k):
 
 
 def test_matrix_surrogate_p_is_surrogate_significance_of_its_child_seed():
-    # the per-core pass, checked pair by pair against one-pair draws
+    # the matrix's p values are the core's, and a pair's p value is the same
+    # whether it is listed alone or with every pair
     for panel, k in ((benchmark("confounder_3", None, n=3000, seed=4).panel, 1),
                      (correlated_panel(5, 2000, seed=45), 2)):
         d = panel.d
         cov = build_covariance_set(panel, k)
-        children = np.random.SeedSequence(12).spawn(d * d)
+        every = surrogate_p_values(cov, None, n_surrogates=19, seed=12)
         matrix = estimate_flow_matrix(panel, k, surrogates=19, seed=12)
-        for i, j in zip(*np.nonzero(~np.eye(d, dtype=bool))):
-            assert matrix.p_surrogate[i, j] == surrogate_p(cov, j, i, 19, children[i * d + j])
+        assert np.array_equal(matrix.p_surrogate[~np.eye(d, dtype=bool)], every)
+        for (j, i), p in zip(_resolve_pairs(None, d), every.tolist()):
+            assert surrogate_p(cov, j, i, 19, 12) == p
+
+
+def test_surrogate_p_values_check_their_request():
+    cov = build_covariance_set(benchmark("chain_3", None, n=4000, seed=5).panel, 1)
+    want = surrogate_p_values(cov, [(2, 0)], n_surrogates=19, seed=5)
+    assert np.array_equal(surrogate_p_values(cov, [(-1, 0)], n_surrogates=19, seed=5), want)
+    with pytest.raises(InvalidPairError):
+        surrogate_p_values(cov, [(1, 1)], n_surrogates=19, seed=5)
+    for count in (0, 18):
+        with pytest.raises(ResolutionError, match="at least 19 surrogates"):
+            surrogate_p_values(cov, [(0, 1)], n_surrogates=count, seed=5)
 
 
 def freedman_lane_flows(panel, source, target, k, n_surrogates, seed):
     """Surrogate flows the direct way, by ``lstsq`` refits: fit dX_target on
     an intercept plus every series but the source, add each shifted residual
-    (the documented draw: one generator on ``seed``, all shifts over n - k
-    in one ``integers`` call) back to that fit, refit on an intercept plus
+    (the documented draw: one generator on the stream of ``seed`` keyed by
+    the pair's flat index target * d + source, all shifts over n - k in one
+    ``integers`` call) back to that fit, refit on an intercept plus
     all series and scale the source's coefficient by C_ts / C_tt. X and dX
     are centred first; the intercept absorbs their means exactly, and
     uncentred the refits lose digits on an offset series."""
@@ -247,7 +259,7 @@ def freedman_lane_flows(panel, source, target, k, n_surrogates, seed):
     fit = reduced @ np.linalg.lstsq(reduced, dx, rcond=None)[0]
     full = np.column_stack([np.ones(n), Xc.T])
     C = np.cov(X)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(target * panel.d + source,))))
     lo = max(1, int(np.ceil(n / 10)))
     values = []
     for s in rng.integers(lo, n - lo, size=n_surrogates, endpoint=True):
@@ -273,11 +285,9 @@ def test_surrogate_samples_match_replaced_source_estimates(d, k, method):
     base = correlated_panel(d, 1500, seed=40 + d)
     ramp = with_series(base, 0, 1e6 + 0.01 * np.arange(base.n) + base.values[0])
     for panel in (base, correlated_panel(d, 7919, seed=40 + d), ramp):
-        for source, target in ((0, d - 1), (d - 1, 0), (-1, 0)):
-            got = surrogate_flow_samples(
-                build_covariance_set(panel, k), source, target, n_surrogates=25, seed=13
-            )
-            want = freedman_lane_flows(panel, range(d)[source], target, k, 25, 13)
+        for source, target in ((0, d - 1), (d - 1, 0)):
+            got = _surrogate_flows(build_covariance_set(panel, k), [(source, target)], 25, 13)[0]
+            want = freedman_lane_flows(panel, source, target, k, 25, 13)
             assert got.shape == want.shape == (25,)
             assert np.isfinite(want).all()
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -289,20 +299,20 @@ def test_surrogate_samples_refuse_a_singular_core():
     a, b, c = rng.standard_normal((3, 600))
     panel = TimeSeriesPanel(("a", "b", "c", "c2"), np.vstack([a, b, c, c]))
     with pytest.raises(SingularCovarianceError):
-        surrogate_flow_samples(build_covariance_set(panel, 1), 0, 1, n_surrogates=20, seed=3)
+        surrogate_p_values(build_covariance_set(panel, 1), [(0, 1)], n_surrogates=20, seed=3)
 
 
 def test_surrogates_read_the_core_stack_without_a_second_pass(monkeypatch):
     panel = benchmark("chain_3", None, n=2000, seed=3).panel
     cov = build_covariance_set(panel, 2)
-    want = surrogate_flow_samples(cov, 1, 0, n_surrogates=19, seed=4)
+    want = _surrogate_flows(cov, [(1, 0)], 19, 4)
 
     def restacked(*args, **kwargs):
         pytest.fail("the surrogate pass re-stacked the panel")
 
     monkeypatch.setattr("infoflow.covariance._stack", restacked)
     monkeypatch.setattr("infoflow.significance._stack", restacked, raising=False)
-    assert np.array_equal(surrogate_flow_samples(cov, 1, 0, n_surrogates=19, seed=4), want)
+    assert np.array_equal(_surrogate_flows(cov, [(1, 0)], 19, 4), want)
     assert not cov.stack.flags.writeable
 
 
@@ -322,18 +332,18 @@ def test_surrogate_samples_invariant_to_source_scale(scale):
     # T = coef * C_ij / C_ii does not change when the source is rescaled
     panel = correlated_panel(3, 1000, seed=50)
     scaled = with_series(panel, 0, scale * panel.values[0])
-    base = surrogate_flow_samples(build_covariance_set(panel, 1), 0, 2, n_surrogates=20, seed=4)
-    got = surrogate_flow_samples(build_covariance_set(scaled, 1), 0, 2, n_surrogates=20, seed=4)
+    base = _surrogate_flows(build_covariance_set(panel, 1), [(0, 2)], 20, 4)
+    got = _surrogate_flows(build_covariance_set(scaled, 1), [(0, 2)], 20, 4)
     assert np.isfinite(base).all()
     assert np.allclose(got, base, rtol=1e-9, atol=0.0)
 
 
 def test_surrogate_indices_negative_and_out_of_range():
     cov = build_covariance_set(correlated_panel(3, 600, seed=51), 1)
-    got = surrogate_flow_samples(cov, -1, -3, n_surrogates=20, seed=6)
-    assert np.array_equal(got, surrogate_flow_samples(cov, 2, 0, n_surrogates=20, seed=6))
-    assert surrogate_p(cov, -1, 0, 19, 6) == surrogate_p(cov, 2, 0, 19, 6)
+    want = _surrogate_flows(cov, [(2, 0)], 20, 6)
+    assert np.array_equal(_surrogate_flows(cov, _resolve_pairs([(-1, -3)], 3), 20, 6), want)
+    assert surrogate_p(cov, -1, -3, 20, 6) == surrogate_p(cov, 2, 0, 20, 6)
     with pytest.raises(IndexError):
-        surrogate_flow_samples(cov, 3, 0, n_surrogates=20, seed=6)
+        surrogate_p(cov, 3, 0, 20, 6)
     with pytest.raises(InvalidPairError):
-        surrogate_flow_samples(cov, -1, 2, n_surrogates=20, seed=6)
+        surrogate_p(cov, -1, 2, 20, 6)

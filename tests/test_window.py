@@ -335,6 +335,8 @@ STEP_CASES = [
       for offset in (False, True) for seed in range(12) if seed != 4),
     pytest.param("chain_3", 3000, 3, 400, 10, False, id="chain_3-seed3-400-10"),
     pytest.param("confounder_3", 3000, 1, 500, 1, False, id="confounder_3-seed1-500-1"),
+    # n_eff = 4 <= d + 2: all 2996 windows are too short, missing and NaN
+    pytest.param("chain_3", 3000, 4, 5, 1, False, id="every-window-short-5-1"),
 ]
 
 

@@ -17,8 +17,9 @@ in an output depends on where it ran:
   and 16 steps, and ``window --json`` at 2000/100 of the one pair 1 -> 3,
   which reads a subset of each window's flows;
 - refusals: ``estimate`` on a two-series panel with b = 2a (singular),
-  ``matrix`` on a chain_3 panel of n = 6 at k = 1 (n - k = d + 2 samples)
-  and ``simulate --n 1``;
+  ``matrix`` on a chain_3 panel of n = 6 at k = 1 (n - k = d + 2 samples),
+  ``simulate --n 1`` and ``graph`` of the chain_3 seed-1 panel with 99
+  surrogates under Bonferroni, too few for any surrogate p to pass;
 - the time-column rules, on the chain_3 seed-1 panel: ``matrix
   --no-time-column`` (``t`` read as a series), ``matrix --time-column t``
   and the refusal of ``estimate`` with ``--dt`` beside the time column;
@@ -31,7 +32,7 @@ in an output depends on where it ran:
   300 samples and sits about 50 (``perfect.csv``), so that its early
   windows' residuals are recomputed from their own data.
 
-That is 285 outputs. Each line is the sha256 of one output (the command's
+That is 286 outputs. Each line is the sha256 of one output (the command's
 stdout, or a file that ``simulate`` wrote, followed by its stderr when it
 exits nonzero, so that a changed message counts), its exit code and the
 command. Two source trees give byte-identical outputs exactly when
@@ -123,7 +124,8 @@ def _refusals(main):
     _run(main, ["simulate", "--benchmark", "chain_3", "--n", "6", "--seed", "1", "-o", "short.csv"])
     for argv in (["estimate", "double.csv", "--source", "a", "--target", "b"],
                  ["matrix", "short.csv", "--k", "1"],
-                 ["simulate", "--benchmark", "chain_3", "--n", "1", "--seed", "1", "-o", "one.csv"]):
+                 ["simulate", "--benchmark", "chain_3", "--n", "1", "--seed", "1", "-o", "one.csv"],
+                 ["graph", "chain_3-1.csv", "--surrogates", "99", "--seed", "1", "--correction", "bonferroni"]):
         yield (argv, *_run(main, argv))
 
 
