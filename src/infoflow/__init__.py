@@ -11,7 +11,6 @@ validation data with planted causal structure.
 
 from .analytic import (
     LinearSDE,
-    StationaryCovariance,
     analytic_flow,
     load_system,
     stationary_covariance,
@@ -97,7 +96,6 @@ __all__ = [
     "SelfLoop",
     "SimulationSpec",
     "SingularCovarianceError",
-    "StationaryCovariance",
     "TimeSeriesPanel",
     "UsageError",
     "ValidationError",

@@ -32,21 +32,22 @@ LYAPUNOV_RTOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class LinearSDE:
-    """Constant-coefficient linear SDE: dX = (f + A X) dt + B dW."""
+    """Constant-coefficient linear SDE: dX = (f + A X) dt + B dW, holding
+    read-only float64 copies of the ``f``, ``A`` and ``B`` it is given."""
 
     f: np.ndarray
     A: np.ndarray
     B: np.ndarray
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=np.float64)
+        A = np.array(self.A, dtype=np.float64)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValidationError(f"drift matrix A must be square, got shape {A.shape}")
         d = A.shape[0]
-        f = np.asarray(self.f, dtype=np.float64).reshape(-1)
+        f = np.array(self.f, dtype=np.float64).reshape(-1)
         if f.shape != (d,):
             raise ValidationError(f"drift offset f must have length {d}, got {f.shape}")
-        B = np.asarray(self.B, dtype=np.float64)
+        B = np.array(self.B, dtype=np.float64)
         if B.ndim == 1:
             B = B.reshape(d, -1)
         if B.ndim != 2 or B.shape[0] != d:
@@ -54,11 +55,8 @@ class LinearSDE:
         for name, arr in (("f", f), ("A", A), ("B", B)):
             if not np.isfinite(arr).all():
                 raise ValidationError(f"non-finite entry in {name}")
-        for arr in (f, A, B):
             arr.setflags(write=False)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
+            object.__setattr__(self, name, arr)
 
     @property
     def d(self) -> int:
@@ -79,25 +77,14 @@ class LinearSDE:
         return bool(self.eigenvalues().real.max() < HURWITZ_TOL)
 
 
-@dataclass(frozen=True, eq=False)
-class StationaryCovariance:
-    """Stationary covariance of a stable linear SDE, with its solve residual."""
-
-    matrix: np.ndarray
-    residual: float
-
-    @property
-    def d(self) -> int:
-        return self.matrix.shape[0]
-
-
-def stationary_covariance(sys: LinearSDE) -> StationaryCovariance:
-    """Solve A S + S A' + B B' = 0 by Kronecker-sum vectorization.
+def stationary_covariance(sys: LinearSDE) -> np.ndarray:
+    """The stationary covariance S, solving A S + S A' + B B' = 0 by
+    Kronecker-sum vectorization, as a read-only symmetric d x d array.
 
     O(d^6) work, fine at desk scale (d up to ~50). The residual
-    max|A S + S A' + B B'| is checked against 1e-10 * max(1, max|BB'|);
-    a near-degenerate eigenvalue-sum spectrum triggers a conditioning
-    warning before the solve.
+    max|A S + S A' + B B'| of the symmetrised S is checked against
+    ``LYAPUNOV_RTOL`` * max(1, max|BB'|); a near-degenerate eigenvalue-sum
+    spectrum triggers a conditioning warning before the solve.
     """
     if not sys.is_hurwitz():
         raise NonStationaryError(
@@ -125,16 +112,18 @@ def stationary_covariance(sys: LinearSDE) -> StationaryCovariance:
         raise NonStationaryError(
             f"Lyapunov solve failed: residual {residual:.3e} exceeds tolerance {tol:.3e}"
         )
-    return StationaryCovariance(matrix=S, residual=residual)
+    S.setflags(write=False)
+    return S
 
 
 def analytic_flow(sys: LinearSDE, sigma, source: int, target: int) -> float:
-    """Population flow rate source -> target: A[i,j] * S[i,j] / S[i,i].
+    """Population flow rate source -> target: A[i,j] * S[i,j] / S[i,i],
+    for the covariance ``sigma``, such as ``stationary_covariance(sys)``.
 
     Zero coupling (A[i,j] = 0) or zero correlation (S[i,j] = 0) gives an
     exact zero; causation implies correlation, never the reverse.
     """
-    S = sigma.matrix if isinstance(sigma, StationaryCovariance) else np.asarray(sigma, float)
+    S = np.asarray(sigma, float)
     i, j = int(target), int(source)
     if S[i, i] <= 0.0:
         raise DegenerateComponentError(

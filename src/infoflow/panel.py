@@ -1,8 +1,8 @@
 """Time-series panels: CSV ingestion, validation, and forward differencing.
 
-A panel holds d named series sampled on a uniform grid with step ``dt``.
-Panels are immutable after construction and every operation here is pure,
-so they are safe to share across threads.
+A panel holds d named series on a uniform grid with step ``dt`` in a
+read-only copy of the values it is given, so it is immutable; every
+operation here is pure, so panels are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -54,7 +54,8 @@ class TimeSeriesPanel:
     """d named series of n samples each, spaced ``dt`` time units apart.
 
     ``values`` has shape (d, n): one row per series, which keeps the
-    covariance passes cache-friendly. The array is made read-only.
+    covariance passes cache-friendly. The panel holds a read-only,
+    C-ordered float64 copy of the ``values`` it is given.
     """
 
     labels: tuple[str, ...]
@@ -62,7 +63,7 @@ class TimeSeriesPanel:
     dt: float = 1.0
 
     def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
+        values = np.array(self.values, dtype=np.float64, order="C")
         if values.ndim != 2:
             raise ValidationError("panel values must be a 2-D array (series, samples)")
         labels = tuple(str(lab) for lab in self.labels)
@@ -102,7 +103,7 @@ class TimeSeriesPanel:
         """Sub-panel of ``length`` consecutive samples starting at ``start``."""
         if start < 0 or start + length > self.n:
             raise UsageError(f"window [{start}, {start + length}) outside 0..{self.n}")
-        return TimeSeriesPanel(self.labels, self.values[:, start : start + length].copy(), self.dt)
+        return TimeSeriesPanel(self.labels, self.values[:, start : start + length], self.dt)
 
 
 def _require_stride(k) -> None:
@@ -218,7 +219,7 @@ def ingest_csv(
         )
 
     dt = 1.0 if dt_override is None else float(dt_override)
-    keep = list(range(len(labels)))
+    values = parsed.T  # (series, samples): a view, which the panel copies once
     if time_column is not None:
         t_idx = labels.index(time_column)
         t = parsed[:, t_idx]
@@ -237,9 +238,10 @@ def ingest_csv(
                 f"{path}: non-uniform time column {time_column!r} near row"
                 f" {first_data_line + r + 1} (step {float(steps[r])!r} vs {float(usual)!r})"
             )
-        del keep[t_idx]
-        labels = tuple(labels[i] for i in keep)
-    values = parsed.T[keep]  # (series, samples), C-contiguous: the panel's one copy
+        # the series left of the time column move over it: the series are values[1:]
+        parsed[:, 1 : t_idx + 1] = parsed[:, :t_idx]
+        labels = labels[:t_idx] + labels[t_idx + 1 :]
+        values = values[1:]
     return TimeSeriesPanel(labels=labels, values=values, dt=dt)
 
 

@@ -41,7 +41,8 @@ BENCHMARK_NAMES = ("one_way_2d", "chain_3", "confounder_3", "independent_d", "he
 
 @dataclass(frozen=True, eq=False)
 class SimulationSpec:
-    """One seeded integration run of a linear SDE."""
+    """One seeded integration run of a linear SDE, from a read-only copy of
+    the start state ``x0`` it is given (zeros by default)."""
 
     system: LinearSDE
     n: int
@@ -59,9 +60,10 @@ class SimulationSpec:
             raise ValidationError(f"dt must be a positive finite number, got {self.dt!r}")
         if self.burn_in < 0:
             raise ValidationError(f"burn_in must be nonnegative, got {self.burn_in}")
-        x0 = np.zeros(self.system.d) if self.x0 is None else np.asarray(self.x0, float).reshape(-1)
+        x0 = np.zeros(self.system.d) if self.x0 is None else np.array(self.x0, float).reshape(-1)
         if x0.shape != (self.system.d,):
             raise ValidationError(f"x0 must have length {self.system.d}")
+        x0.setflags(write=False)
         object.__setattr__(self, "x0", x0)
         labels = self.labels or tuple(f"x{i + 1}" for i in range(self.system.d))
         if len(labels) != self.system.d:

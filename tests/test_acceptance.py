@@ -162,7 +162,7 @@ def test_05_correlation_without_causation():
     )
     S = stationary_covariance(sys3)
     exact_ok = (
-        S.matrix[0, 1] > 1e-6
+        S[0, 1] > 1e-6
         and analytic_flow(sys3, S, 0, 1) == 0.0
         and analytic_flow(sys3, S, 1, 0) == 0.0
     )
@@ -175,7 +175,7 @@ def test_05_correlation_without_causation():
     criterion(
         "correlation without causation",
         exact_ok and both_insig >= 85,
-        f"sigma_12 {S.matrix[0, 1]:.4f} != 0 with exact zero flows;"
+        f"sigma_12 {S[0, 1]:.4f} != 0 with exact zero flows;"
         f" both directions insignificant in {both_insig}/100 (need 85)",
     )
 
@@ -190,7 +190,7 @@ def test_06_lyapunov_solver_residuals():
         sys = random_stable_system(rng, d=d)
         S = stationary_covariance(sys)
         G = sys.noise_covariance()
-        resid = float(np.abs(sys.A @ S.matrix + S.matrix @ sys.A.T + G).max())
+        resid = float(np.abs(sys.A @ S + S @ sys.A.T + G).max())
         tol = 1e-10 * max(1.0, float(np.abs(G).max()))
         worst_ratio = max(worst_ratio, resid / tol)
     criterion(

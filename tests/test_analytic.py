@@ -8,6 +8,7 @@ from infoflow import (
     stationary_covariance,
     transform_other_components,
 )
+from infoflow.analytic import LYAPUNOV_RTOL
 from infoflow.errors import (
     ConditioningWarning,
     DataError,
@@ -22,34 +23,47 @@ from conftest import make_rng, random_stable_system
 ONE_WAY = LinearSDE(f=[0.0, 0.0], A=[[-1.0, 0.5], [0.0, -1.0]], B=np.eye(2))
 
 
+def lyapunov_residual_ratio(sys, S):
+    """max|A S + S A' + BB'| as a share of the solver's bound."""
+    G = sys.noise_covariance()
+    return np.abs(sys.A @ S + S @ sys.A.T + G).max() / (LYAPUNOV_RTOL * max(1.0, np.abs(G).max()))
+
+
 def test_lyapunov_hand_solved_2x2():
     # scalar equations of A S + S A' + I = 0 solved by hand:
     # s22 = 1/2, s12 = s22/4 = 1/8, s11 = (1 + s12)/2 = 9/16
     S = stationary_covariance(ONE_WAY)
-    assert np.allclose(S.matrix, [[0.5625, 0.125], [0.125, 0.5]], rtol=0, atol=1e-12)
-    assert S.residual < 1e-10
+    assert np.allclose(S, [[0.5625, 0.125], [0.125, 0.5]], rtol=0, atol=1e-12)
+    assert lyapunov_residual_ratio(ONE_WAY, S) < 1.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_stationary_covariance_is_a_read_only_symmetric_array(seed):
+    sys = random_stable_system(make_rng(seed), d=3 + seed)
+    S = stationary_covariance(sys)
+    assert type(S) is np.ndarray and S.shape == (sys.d, sys.d)
+    assert not S.flags.writeable
+    assert np.array_equal(S, S.T)
+    assert lyapunov_residual_ratio(sys, S) < 1.0
 
 
 def test_lyapunov_decoupled_ou_components():
     for d in (1, 3, 6):
         sys = LinearSDE(f=np.zeros(d), A=-np.eye(d), B=np.eye(d))
         S = stationary_covariance(sys)
-        assert np.allclose(S.matrix, 0.5 * np.eye(d), atol=1e-12)
+        assert np.allclose(S, 0.5 * np.eye(d), atol=1e-12)
 
 
 def test_lyapunov_zero_noise_gives_zero_covariance():
     sys = LinearSDE(f=[0.0], A=[[-2.0]], B=[[0.0]])
     S = stationary_covariance(sys)
-    assert np.allclose(S.matrix, 0.0, atol=1e-15)
+    assert np.allclose(S, 0.0, atol=1e-15)
 
 
 def test_lyapunov_residual_on_random_stable_systems():
     for seed in range(30):
         sys = random_stable_system(make_rng(seed), d=2 + seed % 7)
-        S = stationary_covariance(sys)
-        G = sys.noise_covariance()
-        resid = np.abs(sys.A @ S.matrix + S.matrix @ sys.A.T + G).max()
-        assert resid < 1e-10 * max(1.0, np.abs(G).max())
+        assert lyapunov_residual_ratio(sys, stationary_covariance(sys)) < 1.0
 
 
 def test_non_hurwitz_rejected():
@@ -111,7 +125,7 @@ def test_common_driver_correlation_without_causation():
         B=np.eye(3),
     )
     S = stationary_covariance(sys)
-    assert S.matrix[0, 1] > 1e-3
+    assert S[0, 1] > 1e-3
     assert analytic_flow(sys, S, source=1, target=0) == 0.0
     assert analytic_flow(sys, S, source=0, target=1) == 0.0
     assert analytic_flow(sys, S, source=2, target=0) != 0.0
@@ -167,6 +181,20 @@ def test_transform_needs_three_components():
     sys = random_stable_system(make_rng(2), d=2)
     with pytest.raises(UsageError):
         transform_other_components(sys, 0, 1, np.eye(0))
+
+
+def test_system_holds_read_only_copies_of_its_arrays():
+    f, A, B = np.zeros(2), np.array([[-1.0, 0.5], [0.0, -1.0]]), np.eye(2)
+    views = (f[:], A[:, :], B[:, :])
+    sys = LinearSDE(*views)
+    for given, held in zip(views, (sys.f, sys.A, sys.B)):
+        assert not np.shares_memory(given, held)
+        assert given.flags.writeable and given.base.flags.writeable
+        assert not held.flags.writeable
+    for base in (f, A, B):
+        base[...] = np.nan
+    assert np.isfinite(sys.f).all() and np.isfinite(sys.A).all() and np.isfinite(sys.B).all()
+    assert np.array_equal(sys.A, [[-1.0, 0.5], [0.0, -1.0]]) and np.array_equal(sys.B, np.eye(2))
 
 
 def test_system_shape_validation():

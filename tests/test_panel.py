@@ -28,12 +28,15 @@ def write_file(tmp_path, text, name="data.csv"):
 
 
 def test_ingest_with_time_column(tmp_path):
-    path = write_file(tmp_path, "t,x,y\n0.0,1.0,4.0\n0.5,2.0,3.0\n1.0,3.0,2.0\n")
-    panel = ingest_csv(path, time_column="t")
-    assert panel.labels == ("x", "y")
-    assert panel.d == 2 and panel.n == 3
-    assert panel.dt == pytest.approx(0.5, rel=1e-12)
-    assert np.array_equal(panel.values, [[1.0, 2.0, 3.0], [4.0, 3.0, 2.0]])
+    for at in range(3):  # the time column first, between the series and last
+        columns = [["x", "1.0", "2.0", "3.0"], ["y", "4.0", "3.0", "2.0"]]
+        columns.insert(at, ["t", "0.0", "0.5", "1.0"])
+        path = write_file(tmp_path, "".join(",".join(row) + "\n" for row in zip(*columns)))
+        panel = ingest_csv(path, time_column="t")
+        assert panel.labels == ("x", "y")
+        assert panel.d == 2 and panel.n == 3
+        assert panel.dt == pytest.approx(0.5, rel=1e-12)
+        assert np.array_equal(panel.values, [[1.0, 2.0, 3.0], [4.0, 3.0, 2.0]])
 
 
 def test_ingest_headerless_with_dt_override(tmp_path):
@@ -225,6 +228,18 @@ def test_panel_values_are_read_only():
     panel = TimeSeriesPanel(("a",), np.arange(4.0).reshape(1, 4))
     with pytest.raises(ValueError):
         panel.values[0, 0] = 7.0
+
+
+@pytest.mark.parametrize("as_view", [False, True])
+def test_panel_holds_its_own_copy_of_the_values_given(as_view):
+    base = make_rng(17).standard_normal((2, 50))
+    given = base[:, :] if as_view else base
+    panel = TimeSeriesPanel(("a", "b"), given)
+    kept = panel.values.copy()
+    assert not np.shares_memory(panel.values, base)
+    assert given.flags.writeable and base.flags.writeable
+    base[:, 3] = np.nan
+    assert np.isfinite(panel.values).all() and np.array_equal(panel.values, kept)
 
 
 def test_forward_difference_hand_values():

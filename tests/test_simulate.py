@@ -83,7 +83,7 @@ def test_ou_long_run_variance_near_analytic():
     sys = LinearSDE(f=[0.0], A=[[-1.0]], B=[[1.0]])
     spec = SimulationSpec(system=sys, n=200_000, dt=0.01, seed=5, burn_in=10_000)
     panel = euler_maruyama(spec)
-    target = stationary_covariance(sys).matrix[0, 0]  # 0.5
+    target = stationary_covariance(sys)[0, 0]  # 0.5
     assert np.var(panel.values[0]) == pytest.approx(target, rel=0.05)
 
 
@@ -114,6 +114,15 @@ def test_spec_validation():
         SimulationSpec(system=sys, n=10, dt=0.1, seed=0, burn_in=-1)
     with pytest.raises(ValidationError):
         SimulationSpec(system=sys, n=10, dt=0.1, seed=0, x0=[1.0, 2.0])
+
+
+def test_spec_holds_a_read_only_copy_of_x0():
+    base = np.array([1.0, -1.0])
+    spec = SimulationSpec(system=decay_system(2), n=10, dt=0.1, seed=0, burn_in=0, x0=base[:])
+    assert not np.shares_memory(spec.x0, base) and not spec.x0.flags.writeable
+    assert base.flags.writeable
+    base[:] = np.nan
+    assert np.array_equal(euler_maruyama(spec).values[:, 0], [1.0, -1.0])
 
 
 def test_one_way_2d_descriptor():
@@ -170,7 +179,7 @@ def test_benchmark_coupling_parameter_applied():
 def test_long_run_covariance_matches_lyapunov():
     b = benchmark("one_way_2d", None, n=200_000, seed=11)
     sample = np.cov(b.panel.values)
-    S = stationary_covariance(b.system).matrix
+    S = stationary_covariance(b.system)
     assert np.allclose(sample, S, rtol=0.08, atol=0.01)
 
 

@@ -30,9 +30,13 @@ in an output depends on where it ran:
 - near-perfect fits: ``window --json`` at 100/50, without and with 19
   surrogates, of a panel whose x1 follows x2 without noise for its first
   300 samples and sits about 50 (``perfect.csv``), so that its early
-  windows' residuals are recomputed from their own data.
+  windows' residuals are recomputed from their own data;
+- ``simulate --system sys.json --n 2000 --seed 3`` (its CSV and meta) of a
+  3 x 3 drift with an offset and a 3 x 2 diffusion that the tool writes,
+  which pins the ``load_system`` -> ``LinearSDE`` -> ``stationary_covariance``
+  path.
 
-That is 286 outputs. Each line is the sha256 of one output (the command's
+That is 288 outputs. Each line is the sha256 of one output (the command's
 stdout, or a file that ``simulate`` wrote, followed by its stderr when it
 exits nonzero, so that a changed message counts), its exit code and the
 command. Two source trees give byte-identical outputs exactly when
@@ -176,6 +180,19 @@ def _perfect_fit(main):
         yield (argv, *_run(main, argv))
 
 
+def _system_file(main):
+    """(command, exit code, output) of the CSV and the meta that
+    ``simulate`` writes for the linear system in ``sys.json``."""
+    system = {"f": [0.1, 0.0, -0.2],
+              "A": [[-1.0, 0.0, 0.4], [0.6, -1.5, 0.0], [0.0, 0.3, -0.8]],
+              "B": [[1.0, 0.0], [0.5, 0.8], [0.0, 0.6]]}
+    Path("sys.json").write_text(json.dumps(system), encoding="utf-8")
+    argv = ["simulate", "--system", "sys.json", "--n", "2000", "--seed", "3", "-o", "sys.csv"]
+    code, _ = _run(main, argv)
+    for path in ("sys.csv", "sys.meta.json"):
+        yield argv + [f"[{path}]"], code, Path(path).read_bytes()
+
+
 def _line(data: bytes, code: int, argv: list[str]) -> str:
     return f"{hashlib.sha256(data).hexdigest()}  {code}  {' '.join(argv)}"
 
@@ -204,6 +221,7 @@ def _outputs(main):
             yield from _time_columns(main)
             yield from _ingest_variants(main)
             yield from _perfect_fit(main)
+            yield from _system_file(main)
         finally:
             os.chdir(cwd)
 
